@@ -1,7 +1,6 @@
 """Multivariate Ore polynomial arithmetic over finite fields, with a
 Diffie-Hellman-like key exchange and its companion protocols."""
 
-from .backend import DEFAULT_BACKEND, HAVE_NUMBA
 from .commuting import ConstantPolynomial, random_constant_polynomial, sample_private
 from .commpoly import CommPolynomial
 from .costs import (CostReport, SecurityTuple, brute_force_steps, check_reference_table,

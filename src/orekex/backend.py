@@ -1,86 +1,60 @@
-"""Hot kernels for bivariate skew rings: dense-grid multiplication and
-exact one-sided division over the field-index encoding.
+"""Hot kernels for skew rings over the field-index encoding: the product
+of two polynomials in any number of Ore variables, and exact one-sided
+division in two variables.
 
-Multiplication is one exact numpy FFT convolution over F_p digits
-(:func:`skew2_mul`).  Division keeps two interchangeable implementations:
+The product is one exact numpy FFT convolution over F_p digits
+(:func:`skew2_mul`).  Division peels leading terms off a dense grid with
+numpy table gathers (:func:`skew2_right_cofactor`,
+:func:`skew2_left_cofactor`).  There is no other implementation.
 
-* ``numba``  -- @njit-compiled nested loops over the nonzero terms
-  (default when numba imports cleanly);
-* ``numpy``  -- the same arithmetic with the inner loop vectorized through
-  fancy table indexing.
-
-Select one globally with the environment variable ``ORE_KEX_BACKEND``
-(values ``numba`` or ``numpy``), or per call via the ``backend=`` argument
-of the division kernels.  Both produce bit-identical results.
-
-Polynomials enter as ``{(e1, e2): coeff_index}`` dicts and leave the same
-way; grids are sized by total degree, which bounds every exponent that can
-appear during a reduction.
+Polynomials enter as ``{exponents: coeff_index}`` dicts and leave the same
+way.  Both kernels work on dense grids, whose size follows the operands'
+exponents rather than their term counts; a grid over ``MAX_GRID_CELLS``
+cells raises :class:`OreKexError` before anything is allocated, so a few
+bytes of ``d1^N`` in an input file cannot buy unbounded time or memory.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import repeat
+from math import prod
 
 import numpy as np
 
 from .errors import NotDivisibleError, OreKexError
 from .fields import tables_for
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
+# Largest dense grid either kernel allocates, counted after transform
+# padding: the product d1^2047 * d2^2047 is exactly this size.  A session
+# at the paper's largest tuple (50, 5, 50) needs 0.83M cells; the largest
+# grid the tests and benchmark build is 1.1M (a d1^1000 * P_final division).
+MAX_GRID_CELLS = 1 << 22
 
 
-def _resolve_default() -> str:
-    env = os.environ.get("ORE_KEX_BACKEND", "").strip().lower()
-    if env == "":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if env not in ("numba", "numpy"):
-        raise OreKexError(f"ORE_KEX_BACKEND must be 'numba' or 'numpy', got {env!r}")
-    if env == "numba" and not HAVE_NUMBA:
-        raise OreKexError("ORE_KEX_BACKEND=numba but numba is not importable")
-    return env
-
-
-DEFAULT_BACKEND = _resolve_default()
-
-
-def active_backend(backend: str | None = None) -> str:
-    if backend is None:
-        return DEFAULT_BACKEND
-    if backend not in ("numba", "numpy"):
-        raise OreKexError(f"unknown backend {backend!r}")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise OreKexError("numba backend requested but numba is not importable")
-    return backend
+def _check_cells(shape) -> None:
+    if prod(shape) > MAX_GRID_CELLS:
+        dims = "x".join(map(str, shape))
+        raise OreKexError(f"operands need a {dims} grid, over the "
+                          f"{MAX_GRID_CELLS}-cell limit of the skew kernels")
 
 
 # -- dict <-> array interchange ----------------------------------------------
 
 def _to_coo(terms: dict, coeff_dtype):
-    ea, eb = np.array(list(terms), dtype=np.int64).reshape(-1, 2).T.copy()
-    return ea, eb, np.fromiter(terms.values(), coeff_dtype, len(terms))
+    """(exponents, coefficients): an int64 (n, terms) array and a vector."""
+    try:
+        exps = np.array(list(terms), dtype=np.int64).T.copy()
+    except OverflowError:
+        raise OreKexError("exponent too large for the skew kernels") from None
+    return exps, np.fromiter(terms.values(), coeff_dtype, len(terms))
 
 
 def _grid_to_terms(grid: np.ndarray) -> dict:
     # row by row: short lists keep the transient memory of a large dict small
     terms = {}
     for a, row in enumerate(grid):
-        (cols,) = np.nonzero(row)
-        terms.update(zip(zip(repeat(a), cols.tolist()), row[cols].tolist()))
+        idx = np.nonzero(row)
+        terms.update(zip(zip(repeat(a), *(i.tolist() for i in idx)), row[idx].tolist()))
     return terms
 
 
@@ -98,37 +72,41 @@ def _smooth(n: int) -> int:
 
 
 def skew2_mul(ring, f_terms: dict, g_terms: dict) -> dict:
-    """Product f*g in a two-variable skew ring; moving d^(a,b) of f past a
-    coefficient of g applies Frobenius^t, t = (j1*a + j2*b) mod k.
+    """Product f*g in a skew ring with any number of Ore variables; moving
+    d^e of f past a coefficient of g applies Frobenius^t, t = sigma_powers.e
+    mod k.
 
     c1 * Frobenius^t(c2) is F_p-bilinear in the digits of c1 and c2, so
     output digit i is (sum_l H_il * G_l) mod p: G_l is g's digit-l grid, H_il
-    is f's grid filled with ``twist_digits[fc, t, i, l]`` and * is a 2-D
-    convolution, done by real FFTs in float64.  Every exact cell sum is at
-    most k*(p-1)^2*min(|f|, |g|) (48*min in F_125), far below 2^53; a
-    rounding residue of 1/4 or more raises OreKexError.
+    is f's grid filled with ``twist_digits[fc, t, i, l]`` and * is an
+    n-dimensional convolution, done by real FFTs in float64.  Every exact
+    cell sum is at most k*(p-1)^2*min(|f|, |g|) (48*min in F_125), far below
+    2^53; a rounding residue of 1/4 or more raises OreKexError.  The padded
+    output grid must fit in ``MAX_GRID_CELLS``.
     """
     if not f_terms or not g_terms:
         return {}
     tab = tables_for(ring.field)
-    j1, j2 = ring.sigma_powers
     p, kf = ring.field.p, ring.field.k
-    fa, fb, fc = _to_coo(f_terms, tab.dtype)
-    ga, gb, gc = _to_coo(g_terms, tab.dtype)
-    shape = (int(fa.max() + ga.max()) + 1, int(fb.max() + gb.max()) + 1)
-    size = (_smooth(shape[0]), _smooth(shape[1]))
+    fe, fc = _to_coo(f_terms, tab.dtype)
+    ge, gc = _to_coo(g_terms, tab.dtype)
+    shape = [a + b + 1 for a, b in zip(fe.max(1).tolist(), ge.max(1).tolist())]
+    size = [_smooth(s) for s in shape]
+    _check_cells(size)
+    axes = tuple(range(len(size)))
 
-    def spectrum(ea, eb, digits):
-        grid = np.zeros((int(ea.max()) + 1, int(eb.max()) + 1))
-        grid[ea, eb] = digits
-        return np.fft.rfft2(grid, size)
+    def spectrum(exps, digits):
+        grid = np.zeros(exps.max(1) + 1)
+        grid[tuple(exps)] = digits
+        return np.fft.rfftn(grid, size, axes)
 
-    g_hat = [spectrum(ga, gb, gc // p ** l % p) for l in range(kf)]
-    coeff = tab.twist_digits[fc, (j1 * fa + j2 * fb) % kf]  # [term, i, l]
+    g_hat = [spectrum(ge, gc // p ** l % p) for l in range(kf)]
+    coeff = tab.twist_digits[fc, np.array(ring.sigma_powers) @ fe % kf]  # [term, i, l]
     out = np.zeros(shape, dtype=tab.dtype)
+    crop = tuple(slice(s) for s in shape)
     for i in range(kf):
-        acc = sum(spectrum(fa, fb, coeff[:, i, l]) * g_hat[l] for l in range(kf))
-        v = np.fft.irfft2(acc, size)[:shape[0], :shape[1]]
+        acc = sum(spectrum(fe, coeff[:, i, l]) * g_hat[l] for l in range(kf))
+        v = np.fft.irfftn(acc, size, axes)[crop]
         r = np.rint(v)
         if np.abs(np.subtract(v, r, out=v), out=v).max() >= 0.25:
             raise OreKexError("skew product lost exactness in floating point")
@@ -140,94 +118,14 @@ def skew2_mul(ring, f_terms: dict, g_terms: dict) -> dict:
 
 # -- exact division ------------------------------------------------------------
 #
-# Leading terms are taken in grevlex; on equal total degree the larger d1
-# exponent wins, so the scan walks diagonals a+b = d with a descending.
-# Each reduction step cancels the current lead exactly, so the cursor only
-# ever moves forward and the total scan cost is amortized by the grid size.
-
-@njit(cache=True)
-def _rdiv_numba(h, pa, pb, pc, twp, la, lb, inv_lc, inv_s, MUL, FROB, SUB, qout, d0):
-    na, nb = h.shape
-    d = d0
-    a = min(d, na - 1)
-    while d >= 0:
-        lead_a = -1
-        lead_b = -1
-        while d >= 0:
-            amin = d - (nb - 1)
-            if amin < 0:
-                amin = 0
-            while a >= amin:
-                b = d - a
-                if h[a, b] != 0:
-                    lead_a = a
-                    lead_b = b
-                    break
-                a -= 1
-            if lead_a >= 0:
-                break
-            d -= 1
-            a = min(d, na - 1)
-        if lead_a < 0:
-            return 0
-        mua = lead_a - la
-        mub = lead_b - lb
-        if mua < 0 or mub < 0:
-            return 1
-        c = FROB[inv_s, MUL[inv_lc, h[lead_a, lead_b]]]
-        qout[mua, mub] = c
-        for t in range(pa.shape[0]):
-            v = MUL[pc[t], FROB[twp[t], c]]
-            aa = pa[t] + mua
-            bb = pb[t] + mub
-            h[aa, bb] = SUB[h[aa, bb], v]
-        a = lead_a - 1
-    return 0
-
-
-@njit(cache=True)
-def _ldiv_numba(h, qa, qb, qc, lqa, lqb, lcq, j1, j2, kf, MUL, FROB, SUB, INV, pout, d0):
-    na, nb = h.shape
-    d = d0
-    a = min(d, na - 1)
-    while d >= 0:
-        lead_a = -1
-        lead_b = -1
-        while d >= 0:
-            amin = d - (nb - 1)
-            if amin < 0:
-                amin = 0
-            while a >= amin:
-                b = d - a
-                if h[a, b] != 0:
-                    lead_a = a
-                    lead_b = b
-                    break
-                a -= 1
-            if lead_a >= 0:
-                break
-            d -= 1
-            a = min(d, na - 1)
-        if lead_a < 0:
-            return 0
-        mua = lead_a - lqa
-        mub = lead_b - lqb
-        if mua < 0 or mub < 0:
-            return 1
-        tmu = (j1 * mua + j2 * mub) % kf
-        c = MUL[h[lead_a, lead_b], INV[FROB[tmu, lcq]]]
-        pout[mua, mub] = c
-        for t in range(qa.shape[0]):
-            v = MUL[c, FROB[tmu, qc[t]]]
-            aa = mua + qa[t]
-            bb = mub + qb[t]
-            h[aa, bb] = SUB[h[aa, bb], v]
-        a = lead_a - 1
-    return 0
-
+# Two variables only.  Leading terms are taken in grevlex; on equal total
+# degree the larger d1 exponent wins, so the scan walks diagonals a+b = d
+# with a descending.  Each reduction step cancels the current lead exactly,
+# so the cursor only ever moves forward and the total scan cost is
+# amortized by the grid size.
 
 class _Cursor:
-    """Grevlex-descending scan over a dense grid, shared by the numpy paths."""
+    """Grevlex-descending scan over a dense two-variable grid."""
 
     def __init__(self, grid, d0):
         self.grid = grid
@@ -253,99 +151,69 @@ class _Cursor:
         self.a -= 1
 
 
-def _rdiv_numpy(h, pa, pb, pc, twp, la, lb, inv_lc, inv_s, MUL, FROB, SUB, qout, d0):
-    cur = _Cursor(h, d0)
-    while True:
-        lead = cur.next_lead()
-        if lead is None:
-            return 0
-        mua = lead[0] - la
-        mub = lead[1] - lb
-        if mua < 0 or mub < 0:
-            return 1
-        c = FROB[inv_s, MUL[inv_lc, h[lead]]]
-        qout[mua, mub] = c
-        v = MUL[pc, FROB[twp, c]]
-        ia = pa + mua
-        ib = pb + mub
-        h[ia, ib] = SUB[h[ia, ib], v]
-        cur.advance()
-
-
-def _ldiv_numpy(h, qa, qb, qc, lqa, lqb, lcq, j1, j2, kf, MUL, FROB, SUB, INV, pout, d0):
-    cur = _Cursor(h, d0)
-    while True:
-        lead = cur.next_lead()
-        if lead is None:
-            return 0
-        mua = lead[0] - lqa
-        mub = lead[1] - lqb
-        if mua < 0 or mub < 0:
-            return 1
-        tmu = (j1 * mua + j2 * mub) % kf
-        c = MUL[h[lead], INV[FROB[tmu, lcq]]]
-        pout[mua, mub] = c
-        v = MUL[c, FROB[tmu, qc]]
-        ia = mua + qa
-        ib = mub + qb
-        h[ia, ib] = SUB[h[ia, ib], v]
-        cur.advance()
-
-
 def _lead_term(terms: dict):
     lead = max(terms, key=lambda e: (e[0] + e[1], e[0]))
     return lead, terms[lead]
 
 
 def _prepare(h_terms: dict, div_terms: dict, dtype):
+    """Dividend grid, zeroed cofactor grid and a cursor at the dividend's lead."""
     dh = _total_degree(h_terms)
-    dd = _total_degree(div_terms)
-    nq = dh - dd
+    nq = dh - _total_degree(div_terms)
     if nq < 0:
         raise NotDivisibleError("divisor has higher total degree than dividend")
+    _check_cells((dh + 1, dh + 1))
     h = np.zeros((dh + 1, dh + 1), dtype=dtype)
     for (a, b), c in h_terms.items():
         h[a, b] = c
-    out = np.zeros((nq + 1, nq + 1), dtype=dtype)
-    return h, out, dh
+    return h, np.zeros((nq + 1, nq + 1), dtype=dtype), _Cursor(h, dh)
 
 
-def skew2_right_cofactor(ring, h_terms: dict, p_terms: dict,
-                         backend: str | None = None) -> dict:
+def skew2_right_cofactor(ring, h_terms: dict, p_terms: dict) -> dict:
     """Solve h = p * q for q by leading-term peeling; raises NotDivisibleError."""
     if not h_terms:
         return {}
     tab = tables_for(ring.field)
-    j1, j2 = ring.sigma_powers
-    kf = ring.field.k
-    pa, pb, pc = _to_coo(p_terms, tab.dtype)
-    twp = (j1 * pa + j2 * pb) % kf
+    MUL, FROB, SUB = tab.mul, tab.frob, tab.sub
+    pe, pc = _to_coo(p_terms, tab.dtype)
+    pa, pb = pe
+    twp = np.array(ring.sigma_powers) @ pe % ring.field.k
     (la, lb), lc = _lead_term(p_terms)
     inv_lc = int(tab.inv[lc])
-    inv_s = (-(j1 * la + j2 * lb)) % kf
-    h, qout, d0 = _prepare(h_terms, p_terms, tab.dtype)
-    fn = _rdiv_numba if active_backend(backend) == "numba" else _rdiv_numpy
-    status = fn(h, pa, pb, pc, twp, la, lb, inv_lc, inv_s,
-                tab.mul, tab.frob, tab.sub, qout, d0)
-    if status != 0:
-        raise NotDivisibleError("no exact right cofactor exists")
+    inv_s = -ring.twist_power((la, lb)) % ring.field.k
+    h, qout, cur = _prepare(h_terms, p_terms, tab.dtype)
+    while (lead := cur.next_lead()) is not None:
+        mua, mub = lead[0] - la, lead[1] - lb
+        if mua < 0 or mub < 0:
+            raise NotDivisibleError("no exact right cofactor exists")
+        c = FROB[inv_s, MUL[inv_lc, h[lead]]]
+        qout[mua, mub] = c
+        ia, ib = pa + mua, pb + mub
+        h[ia, ib] = SUB[h[ia, ib], MUL[pc, FROB[twp, c]]]
+        cur.advance()
     return _grid_to_terms(qout)
 
 
-def skew2_left_cofactor(ring, h_terms: dict, q_terms: dict,
-                        backend: str | None = None) -> dict:
+def skew2_left_cofactor(ring, h_terms: dict, q_terms: dict) -> dict:
     """Solve h = p * q for p; mirror of skew2_right_cofactor."""
     if not h_terms:
         return {}
     tab = tables_for(ring.field)
+    MUL, FROB, SUB = tab.mul, tab.frob, tab.sub
     j1, j2 = ring.sigma_powers
     kf = ring.field.k
-    qa, qb, qc = _to_coo(q_terms, tab.dtype)
+    qe, qc = _to_coo(q_terms, tab.dtype)
+    qa, qb = qe
     (lqa, lqb), lcq = _lead_term(q_terms)
-    h, pout, d0 = _prepare(h_terms, q_terms, tab.dtype)
-    fn = _ldiv_numba if active_backend(backend) == "numba" else _ldiv_numpy
-    status = fn(h, qa, qb, qc, lqa, lqb, lcq, j1, j2, kf,
-                tab.mul, tab.frob, tab.sub, tab.inv, pout, d0)
-    if status != 0:
-        raise NotDivisibleError("no exact left cofactor exists")
+    h, pout, cur = _prepare(h_terms, q_terms, tab.dtype)
+    while (lead := cur.next_lead()) is not None:
+        mua, mub = lead[0] - lqa, lead[1] - lqb
+        if mua < 0 or mub < 0:
+            raise NotDivisibleError("no exact left cofactor exists")
+        tmu = (j1 * mua + j2 * mub) % kf
+        c = MUL[h[lead], tab.inv[FROB[tmu, lcq]]]
+        pout[mua, mub] = c
+        ia, ib = mua + qa, mub + qb
+        h[ia, ib] = SUB[h[ia, ib], MUL[c, FROB[tmu, qc]]]
+        cur.advance()
     return _grid_to_terms(pout)

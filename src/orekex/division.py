@@ -11,6 +11,10 @@ multiplicative, so each step is forced:
 
 A reduction step that produces a lead not componentwise >= lm(divisor),
 or a nonzero final remainder, raises :class:`NotDivisibleError`.
+
+Two-variable skew rings peel on a dense grid in :mod:`orekex.backend`,
+bounded by its ``MAX_GRID_CELLS``; every other ring peels one term at a
+time here, through ring products.
 """
 
 from __future__ import annotations
@@ -31,31 +35,25 @@ def _common_checks(h: OrePolynomial, divisor: OrePolynomial):
         raise OreKexError("division by the zero polynomial")
 
 
-def right_cofactor(h: OrePolynomial, p: OrePolynomial,
-                   backend_name: str | None = None) -> OrePolynomial:
+def right_cofactor(h: OrePolynomial, p: OrePolynomial) -> OrePolynomial:
     """Return q with p * q = h, the left factor p being known."""
     _common_checks(h, p)
     ring = h.ring
     if h.is_zero():
         return ring.zero()
     if ring.is_skew and ring.n == 2:
-        return OrePolynomial(
-            ring, backend.skew2_right_cofactor(ring, h.terms, p.terms, backend_name)
-        )
+        return OrePolynomial(ring, backend.skew2_right_cofactor(ring, h.terms, p.terms))
     return _peel(h, p, side="right")
 
 
-def left_cofactor(h: OrePolynomial, q: OrePolynomial,
-                  backend_name: str | None = None) -> OrePolynomial:
+def left_cofactor(h: OrePolynomial, q: OrePolynomial) -> OrePolynomial:
     """Return p with p * q = h, the right factor q being known."""
     _common_checks(h, q)
     ring = h.ring
     if h.is_zero():
         return ring.zero()
     if ring.is_skew and ring.n == 2:
-        return OrePolynomial(
-            ring, backend.skew2_left_cofactor(ring, h.terms, q.terms, backend_name)
-        )
+        return OrePolynomial(ring, backend.skew2_left_cofactor(ring, h.terms, q.terms))
     return _peel(h, q, side="left")
 
 

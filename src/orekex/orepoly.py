@@ -9,8 +9,8 @@ A term maps an exponent vector to a coefficient index:
 
 Values are immutable once constructed; all operations are pure.  Products
 respect the defining relations d*c = sigma(c)*d (skew) and d_i*x_i =
-x_i*d_i + 1 (weyl); multiplication of the bivariate skew case is delegated
-to the FFT kernel in :mod:`orekex.backend`.
+x_i*d_i + 1 (weyl).  Every skew product, whatever the number of variables,
+is delegated to the FFT kernel in :mod:`orekex.backend`.
 """
 
 from __future__ import annotations
@@ -189,9 +189,7 @@ class OrePolynomial:
         if not self.terms or not other.terms:
             return ring.zero()
         if ring.is_skew:
-            if ring.n == 2:
-                return OrePolynomial._raw(ring, backend.skew2_mul(ring, self.terms, other.terms))
-            return OrePolynomial._raw(ring, _skew_mul_generic(ring, self.terms, other.terms))
+            return OrePolynomial._raw(ring, backend.skew2_mul(ring, self.terms, other.terms))
         return OrePolynomial._raw(ring, _weyl_mul(ring, self.terms, other.terms))
 
     def __radd__(self, other):
@@ -257,19 +255,6 @@ class OrePolynomial:
         if len(text) > 120:
             text = f"<{len(self.terms)} terms, total degree {self.total_degree()}>"
         return f"OrePolynomial({self.ring.kind}: {text})"
-
-
-def _skew_mul_generic(ring: OreRing, f: dict, g: dict) -> dict:
-    """Term-by-term product for skew rings with any number of variables."""
-    tab = tables_for(ring.field)
-    out: dict[tuple[int, ...], int] = {}
-    for e1, c1 in f.items():
-        t = ring.twist_power(e1)
-        for e2, c2 in g.items():
-            c = int(tab.mul[c1, tab.frob[t, c2]])
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = int(tab.add[out.get(key, 0), c])
-    return {k: v for k, v in out.items() if v}
 
 
 def _weyl_mul(ring: OreRing, f: dict, g: dict) -> dict:

@@ -63,10 +63,12 @@ def ring_from_text(line: str) -> OreRing:
             return weyl_ring(int(kv["p"]), int(kv["n"]))
     except KeyError as exc:
         raise ParseError(f"ring line misses attribute {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"bad integer in ring line {line!r}") from exc
     raise ParseError(f"unknown ring kind {parts[1]!r}")
 
 
-_SKEW_TERM = re.compile(r"^\[([0-9, ]*)\]\*(.+)$")
+_SKEW_TERM = re.compile(r"^(\[[0-9, ]*\])\*(.+)$")
 
 
 def poly_to_text(poly: OrePolynomial) -> str:
@@ -84,8 +86,7 @@ def poly_from_text(ring: OreRing, text: str) -> OrePolynomial:
             m = _SKEW_TERM.match(chunk)
             if not m:
                 raise ParseError(f"bad skew term {chunk!r}")
-            coeffs = [int(x) for x in m.group(1).split(",")]
-            coeff = ring.field.element(coeffs).index
+            coeff = ring.field.element(_parse_int_list(m.group(1))).index
             mono = m.group(2)
         else:
             if "*" not in chunk:
@@ -155,7 +156,10 @@ def parse_file(text: str) -> tuple[OreRing, int | None, list[tuple[str, str]]]:
         if key == "ring":
             ring = ring_from_text(ln)
         elif key == "seed":
-            seed = None if rest.strip() == "withheld" else int(rest.strip())
+            try:
+                seed = None if rest.strip() == "withheld" else int(rest.strip())
+            except ValueError as exc:
+                raise ParseError(f"bad seed line {ln!r}") from exc
         elif key == "rng":
             continue
         else:

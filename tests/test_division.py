@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from orekex import (FieldSpec, NotDivisibleError, OreKexError, OrePolynomial,
-                    backend, left_cofactor, random_polynomial, right_cofactor,
+                    f125_spec, left_cofactor, random_polynomial, right_cofactor,
                     ring_by_name, skew_ring, weyl_ring)
+
+from helpers import skew_mul_oracle
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
@@ -44,8 +46,6 @@ def test_round_trip_both_sides():
 def test_round_trip_three_variable_skew():
     # the generic peeling path, including its twisted coefficient solves,
     # is only reachable off the two-variable kernel fast path
-    from orekex import f125_spec
-
     ring3 = skew_ring(f125_spec(), (1, 2, 1))
     rng = np.random.default_rng(27)
     for _ in range(40):
@@ -65,20 +65,19 @@ def test_round_trip_protocol_scale():
     assert left_cofactor(h, q) == p
 
 
-def test_backend_parity_on_division():
-    if not backend.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
+def test_division_recovers_oracle_products():
+    # h comes from the independent oracle, not the product kernel, so a fault
+    # shared by product and division cannot cancel out
+    f4 = skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1))
+    ring3 = skew_ring(f125_spec(), (1, 2, 1))
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        p = random_polynomial(SKEW, 6, 8, rng)
-        q = random_polynomial(SKEW, 5, 8, rng)
-        h = p * q
-        nb = backend.skew2_right_cofactor(SKEW, h.terms, p.terms, "numba")
-        np_ = backend.skew2_right_cofactor(SKEW, h.terms, p.terms, "numpy")
-        assert nb == np_
-        nb = backend.skew2_left_cofactor(SKEW, h.terms, q.terms, "numba")
-        np_ = backend.skew2_left_cofactor(SKEW, h.terms, q.terms, "numpy")
-        assert nb == np_
+    for ring, dp, dq in ((SKEW, 6, 5), (f4, 6, 5), (ring3, 3, 3)):
+        for _ in range(20):
+            p = random_polynomial(ring, dp, 8, rng)
+            q = random_polynomial(ring, dq, 8, rng)
+            h = skew_mul_oracle(p, q)
+            assert right_cofactor(h, p) == q
+            assert left_cofactor(h, q) == p
 
 
 def test_three_pass_chain_identity():

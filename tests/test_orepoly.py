@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from orekex import (FieldSpec, OreKexError, OrePolynomial, RingMismatchError,
-                    backend, f125_spec, random_polynomial, ring_by_name, skew_ring,
-                    weyl_ring)
+                    backend, f125_spec, left_cofactor, random_polynomial, right_cofactor,
+                    ring_by_name, skew_ring, weyl_ring)
 from orekex.monomials import grevlex_key
 
 from helpers import skew_mul_oracle, weyl_mul_oracle
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
+SKEW4 = skew_ring(f125_spec(), (2, 1, 1, 2))
 
 
 def _rand(ring, rng, degree=4, terms=5):
@@ -96,14 +99,38 @@ def test_mul_against_independent_oracles():
         assert f * g == weyl_mul_oracle(f, g)
 
 
-def test_generic_skew_path_matches_kernel():
-    # three-variable skew ring exercises the non-kernel multiply
-    ring3 = skew_ring(f125_spec(), (1, 2, 1))
+def test_skew_mul_matches_oracle_in_more_variables():
+    # the FFT kernel convolves over as many axes as the ring has variables
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        f = _rand(ring3, rng)
-        g = _rand(ring3, rng)
-        assert f * g == skew_mul_oracle(f, g)
+    for ring in (skew_ring(f125_spec(), (1, 2, 1)), SKEW4,
+                 skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1, 1))):
+        cases = [(_rand(ring, rng), _rand(ring, rng)) for _ in range(20)]
+        # single-axis monomials: grids of length 1 on every axis but one
+        for i in range(1, ring.n + 1):
+            mono = ring.d(i) ** 3 * 2
+            cases += [(mono, _rand(ring, rng)), (_rand(ring, rng), ring.d(i) ** 5),
+                      (mono, ring.d(i) ** 5)]
+        for f, g in cases:
+            assert f * g == skew_mul_oracle(f, g)
+
+
+@pytest.mark.parametrize("make", [
+    # (d1^100 + d2^100)(d3^100 + d4^100) needs a 101^4-cell grid
+    pytest.param(lambda: SKEW4.poly({(100, 0, 0, 0): 1, (0, 100, 0, 0): 2})
+                 * SKEW4.poly({(0, 0, 100, 0): 3, (0, 0, 0, 100): 4}), id="mul4"),
+    pytest.param(lambda: SKEW.poly({(2 ** 70, 0): 1}) * SKEW.d(1), id="mul-huge-exponent"),
+    pytest.param(lambda: right_cofactor(SKEW.poly({(20000, 0): 1}), SKEW.d(1)), id="rdiv"),
+    pytest.param(lambda: left_cofactor(SKEW.poly({(20000, 0): 1}), SKEW.d(1)), id="ldiv"),
+])
+def test_oversized_grids_are_refused_before_allocation(make):
+    tracemalloc.start()
+    try:
+        with pytest.raises(OreKexError, match="limit|too large"):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < backend.MAX_GRID_CELLS  # far below one byte per refused cell
 
 
 def test_backend_parity():

@@ -193,3 +193,42 @@ def test_cli_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run("exchange", "--ring", "f125-skew2")  # --seed missing
     assert exc.value.code == 2
+
+
+SIGNATURE_KEYS = ("m", "gamma", "q1", "r1", "q2", "r2", "eps1", "eps2")
+SKEW_LINE = ring_to_text(SKEW)
+SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
+
+
+@pytest.mark.parametrize("ring_line, seed_line, public_l, m", [
+    (SKEW_LINE, "seed 1", "[,]*d1^1*d2^0", "0"),
+    (SKEW_LINE, "seed 1", "[ ]*d1^0*d2^0", "0"),
+    (SKEW_LINE, "seed x", "0", "0"),
+    ("ring skew p=5 k=x m=[3,3,0,1] sigma=[2,1]", "seed 1", "0", "0"),
+    # m * L needs a 101^4-cell grid: refused by the kernel's cell limit
+    (SKEW4_LINE, "seed 1", "[1,0,0]*d1^100*d2^0*d3^0*d4^0 + [2,0,0]*d1^0*d2^100*d3^0*d4^0",
+     "[1,0,0]*d1^0*d2^0*d3^100*d4^0 + [2,0,0]*d1^0*d2^0*d3^0*d4^100"),
+], ids=["empty-digit", "blank-coefficient", "seed-x", "ring-k-x", "skew4-grid"])
+def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, seed_line,
+                                                  public_l, m):
+    head = f"# ore-kex v1\n{ring_line}\n{seed_line}\nrng numpy-pcg64\n"
+    pub = tmp_path / "pub.txt"
+    pub.write_text(head + f"L {public_l}\nP_Alice 0\n")
+    sig = tmp_path / "sig.txt"
+    sig.write_text(head + f"m {m}\n" + "".join(f"{k} 0\n" for k in SIGNATURE_KEYS[1:]))
+    assert _run("verify", "--pub", str(pub), "--sig", str(sig)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_oversized_division_exits_2(tmp_path, capsys):
+    # m_e = d1^20000 would need a 20001^2-cell dividend grid
+    prefix = tmp_path / "alice"
+    assert _run("keygen", "--scheme", "encrypt", "--ring", "f125-skew2",
+                "--dL", "6", "--dPQ", "2", "--nu", "2", "--seed", "3",
+                "--out-prefix", str(prefix)) == 0
+    ct = tmp_path / "ct.txt"
+    ct.write_text(render_file(SKEW, 4, ["m_e [1,0,0]*d1^20000*d2^0",
+                                        "P_Bob [1,0,0]*d1^1*d2^0"]))
+    assert _run("decrypt", "--sec", f"{prefix}.sec", "--in", str(ct),
+                "--out", str(tmp_path / "out.bin")) == 2
+    assert "cell limit" in capsys.readouterr().err

@@ -91,6 +91,7 @@ def skew2_mul(ring, f_terms: dict, g_terms: dict) -> dict:
     fe, fc = _to_coo(f_terms, tab.dtype)
     ge, gc = _to_coo(g_terms, tab.dtype)
     shape = [a + b + 1 for a, b in zip(fe.max(1).tolist(), ge.max(1).tolist())]
+    _check_cells(shape)  # before _smooth, which steps one integer at a time
     size = [_smooth(s) for s in shape]
     _check_cells(size)
     axes = tuple(range(len(size)))
@@ -200,8 +201,6 @@ def skew2_left_cofactor(ring, h_terms: dict, q_terms: dict) -> dict:
         return {}
     tab = tables_for(ring.field)
     MUL, FROB, SUB = tab.mul, tab.frob, tab.sub
-    j1, j2 = ring.sigma_powers
-    kf = ring.field.k
     qe, qc = _to_coo(q_terms, tab.dtype)
     qa, qb = qe
     (lqa, lqb), lcq = _lead_term(q_terms)
@@ -210,7 +209,7 @@ def skew2_left_cofactor(ring, h_terms: dict, q_terms: dict) -> dict:
         mua, mub = lead[0] - lqa, lead[1] - lqb
         if mua < 0 or mub < 0:
             raise NotDivisibleError("no exact left cofactor exists")
-        tmu = (j1 * mua + j2 * mub) % kf
+        tmu = ring.twist_power((mua, mub))
         c = MUL[h[lead], tab.inv[FROB[tmu, lcq]]]
         pout[mua, mub] = c
         ia, ib = mua + qa, mub + qb

@@ -14,7 +14,8 @@ or a nonzero final remainder, raises :class:`NotDivisibleError`.
 
 Two-variable skew rings peel on a dense grid in :mod:`orekex.backend`,
 bounded by its ``MAX_GRID_CELLS``; every other ring peels one term at a
-time here, through ring products.
+time here.  A skew divisor times a one-term factor is a shift and a twist
+of its terms; a Weyl divisor goes through the ring product.
 """
 
 from __future__ import annotations
@@ -88,8 +89,30 @@ def _peel(h: OrePolynomial, divisor: OrePolynomial, side: str) -> OrePolynomial:
         c = _solve_coeff(ring, side, lm_div, lc_div, lc_head, mu)
         term = OrePolynomial(ring, {mu: c})
         cofactor = cofactor + term
-        if side == "right":
-            remainder = remainder - divisor * term
-        else:
-            remainder = remainder - term * divisor
+        remainder = remainder - _times_term(divisor, term, side)
     return cofactor
+
+
+def _times_term(divisor: OrePolynomial, term: OrePolynomial, side: str) -> OrePolynomial:
+    """divisor * term (side "right") or term * divisor (side "left").
+
+    In a skew ring the one-term factor c*d^mu only shifts the divisor's
+    exponents by mu and twists one side: a*d^e * c*d^mu = a*sigma^t(e)(c)*d^(e+mu)
+    and c*d^mu * a*d^e = c*sigma^t(mu)(a)*d^(mu+e).  That is |divisor| table
+    lookups, where the product kernel would transform the whole bounding box.
+    """
+    ring = divisor.ring
+    if ring.is_weyl:
+        return divisor * term if side == "right" else term * divisor
+    tab = tables_for(ring.field)
+    ((mu, c),) = term.terms.items()
+    t_mu = ring.twist_power(mu)
+    out = {}
+    for e, a in divisor.terms.items():
+        if side == "right":
+            coeff = tab.mul[a, tab.frob[ring.twist_power(e), c]]
+        else:
+            coeff = tab.mul[c, tab.frob[t_mu, a]]
+        out[tuple(x + y for x, y in zip(e, mu))] = int(coeff)
+    # a field product of nonzero elements is nonzero and the shift is injective
+    return OrePolynomial._raw(ring, out)

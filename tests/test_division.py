@@ -80,6 +80,19 @@ def test_division_recovers_oracle_products():
             assert left_cofactor(h, q) == p
 
 
+def test_sparse_division_in_three_variables_builds_no_grid():
+    # p*q spans a 3001 x 8 x 3006 box, over the product kernel's cell limit;
+    # peeling off the one-term steps touches only the few terms present
+    ring3 = skew_ring(f125_spec(), (1, 2, 1))
+    p = ring3.poly({(3000, 0, 0): 7, (0, 7, 5): 3})
+    q = ring3.poly({(0, 0, 3000): 11, (1, 1, 0): 2})
+    h = skew_mul_oracle(p, q)
+    with pytest.raises(OreKexError, match="limit"):
+        p * q
+    assert right_cofactor(h, p) == q
+    assert left_cofactor(h, q) == p
+
+
 def test_three_pass_chain_identity():
     rng = np.random.default_rng(24)
     from orekex import ConstantPolynomial

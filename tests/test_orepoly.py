@@ -119,6 +119,9 @@ def test_skew_mul_matches_oracle_in_more_variables():
     pytest.param(lambda: SKEW4.poly({(100, 0, 0, 0): 1, (0, 100, 0, 0): 2})
                  * SKEW4.poly({(0, 0, 100, 0): 3, (0, 0, 0, 100): 4}), id="mul4"),
     pytest.param(lambda: SKEW.poly({(2 ** 70, 0): 1}) * SKEW.d(1), id="mul-huge-exponent"),
+    # exponents inside int64: refused before any padding to a transform length
+    pytest.param(lambda: SKEW.poly({(10 ** 12, 0): 1}) * SKEW.d(1), id="mul-int64-exponent"),
+    pytest.param(lambda: SKEW4.poly({(2 ** 62, 0, 0, 0): 1}) * SKEW4.d(3), id="mul4-int64-exponent"),
     pytest.param(lambda: right_cofactor(SKEW.poly({(20000, 0): 1}), SKEW.d(1)), id="rdiv"),
     pytest.param(lambda: left_cofactor(SKEW.poly({(20000, 0): 1}), SKEW.d(1)), id="ldiv"),
 ])

@@ -208,7 +208,10 @@ SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
     # m * L needs a 101^4-cell grid: refused by the kernel's cell limit
     (SKEW4_LINE, "seed 1", "[1,0,0]*d1^100*d2^0*d3^0*d4^0 + [2,0,0]*d1^0*d2^100*d3^0*d4^0",
      "[1,0,0]*d1^0*d2^0*d3^100*d4^0 + [2,0,0]*d1^0*d2^0*d3^0*d4^100"),
-], ids=["empty-digit", "blank-coefficient", "seed-x", "ring-k-x", "skew4-grid"])
+    # m * L is d1^(10^12 + 1): refused before padding to a transform length
+    (SKEW_LINE, "seed 1", "[1,0,0]*d1^999999999999*d2^0", "[1,0,0]*d1^1*d2^0"),
+], ids=["empty-digit", "blank-coefficient", "seed-x", "ring-k-x", "skew4-grid",
+        "int64-exponent"])
 def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, seed_line,
                                                   public_l, m):
     head = f"# ore-kex v1\n{ring_line}\n{seed_line}\nrng numpy-pcg64\n"

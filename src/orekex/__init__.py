@@ -2,7 +2,6 @@
 Diffie-Hellman-like key exchange and its companion protocols."""
 
 from .commuting import ConstantPolynomial, random_constant_polynomial, sample_private
-from .commpoly import CommPolynomial
 from .costs import (CostReport, SecurityTuple, brute_force_steps, check_reference_table,
                     cost_report, initial_message_steps, key_size_kb,
                     power_ladder_steps, power_ladder_steps_exact, secret_param_steps,

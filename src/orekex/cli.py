@@ -2,8 +2,11 @@
 
 Every randomized subcommand requires ``--seed``; equal seeds and arguments
 produce byte-identical output files.  Exit codes: 0 success, 1 protocol or
-verification failure, 2 usage error, 3 corrupt input (failed division or
-decoding).
+verification failure, 2 usage error or bad input (a file that is malformed,
+lacks an entry or mixes rings, or work over a kernel limit), 3 corrupt
+input (failed division or decoding).
+
+Every file is written by ``_render`` and read by ``_load``, which checks it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .protocols import (CommutingSetup, EncryptionPublicKey, EncryptionSecretKey
                         run_key_exchange, run_zkp, sign, signature_keygen,
                         three_pass_exchange, verify_signature)
 from .rings import RING_ALIASES, ring_by_name
-from .serial import (constant_poly_from_text, constant_poly_to_text, parse_file,
-                     poly_from_text, poly_to_text, render_file, ring_from_text)
+from .serial import (constant_poly_from_text, parse_file, poly_from_text, render_file,
+                     ring_from_text)
 from .weakkeys import screen_private_key, grading_vector
 
 
@@ -49,10 +52,59 @@ def _write(path: str | None, content: str):
             fh.write(content)
 
 
-def _read_kv(path: str):
+PARAMS_KEYS = ("nu", "L", "P", "Q")
+SIGNATURE_KEYS = ("m", "gamma", "q1", "r1", "q2", "r2", "eps1", "eps2")
+
+
+def _render(ring, seed, kind: str, entries) -> str:
+    """File text: the header, a ``protocol`` line, then one ``key value`` line
+    per pair; ``str()`` of a polynomial, a constant polynomial or an int is
+    its file text."""
+    return render_file(ring, seed, [f"protocol {kind}"]
+                       + [f"{key} {value}" for key, value in entries])
+
+
+def _value(ring, key: str, text: str):
+    if key in ("f", "g"):
+        return constant_poly_from_text(ring.p, text)
+    if key == "nu":
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(f"bad integer {text!r} on the nu line") from None
+    return poly_from_text(ring, text)
+
+
+def _load(path: str, keys, ring=None) -> tuple:
+    """(ring, value of each key in ``keys``) from the file at ``path``.
+
+    ``f`` and ``g`` are constant polynomials, ``nu`` an integer and every
+    other key a polynomial.  ParseError when a key has no line, a value is
+    malformed, or the file's ring is not ``ring``."""
     with open(path) as fh:
-        ring, seed, entries = parse_file(fh.read())
-    return ring, seed, entries
+        file_ring, _, entries = parse_file(fh.read())
+    if ring is not None and file_ring != ring:
+        raise ParseError(f"{path}: ring differs from that of the other input")
+    found = serial.entries_dict(entries)
+    missing = [key for key in keys if key not in found]
+    if missing:
+        raise ParseError(f"{path}: no {', '.join(missing)} line")
+    return (file_ring, *(_value(file_ring, key, found[key]) for key in keys))
+
+
+def _params_entries(params: PublicParameters) -> list:
+    values = (params.nu, params.public_l, params.left_gen, params.right_gen)
+    return list(zip(PARAMS_KEYS, values))
+
+
+def _load_params(path: str, keys) -> tuple[PublicParameters, list]:
+    """The public parameters in the file at ``path`` and the values of ``keys``."""
+    ring, nu, public_l, left, right, *values = _load(path, PARAMS_KEYS + keys)
+    return PublicParameters(ring, public_l, left, right, nu), values
+
+
+def _messages(transcript) -> list:
+    return [("msg", f"{e.sender} {e.label} {e.message}") for e in transcript.entries]
 
 
 # -- keygen ------------------------------------------------------------------
@@ -61,47 +113,23 @@ def cmd_keygen(args) -> int:
     ring = _ring_arg(args.ring)
     rng = _rng(args.seed)
     prefix = args.out_prefix
-    if args.scheme in ("kex", "encrypt"):
-        params = PublicParameters.generate(ring, args.dL, args.dPQ, args.nu, rng)
-        lines = [
-            "protocol params",
-            f"nu {params.nu}",
-            f"L {poly_to_text(params.public_l)}",
-            f"P {poly_to_text(params.left_gen)}",
-            f"Q {poly_to_text(params.right_gen)}",
-        ]
-        _write(f"{prefix}.params", render_file(ring, args.seed, lines))
-        if args.scheme == "encrypt":
-            pub, sec = encryption_keygen(params, rng)
-            pub_lines = lines[:]
-            pub_lines[0] = "protocol encrypt-public"
-            pub_lines.append(f"P_Alice {poly_to_text(pub.p_alice)}")
-            _write(f"{prefix}.pub", render_file(ring, args.seed, pub_lines))
-            sec_lines = [
-                "protocol encrypt-secret",
-                f"nu {params.nu}",
-                f"L {poly_to_text(params.public_l)}",
-                f"P {poly_to_text(params.left_gen)}",
-                f"Q {poly_to_text(params.right_gen)}",
-                f"P_A {poly_to_text(sec.priv.p_side)}",
-                f"Q_A {poly_to_text(sec.priv.q_side)}",
-                f"f {constant_poly_to_text(sec.priv.f)}",
-                f"g {constant_poly_to_text(sec.priv.g)}",
-            ]
-            _write(f"{prefix}.sec", render_file(ring, args.seed, sec_lines))
-    else:  # sign
+    if args.scheme == "sign":
         pub, sec = signature_keygen(ring, rng, d_l=args.dL, d_a=args.da)
-        _write(f"{prefix}.pub", render_file(ring, args.seed, [
-            "protocol sign-public",
-            f"L {poly_to_text(pub.public_l)}",
-            f"P_Alice {poly_to_text(pub.p_alice)}",
-        ]))
-        _write(f"{prefix}.sec", render_file(ring, args.seed, [
-            "protocol sign-secret",
-            f"L {poly_to_text(sec.public_l)}",
-            f"a1 {poly_to_text(sec.a1)}",
-            f"a2 {poly_to_text(sec.a2)}",
-        ]))
+        _write(f"{prefix}.pub", _render(ring, args.seed, "sign-public",
+                                        [("L", pub.public_l), ("P_Alice", pub.p_alice)]))
+        _write(f"{prefix}.sec", _render(ring, args.seed, "sign-secret",
+                                        [("L", sec.public_l), ("a1", sec.a1), ("a2", sec.a2)]))
+        return 0
+    params = PublicParameters.generate(ring, args.dL, args.dPQ, args.nu, rng)
+    entries = _params_entries(params)
+    _write(f"{prefix}.params", _render(ring, args.seed, "params", entries))
+    if args.scheme == "encrypt":
+        pub, sec = encryption_keygen(params, rng)
+        priv = sec.priv
+        _write(f"{prefix}.pub", _render(ring, args.seed, "encrypt-public",
+                                        entries + [("P_Alice", pub.p_alice)]))
+        _write(f"{prefix}.sec", _render(ring, args.seed, "encrypt-secret", entries + [
+            ("P_A", priv.p_side), ("Q_A", priv.q_side), ("f", priv.f), ("g", priv.g)]))
     return 0
 
 
@@ -111,29 +139,13 @@ def _exchange_texts(ring, args) -> tuple[str, str]:
     rng = _rng(args.seed)
     params = PublicParameters.generate(ring, args.dL, args.dPQ, args.nu, rng)
     result = run_key_exchange(params, rng)
-    lines = [
-        "protocol exchange",
-        f"nu {params.nu}",
-        f"L {poly_to_text(params.public_l)}",
-        f"P {poly_to_text(params.left_gen)}",
-        f"Q {poly_to_text(params.right_gen)}",
-    ]
-    for entry in result.transcript.entries:
-        lines.append(f"msg {entry.sender} {entry.label} {poly_to_text(entry.message)}")
-    transcript_text = render_file(ring, args.seed, lines)
-    answer_lines = [
-        "protocol exchange-answer",
-        f"f_A {constant_poly_to_text(result.alice.f)}",
-        f"g_A {constant_poly_to_text(result.alice.g)}",
-        f"f_B {constant_poly_to_text(result.bob.f)}",
-        f"g_B {constant_poly_to_text(result.bob.g)}",
-        f"P_A {poly_to_text(result.alice.p_side)}",
-        f"Q_A {poly_to_text(result.alice.q_side)}",
-        f"P_B {poly_to_text(result.bob.p_side)}",
-        f"Q_B {poly_to_text(result.bob.q_side)}",
-        f"shared_key {poly_to_text(result.shared_key)}",
-    ]
-    answer_text = render_file(ring, args.seed, answer_lines)
+    alice, bob = result.alice, result.bob
+    transcript_text = _render(ring, args.seed, "exchange",
+                              _params_entries(params) + _messages(result.transcript))
+    answer_text = _render(ring, args.seed, "exchange-answer", [
+        ("f_A", alice.f), ("g_A", alice.g), ("f_B", bob.f), ("g_B", bob.g),
+        ("P_A", alice.p_side), ("Q_A", alice.q_side), ("P_B", bob.p_side),
+        ("Q_B", bob.q_side), ("shared_key", result.shared_key)])
     return transcript_text, answer_text
 
 
@@ -153,30 +165,19 @@ def _three_pass_texts(ring, args) -> tuple[str, str, bool]:
     setup = CommutingSetup.generate(ring, args.dPQ, args.nu, rng)
     secret = _noncommuting_secret(ring, args.dL, setup, rng)
     result = three_pass_exchange(setup, secret, rng)
-    lines = [
-        "protocol three-pass",
-        f"nu {setup.nu}",
-        f"P {poly_to_text(setup.left_gen)}",
-        f"Q {poly_to_text(setup.right_gen)}",
-    ]
-    for entry in result.transcript.entries:
-        lines.append(f"msg {entry.sender} {entry.label} {poly_to_text(entry.message)}")
-    public_text = render_file(ring, args.seed, lines)
-    answer_text = render_file(ring, args.seed, [
-        "protocol three-pass-answer",
-        f"L {poly_to_text(secret)}",
-        f"f_A {constant_poly_to_text(result.alice.f)}",
-        f"g_A {constant_poly_to_text(result.alice.g)}",
-        f"f_B {constant_poly_to_text(result.bob.f)}",
-        f"g_B {constant_poly_to_text(result.bob.g)}",
-        f"recovered {poly_to_text(result.recovered)}",
-    ])
+    alice, bob = result.alice, result.bob
+    public_text = _render(ring, args.seed, "three-pass", [
+        ("nu", setup.nu), ("P", setup.left_gen), ("Q", setup.right_gen),
+        *_messages(result.transcript)])
+    answer_text = _render(ring, args.seed, "three-pass-answer", [
+        ("L", secret), ("f_A", alice.f), ("g_A", alice.g), ("f_B", bob.f),
+        ("g_B", bob.g), ("recovered", result.recovered)])
     return public_text, answer_text, result.recovered == secret
 
 
-def _noncommuting_secret(ring, d_l, setup, rng, max_attempts: int = 100):
+def _noncommuting_secret(ring, d_l, setup, rng):
     terms = max(2 * d_l, 4)
-    for _ in range(max_attempts):
+    for _ in range(100):
         cand = random_polynomial(ring, d_l, terms, rng)
         if not cand.commutes_with(setup.left_gen) and not cand.commutes_with(setup.right_gen):
             return cand
@@ -197,60 +198,22 @@ def cmd_three_pass(args) -> int:
 
 # -- encryption ------------------------------------------------------------------
 
-def _load_encrypt_pub(path: str) -> EncryptionPublicKey:
-    ring, _, entries = _read_kv(path)
-    kv = serial.entries_dict(entries)
-    params = PublicParameters(
-        ring,
-        poly_from_text(ring, kv["L"]),
-        poly_from_text(ring, kv["P"]),
-        poly_from_text(ring, kv["Q"]),
-        int(kv["nu"]),
-    )
-    return EncryptionPublicKey(params, poly_from_text(ring, kv["P_Alice"]))
-
-
-def _load_encrypt_sec(path: str) -> EncryptionSecretKey:
-    ring, _, entries = _read_kv(path)
-    kv = serial.entries_dict(entries)
-    params = PublicParameters(
-        ring,
-        poly_from_text(ring, kv["L"]),
-        poly_from_text(ring, kv["P"]),
-        poly_from_text(ring, kv["Q"]),
-        int(kv["nu"]),
-    )
-    priv = PrivateTuple(
-        poly_from_text(ring, kv["P_A"]),
-        poly_from_text(ring, kv["Q_A"]),
-        constant_poly_from_text(ring.p, kv["f"]),
-        constant_poly_from_text(ring.p, kv["g"]),
-    )
-    return EncryptionSecretKey(params, priv)
-
-
 def cmd_encrypt(args) -> int:
-    pub = _load_encrypt_pub(args.pub)
+    params, (p_alice,) = _load_params(args.pub, ("P_Alice",))
     with open(args.infile, "rb") as fh:
         data = fh.read()
-    message = encode_bytes(pub.params.ring, data)
-    ct = encrypt(pub, message, _rng(args.seed))
-    _write(args.out, render_file(pub.params.ring, args.seed, [
-        "protocol encrypt",
-        f"m_e {poly_to_text(ct.m_e)}",
-        f"P_Bob {poly_to_text(ct.p_bob)}",
-    ]))
+    ct = encrypt(EncryptionPublicKey(params, p_alice), encode_bytes(params.ring, data),
+                 _rng(args.seed))
+    _write(args.out, _render(params.ring, args.seed, "encrypt",
+                             [("m_e", ct.m_e), ("P_Bob", ct.p_bob)]))
     return 0
 
 
 def cmd_decrypt(args) -> int:
-    sec = _load_encrypt_sec(args.sec)
-    ring, _, entries = _read_kv(args.infile)
-    kv = serial.entries_dict(entries)
-    if ring != sec.params.ring:
-        raise ParseError("ciphertext ring differs from the secret key's")
-    ct = Ciphertext(poly_from_text(ring, kv["m_e"]), poly_from_text(ring, kv["P_Bob"]))
-    data = decode_bytes(decrypt(sec, ct))
+    params, secret = _load_params(args.sec, ("P_A", "Q_A", "f", "g"))
+    _, m_e, p_bob = _load(args.infile, ("m_e", "P_Bob"), params.ring)
+    sec = EncryptionSecretKey(params, PrivateTuple(*secret))
+    data = decode_bytes(decrypt(sec, Ciphertext(m_e, p_bob)))
     with open(args.out, "wb") as fh:
         fh.write(data)
     return 0
@@ -258,49 +221,22 @@ def cmd_decrypt(args) -> int:
 
 # -- signatures ------------------------------------------------------------------
 
-def _message_poly(ring, data: bytes, hashed: bool):
-    if hashed:
-        data = hashlib.sha256(data).digest()
-    return encode_bytes(ring, data)
-
-
 def cmd_sign(args) -> int:
-    ring, _, entries = _read_kv(args.sec)
-    kv = serial.entries_dict(entries)
-    sec = SignatureSecretKey(ring, poly_from_text(ring, kv["L"]),
-                             poly_from_text(ring, kv["a1"]),
-                             poly_from_text(ring, kv["a2"]))
+    ring, *secret = _load(args.sec, ("L", "a1", "a2"))
     with open(args.infile, "rb") as fh:
         data = fh.read()
-    message = _message_poly(ring, data, args.hash)
-    sig = sign(sec, message, _rng(args.seed))
-    _write(args.out, render_file(ring, args.seed, [
-        "protocol sign",
-        f"hashed {int(args.hash)}",
-        f"m {poly_to_text(sig.m)}",
-        f"gamma {poly_to_text(sig.gamma)}",
-        f"q1 {poly_to_text(sig.q1)}",
-        f"r1 {poly_to_text(sig.r1)}",
-        f"q2 {poly_to_text(sig.q2)}",
-        f"r2 {poly_to_text(sig.r2)}",
-        f"eps1 {poly_to_text(sig.eps1)}",
-        f"eps2 {poly_to_text(sig.eps2)}",
-    ]))
+    if args.hash:
+        data = hashlib.sha256(data).digest()
+    sig = sign(SignatureSecretKey(ring, *secret), encode_bytes(ring, data), _rng(args.seed))
+    _write(args.out, _render(ring, args.seed, "sign", [("hashed", int(args.hash))]
+                             + [(key, getattr(sig, key)) for key in SIGNATURE_KEYS]))
     return 0
 
 
 def cmd_verify(args) -> int:
-    ring, _, entries = _read_kv(args.pub)
-    kv = serial.entries_dict(entries)
-    pub = SignaturePublicKey(ring, poly_from_text(ring, kv["L"]),
-                             poly_from_text(ring, kv["P_Alice"]))
-    sring, _, sentries = _read_kv(args.sig)
-    skv = serial.entries_dict(sentries)
-    if sring != ring:
-        raise ParseError("signature ring differs from the public key's")
-    sig = SignatureTuple(*(poly_from_text(ring, skv[k])
-                           for k in ("m", "gamma", "q1", "r1", "q2", "r2", "eps1", "eps2")))
-    if verify_signature(pub, sig):
+    ring, *public = _load(args.pub, ("L", "P_Alice"))
+    _, *sig = _load(args.sig, SIGNATURE_KEYS, ring)
+    if verify_signature(SignaturePublicKey(ring, *public), SignatureTuple(*sig)):
         print("accept")
         return 0
     print("reject")
@@ -316,17 +252,15 @@ def cmd_zkp(args) -> int:
     ell2 = _nontrivial_factor(ring, args.dl2, rng)
     prover = FactorizationProver(ell1, ell2, blind_degree=args.blind_degree)
     result = run_zkp(prover.public_l, prover, args.rounds, rng)
-    lines = ["protocol zkp", f"rounds {args.rounds}",
-             f"L {poly_to_text(prover.public_l)}"]
-    for i, rnd in enumerate(result.rounds):
-        verdict = "accept" if rnd.accepted else "reject"
-        lines.append(f"round {i} {rnd.challenge} {verdict}")
-    _write(args.out, render_file(ring, args.seed, lines))
+    rounds = [("round", f"{i} {rnd.challenge} {'accept' if rnd.accepted else 'reject'}")
+              for i, rnd in enumerate(result.rounds)]
+    _write(args.out, _render(ring, args.seed, "zkp",
+                             [("rounds", args.rounds), ("L", prover.public_l)] + rounds))
     return 0 if result.all_accepted else 1
 
 
-def _nontrivial_factor(ring, degree, rng, max_attempts: int = 100):
-    for _ in range(max_attempts):
+def _nontrivial_factor(ring, degree, rng):
+    for _ in range(100):
         cand = random_polynomial(ring, degree, max(2 * degree, 4), rng)
         if max(cand.d_degrees()) >= 1:
             return cand
@@ -336,25 +270,20 @@ def _nontrivial_factor(ring, degree, rng, max_attempts: int = 100):
 # -- weak keys -------------------------------------------------------------------
 
 def cmd_check_weak(args) -> int:
-    if args.key_text:
+    if args.key_text is not None:
         if not args.ring:
             raise ParseError("--key-text requires --ring")
         ring = _ring_arg(args.ring)
         key = poly_from_text(ring, args.key_text)
     else:
-        ring, _, entries = _read_kv(args.key)
-        kv = serial.entries_dict(entries)
-        key = poly_from_text(ring, kv["key"])
+        ring, key = _load(args.key, ("key",))
     if not ring.is_weyl:
         raise ParseError("weak-key screening is defined for weyl rings only")
     public = None
     if args.public_text:
         public = poly_from_text(ring, args.public_text)
     elif args.public:
-        pring, _, pentries = _read_kv(args.public)
-        if pring != ring:
-            raise ParseError("public element lives in a different ring")
-        public = poly_from_text(ring, serial.entries_dict(pentries)["key"])
+        _, public = _load(args.public, ("key",), ring)
     if public is None:
         graded = grading_vector(key)
         if graded is not None:
@@ -441,13 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, required=True,
                        help="64-bit seed; equal seeds reproduce outputs exactly")
 
+    def add_tuple(p, defaults=(50, 5, 10)):
+        for flag, default in zip(("--dL", "--dPQ", "--nu"), defaults):
+            p.add_argument(flag, type=int, default=default)
+
     p = sub.add_parser("keygen", help="generate parameter and key files")
     add_ring(p)
     add_seed(p)
     p.add_argument("--scheme", choices=("kex", "encrypt", "sign"), default="kex")
-    p.add_argument("--dL", type=int, default=50)
-    p.add_argument("--dPQ", type=int, default=5)
-    p.add_argument("--nu", type=int, default=10)
+    add_tuple(p)
     p.add_argument("--da", type=int, default=3, help="degree of the signing pair")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_keygen)
@@ -455,9 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exchange", help="run one full key-exchange session")
     add_ring(p)
     add_seed(p)
-    p.add_argument("--dL", type=int, default=50)
-    p.add_argument("--dPQ", type=int, default=5)
-    p.add_argument("--nu", type=int, default=10)
+    add_tuple(p)
     p.add_argument("--out", default=None, help="transcript file (default stdout)")
     p.add_argument("--key-out", default=None, help="private/answer file")
     p.set_defaults(func=cmd_exchange)
@@ -465,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("three-pass", help="send a private element under two-sided locks")
     add_ring(p)
     add_seed(p)
-    p.add_argument("--dL", type=int, default=50)
-    p.add_argument("--dPQ", type=int, default=5)
-    p.add_argument("--nu", type=int, default=10)
+    add_tuple(p)
     p.add_argument("--out", default=None)
     p.add_argument("--answer-out", default=None)
     p.set_defaults(func=cmd_three_pass)
@@ -511,16 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-weak", help="screen a weyl-ring key for weakness")
     add_ring(p, default=None)
-    p.add_argument("--key", default=None)
-    p.add_argument("--key-text", default=None)
+    key = p.add_mutually_exclusive_group(required=True)
+    key.add_argument("--key", default=None)
+    key.add_argument("--key-text", default=None)
     p.add_argument("--public", default=None)
     p.add_argument("--public-text", default=None)
     p.set_defaults(func=cmd_check_weak)
 
     p = sub.add_parser("estimate", help="step-count cost model")
-    p.add_argument("--dL", type=int, default=None)
-    p.add_argument("--dPQ", type=int, default=None)
-    p.add_argument("--nu", type=int, default=None)
+    add_tuple(p, (None, None, None))
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--omega", type=float, default=costs.OMEGA_DEFAULT)
     p.add_argument("--table", action="store_true",
@@ -531,9 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_ring(p)
     add_seed(p)
     p.add_argument("--protocol", choices=("exchange", "three-pass"), default="exchange")
-    p.add_argument("--dL", type=int, default=50)
-    p.add_argument("--dPQ", type=int, default=5)
-    p.add_argument("--nu", type=int, default=10)
+    add_tuple(p)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_challenge)
 

@@ -43,7 +43,7 @@ def right_cofactor(h: OrePolynomial, p: OrePolynomial) -> OrePolynomial:
     if h.is_zero():
         return ring.zero()
     if ring.is_skew and ring.n == 2:
-        return OrePolynomial(ring, backend.skew2_right_cofactor(ring, h.terms, p.terms))
+        return OrePolynomial._raw(ring, backend.skew2_right_cofactor(ring, h.terms, p.terms))
     return _peel(h, p, side="right")
 
 
@@ -54,7 +54,7 @@ def left_cofactor(h: OrePolynomial, q: OrePolynomial) -> OrePolynomial:
     if h.is_zero():
         return ring.zero()
     if ring.is_skew and ring.n == 2:
-        return OrePolynomial(ring, backend.skew2_left_cofactor(ring, h.terms, q.terms))
+        return OrePolynomial._raw(ring, backend.skew2_left_cofactor(ring, h.terms, q.terms))
     return _peel(h, q, side="left")
 
 

@@ -292,9 +292,6 @@ class FieldElement:
         """Integer encoding a0 + a1*p + ... used by the lookup tables."""
         return reduce(lambda acc, c: acc * self.spec.p + c, reversed(self.coeffs), 0)
 
-    def in_prime_subfield(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
     def to_text(self) -> str:
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
@@ -318,17 +315,8 @@ class Automorphism:
             raise RingMismatchError("element does not belong to this field")
         return a ** (self.spec.p ** self.power)
 
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        if other.spec != self.spec:
-            raise RingMismatchError("automorphisms of different fields")
-        return Automorphism(self.spec, (self.power + other.power) % self.spec.k)
-
     def inverse(self) -> "Automorphism":
         return Automorphism(self.spec, (-self.power) % self.spec.k)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.power == 0
 
 
 class FieldTables:

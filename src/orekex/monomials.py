@@ -17,10 +17,6 @@ def grevlex_key(exps: tuple[int, ...]):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def grevlex_max(exponents) -> tuple[int, ...]:
-    return max(exponents, key=grevlex_key)
-
-
 def sorted_descending(exponents):
     return sorted(exponents, key=grevlex_key, reverse=True)
 

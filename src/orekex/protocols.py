@@ -538,8 +538,7 @@ class ZkpResult:
         return sum(r.accepted for r in self.rounds)
 
 
-def run_zkp(public_l: OrePolynomial, prover, n_rounds: int, rng,
-            stop_on_reject: bool = False) -> ZkpResult:
+def run_zkp(public_l: OrePolynomial, prover, n_rounds: int, rng) -> ZkpResult:
     """Drive n rounds with unbiased verifier challenges from ``rng``."""
     rounds = []
     for _ in range(n_rounds):
@@ -548,6 +547,4 @@ def run_zkp(public_l: OrePolynomial, prover, n_rounds: int, rng,
         response = prover.respond(challenge)
         ok = zkp_verify_round(public_l, commitment, challenge, response)
         rounds.append(ZkpRound(commitment, challenge, response, ok))
-        if stop_on_reject and not ok:
-            break
     return ZkpResult(rounds)

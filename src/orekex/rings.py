@@ -87,10 +87,6 @@ class OreRing:
     def is_weyl(self) -> bool:
         return self.kind == WEYL
 
-    def d_exponents(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        """The d-block of a term's exponent vector."""
-        return exps if self.kind == SKEW else exps[self.n:]
-
     def twist_power(self, exps: tuple[int, ...]) -> int:
         """Frobenius power applied when d^exps moves past a coefficient."""
         return sum(j * e for j, e in zip(self.sigma_powers, exps)) % self.field.k

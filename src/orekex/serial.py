@@ -125,10 +125,6 @@ def _parse_monomial(ring: OreRing, mono: str) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def constant_poly_to_text(f: ConstantPolynomial) -> str:
-    return f.to_text()
-
-
 def constant_poly_from_text(p: int, text: str) -> ConstantPolynomial:
     return ConstantPolynomial(p, tuple(_parse_int_list(text)))
 

@@ -1,8 +1,10 @@
 """Test-local oracles, kept independent of the library code paths they check."""
 
+from dataclasses import dataclass, field
 from itertools import product
 
-from orekex import CommPolynomial, OrePolynomial
+from orekex import OreKexError, OrePolynomial, RingMismatchError
+from orekex.monomials import sorted_descending
 
 
 def naive_mulmod(a, b, modulus, p):
@@ -28,6 +30,143 @@ def naive_pow(a, n, modulus, p):
     for _ in range(n):
         acc = naive_mulmod(list(acc), list(a), modulus, p)
     return acc
+
+
+@dataclass(frozen=True)
+class CommPolynomial:
+    """Commutative polynomial over F_p: the coefficient ring of the Weyl
+    algebra, with the formal partial derivatives the Ore variables apply.
+    In characteristic p, d/dx_i of x_i^p vanishes, so keep degrees below p."""
+
+    p: int
+    n_vars: int
+    terms: dict[tuple[int, ...], int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        clean = {}
+        for exps, c in self.terms.items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != self.n_vars:
+                raise OreKexError("exponent vector has wrong length")
+            if any(e < 0 for e in exps):
+                raise OreKexError("negative exponent")
+            c = int(c) % self.p
+            if c:
+                clean[exps] = c
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def zero(cls, p: int, n_vars: int) -> "CommPolynomial":
+        return cls(p, n_vars, {})
+
+    @classmethod
+    def constant(cls, p: int, n_vars: int, c: int) -> "CommPolynomial":
+        return cls(p, n_vars, {(0,) * n_vars: c})
+
+    @classmethod
+    def variable(cls, p: int, n_vars: int, i: int) -> "CommPolynomial":
+        """x_i for 1 <= i <= n_vars."""
+        if not 1 <= i <= n_vars:
+            raise OreKexError(f"variable index {i} out of range")
+        exps = [0] * n_vars
+        exps[i - 1] = 1
+        return cls(p, n_vars, {tuple(exps): 1})
+
+    def _check(self, other: "CommPolynomial"):
+        if not isinstance(other, CommPolynomial):
+            raise TypeError("expected CommPolynomial")
+        if (other.p, other.n_vars) != (self.p, self.n_vars):
+            raise RingMismatchError("mismatched coefficient-ring parameters")
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return CommPolynomial.constant(self.p, self.n_vars, other)
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        self._check(other)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            out[exps] = out.get(exps, 0) + c
+        return CommPolynomial(self.p, self.n_vars, out)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        self._check(other)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            out[exps] = out.get(exps, 0) - c
+        return CommPolynomial(self.p, self.n_vars, out)
+
+    def __neg__(self):
+        return CommPolynomial(self.p, self.n_vars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        self._check(other)
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                out[exps] = out.get(exps, 0) + c1 * c2
+        return CommPolynomial(self.p, self.n_vars, out)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise OreKexError("negative power")
+        acc = CommPolynomial.constant(self.p, self.n_vars, 1)
+        base = self
+        while n:
+            if n & 1:
+                acc = acc * base
+            base = base * base
+            n >>= 1
+        return acc
+
+    def partial(self, i: int) -> "CommPolynomial":
+        """Formal partial derivative with respect to x_i (1-based index)."""
+        if not 1 <= i <= self.n_vars:
+            raise OreKexError(f"variable index {i} out of range")
+        out: dict[tuple[int, ...], int] = {}
+        for exps, c in self.terms.items():
+            e = exps[i - 1]
+            if e == 0:
+                continue
+            lowered = list(exps)
+            lowered[i - 1] = e - 1
+            key = tuple(lowered)
+            out[key] = out.get(key, 0) + c * e
+        return CommPolynomial(self.p, self.n_vars, out)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def total_degree(self):
+        if not self.terms:
+            return None
+        return max(sum(e) for e in self.terms)
+
+    def __hash__(self):
+        return hash((self.p, self.n_vars, frozenset(self.terms.items())))
+
+    def to_text(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps in sorted_descending(self.terms):
+            mono = "*".join(f"x{i+1}^{e}" for i, e in enumerate(exps))
+            parts.append(f"{self.terms[exps]}*{mono}")
+        return " + ".join(parts)
+
+    def __str__(self):
+        return self.to_text()
 
 
 def skew_mul_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from orekex import CommPolynomial, OreKexError, RingMismatchError
+from helpers import CommPolynomial
+from orekex import OreKexError, RingMismatchError
 
 
 def _random_cp(p, n, rng, max_degree=3, max_terms=4):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,9 @@ def test_cli_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run("exchange", "--ring", "f125-skew2")  # --seed missing
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        _run("check-weak", "--ring", "weyl2-f71")  # neither --key nor --key-text
+    assert exc.value.code == 2
 
 
 SIGNATURE_KEYS = ("m", "gamma", "q1", "r1", "q2", "r2", "eps1", "eps2")
@@ -235,3 +240,65 @@ def test_cli_oversized_division_exits_2(tmp_path, capsys):
     assert _run("decrypt", "--sec", f"{prefix}.sec", "--in", str(ct),
                 "--out", str(tmp_path / "out.bin")) == 2
     assert "cell limit" in capsys.readouterr().err
+
+
+def _valid_files(tmp_path):
+    """Writes one valid file of each kind a command reads; returns the argv
+    of the command that reads each, keyed by file name."""
+    d = tmp_path
+    (d / "msg.bin").write_bytes(b"hostile files")
+    assert _run("keygen", "--scheme", "encrypt", "--dL", "6", "--dPQ", "2", "--nu", "2",
+                "--seed", "3", "--out-prefix", str(d / "enc")) == 0
+    assert _run("encrypt", "--pub", str(d / "enc.pub"), "--in", str(d / "msg.bin"),
+                "--seed", "4", "--out", str(d / "ct.txt")) == 0
+    assert _run("keygen", "--scheme", "sign", "--dL", "5", "--da", "2", "--seed", "5",
+                "--out-prefix", str(d / "signer")) == 0
+    assert _run("sign", "--sec", str(d / "signer.sec"), "--in", str(d / "msg.bin"),
+                "--seed", "6", "--out", str(d / "raw.sig")) == 0
+    weyl = ring_by_name("weyl2-f71")
+    (d / "weak.key").write_text(render_file(weyl, None, ["key 1*x1^1*x2^0*d1^0*d2^0"]))
+    verify = ["verify", "--pub", str(d / "signer.pub"), "--sig", str(d / "raw.sig")]
+    return {
+        "enc.pub": ["encrypt", "--pub", str(d / "enc.pub"), "--in", str(d / "msg.bin"),
+                    "--seed", "4", "--out", str(d / "ct2.txt")],
+        "ct.txt": ["decrypt", "--sec", str(d / "enc.sec"), "--in", str(d / "ct.txt"),
+                   "--out", str(d / "plain.bin")],
+        "signer.pub": verify,
+        "raw.sig": verify,
+        "weak.key": ["check-weak", "--key", str(d / "weak.key")],
+    }
+
+
+@pytest.mark.parametrize("name, key, replacement, named", [
+    ("enc.pub", "P_Alice", None, "no P_Alice line"),
+    ("enc.pub", "nu", "nu x", "nu line"),
+    ("ct.txt", "P_Bob", None, "no P_Bob line"),
+    ("signer.pub", "L", None, "no L line"),
+    ("raw.sig", "eps2", None, "no eps2 line"),
+    ("weak.key", "key", None, "no key line"),
+    ("ct.txt", "ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[1,2]", "ring differs"),
+], ids=["encrypt-key-without-P_Alice", "encrypt-key-nu-x", "ciphertext-without-P_Bob",
+        "sign-key-without-L", "signature-without-eps2", "weak-key-without-key",
+        "ciphertext-in-another-ring"])
+def test_cli_file_missing_or_malformed_entry_exits_2(tmp_path, capsys, name, key,
+                                                     replacement, named):
+    commands = _valid_files(tmp_path)
+    path = tmp_path / name
+    lines = [replacement if ln.startswith(f"{key} ") else ln
+             for ln in path.read_text().splitlines()]
+    path.write_text("".join(f"{ln}\n" for ln in lines if ln is not None))
+    capsys.readouterr()
+    assert _run(*commands[name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_cli_weyl_product_over_step_limit_exits_2(capsys):
+    # key * public starts with d1^N*d2^N * x1^N*x2^N: (N+1)^2 = 1.6e9 Leibniz steps
+    n = 40000
+    t0 = time.perf_counter()
+    code = _run("check-weak", "--ring", "weyl2-f71",
+                "--key-text", f"1*x1^0*x2^0*d1^{n}*d2^{n} + 1*x1^1*x2^0*d1^0*d2^0",
+                "--public-text", f"1*x1^{n}*x2^{n}*d1^0*d2^0")
+    assert code == 2 and time.perf_counter() - t0 < 1.0
+    assert "Leibniz steps" in capsys.readouterr().err

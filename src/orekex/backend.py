@@ -2,21 +2,27 @@
 of two polynomials in any number of Ore variables, and exact one-sided
 division in two variables.
 
-The product is one exact numpy FFT convolution over F_p digits
-(:func:`skew2_mul`).  Division peels leading terms off a dense grid with
-numpy table gathers (:func:`skew2_right_cofactor`,
-:func:`skew2_left_cofactor`).  There is no other implementation.
+Both rest on one exact numpy FFT convolution over F_p digits
+(:func:`_convolve`).  The product (:func:`skew2_mul`) is one convolution
+of the operands' grids.  Division (:func:`skew2_right_cofactor`,
+:func:`skew2_left_cofactor`) maps both operands onto one line by a
+Kronecker substitution, inverts the divisor there as a power series by
+Newton iteration, reads the cofactor off the line and checks that its
+product with the divisor is the dividend.  There is no other
+implementation.
 
 Polynomials enter as ``{exponents: coeff_index}`` dicts and leave the same
-way.  Both kernels work on dense grids, whose size follows the operands'
-exponents rather than their term counts; a grid over ``MAX_GRID_CELLS``
-cells raises :class:`OreKexError` before anything is allocated, so a few
-bytes of ``d1^N`` in an input file cannot buy unbounded time or memory.
+way.  Both kernels work on dense arrays, whose size follows the operands'
+exponents rather than their term counts: the product's grid is the
+output's bounding box, division's line about sigma_2 x (d1-span) x
+(d2-span) of the dividend.  An array over ``MAX_GRID_CELLS`` cells raises
+:class:`OreKexError` before anything is allocated, so a few bytes of
+``d1^N`` in an input file cannot buy unbounded time or memory.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from math import prod
 
 import numpy as np
@@ -24,10 +30,13 @@ import numpy as np
 from .errors import NotDivisibleError, OreKexError
 from .fields import tables_for
 
-# Largest dense grid either kernel allocates, counted after transform
-# padding: the product d1^2047 * d2^2047 is exactly this size.  A session
-# at the paper's largest tuple (50, 5, 50) needs 0.83M cells; the largest
-# grid the tests and benchmark build is 1.1M (a d1^1000 * P_final division).
+# Largest dense array either kernel allocates, counted after transform
+# padding: the product d1^2047 * d2^2047 is exactly this size.  Division
+# allocates nothing longer than its Kronecker line, about
+# sigma_2 * (d1-span) * (d2-span) of the dividend.  A three-pass at the
+# paper's largest tuple (50, 5, 50) needs 1.04M cells (a product) and a
+# 0.99M-cell line; the tests build at most 0.36M (a product), the
+# benchmark 64,000 (a product) and a 61,000-cell line.
 MAX_GRID_CELLS = 1 << 22
 
 
@@ -42,11 +51,18 @@ def _check_cells(shape) -> None:
 
 def _to_coo(terms: dict, coeff_dtype):
     """(exponents, coefficients): an int64 (n, terms) array and a vector."""
+    n = len(next(iter(terms)))
     try:
-        exps = np.array(list(terms), dtype=np.int64).T.copy()
+        flat = np.fromiter(chain.from_iterable(terms), np.int64, n * len(terms))
     except OverflowError:
         raise OreKexError("exponent too large for the skew kernels") from None
-    return exps, np.fromiter(terms.values(), coeff_dtype, len(terms))
+    return flat.reshape(-1, n).T.copy(), np.fromiter(terms.values(), coeff_dtype, len(terms))
+
+
+def _to_grid(exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    grid = np.zeros(exps.max(1) + 1, dtype=coeffs.dtype)
+    grid[tuple(exps)] = coeffs
+    return grid
 
 
 def _grid_to_terms(grid: np.ndarray) -> dict:
@@ -58,11 +74,7 @@ def _grid_to_terms(grid: np.ndarray) -> dict:
     return terms
 
 
-def _total_degree(terms: dict) -> int:
-    return max(a + b for a, b in terms)
-
-
-# -- multiplication ------------------------------------------------------------
+# -- the convolution core ----------------------------------------------------------
 
 def _smooth(n: int) -> int:
     """Smallest 2/3/5-smooth integer >= n, a fast transform length."""
@@ -71,148 +83,170 @@ def _smooth(n: int) -> int:
     return n
 
 
-def skew2_mul(ring, f_terms: dict, g_terms: dict) -> dict:
-    """Product f*g in a skew ring with any number of Ore variables; moving
-    d^e of f past a coefficient of g applies Frobenius^t, t = sigma_powers.e
-    mod k.
+def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray:
+    """The skew product f*g of two coefficient-index grids, cut to ``crop``
+    (default: the whole product); moving cell e of f past a coefficient of g
+    applies Frobenius^(sigma.e mod k).
 
     c1 * Frobenius^t(c2) is F_p-bilinear in the digits of c1 and c2, so
     output digit i is (sum_l H_il * G_l) mod p: G_l is g's digit-l grid, H_il
-    is f's grid filled with ``twist_digits[fc, t, i, l]`` and * is an
+    is f's grid filled with ``twist_digits[f, t, i, l]`` and * is an
     n-dimensional convolution, done by real FFTs in float64.  Every exact
     cell sum is at most k*(p-1)^2*min(|f|, |g|) (48*min in F_125), far below
     2^53; a rounding residue of 1/4 or more raises OreKexError.  The padded
-    output grid must fit in ``MAX_GRID_CELLS``.
+    transform must fit in ``MAX_GRID_CELLS``.
     """
-    if not f_terms or not g_terms:
-        return {}
-    tab = tables_for(ring.field)
-    p, kf = ring.field.p, ring.field.k
-    fe, fc = _to_coo(f_terms, tab.dtype)
-    ge, gc = _to_coo(g_terms, tab.dtype)
-    shape = [a + b + 1 for a, b in zip(fe.max(1).tolist(), ge.max(1).tolist())]
-    _check_cells(shape)  # before _smooth, which steps one integer at a time
-    size = [_smooth(s) for s in shape]
+    p, kf = tab.spec.p, tab.spec.k
+    full = [a + b - 1 for a, b in zip(f.shape, g.shape)]
+    crop = full if crop is None else crop
+    if not f.size or not g.size:  # an empty half of a one-cell quotient
+        return np.zeros(crop, dtype=tab.dtype)
+    size = [max(a, c) for a, c in zip(full, crop)]
+    _check_cells(size)  # before _smooth, which steps one integer at a time
+    size = [_smooth(n) for n in size]
     _check_cells(size)
-    axes = tuple(range(len(size)))
-
-    def spectrum(exps, digits):
-        grid = np.zeros(exps.max(1) + 1)
-        grid[tuple(exps)] = digits
-        return np.fft.rfftn(grid, size, axes)
-
-    g_hat = [spectrum(ge, gc // p ** l % p) for l in range(kf)]
-    coeff = tab.twist_digits[fc, np.array(ring.sigma_powers) @ fe % kf]  # [term, i, l]
-    out = np.zeros(shape, dtype=tab.dtype)
-    crop = tuple(slice(s) for s in shape)
+    axes = tuple(range(f.ndim))
+    twist = sum(np.ix_(*[(np.arange(n) * s % kf).astype(np.uint8)
+                         for n, s in zip(f.shape, sigma)])) % kf
+    g_hat = [np.fft.rfftn(g // p ** l % p, size, axes) for l in range(kf)]
+    coeff = tab.twist_digits[f, twist]  # [..., i, l]
+    out = np.zeros(crop, dtype=tab.dtype)
+    cut = tuple(slice(c) for c in crop)
     for i in range(kf):
-        acc = sum(spectrum(fe, coeff[:, i, l]) * g_hat[l] for l in range(kf))
-        v = np.fft.irfftn(acc, size, axes)[crop]
+        acc = np.fft.rfftn(coeff[..., i, 0], size, axes)
+        acc *= g_hat[0]
+        for l in range(1, kf):
+            term = np.fft.rfftn(coeff[..., i, l], size, axes)
+            term *= g_hat[l]
+            acc += term
+            del term
+        v = np.fft.irfftn(acc, size, axes)[cut]
+        del acc
         r = np.rint(v)
         if np.abs(np.subtract(v, r, out=v), out=v).max() >= 0.25:
             raise OreKexError("skew product lost exactness in floating point")
         out += (r % p * p ** i).astype(tab.dtype)
-        del acc, v, r  # few transforms alive at once, none while the dict is built
-    del g_hat
-    return _grid_to_terms(out)
+        del v, r  # few transforms alive at once, none while the caller decodes
+    return out
+
+
+# -- multiplication ------------------------------------------------------------
+
+def skew2_mul(ring, f_terms: dict, g_terms: dict) -> dict:
+    """Product f*g in a skew ring with any number of Ore variables; moving
+    d^e of f past a coefficient of g applies Frobenius^t, t = sigma_powers.e
+    mod k.  One call of the convolution core on the operands' grids; the
+    output grid must fit in ``MAX_GRID_CELLS``."""
+    if not f_terms or not g_terms:
+        return {}
+    tab = tables_for(ring.field)
+    fe, fc = _to_coo(f_terms, tab.dtype)
+    ge, gc = _to_coo(g_terms, tab.dtype)
+    _check_cells([a + b + 1 for a, b in zip(fe.max(1).tolist(), ge.max(1).tolist())])
+    return _grid_to_terms(_convolve(tab, ring.sigma_powers, _to_grid(fe, fc), _to_grid(ge, gc)))
 
 
 # -- exact division ------------------------------------------------------------
 #
-# Two variables only.  Leading terms are taken in grevlex; on equal total
-# degree the larger d1 exponent wins, so the scan walks diagonals a+b = d
-# with a descending.  Each reduction step cancels the current lead exactly,
-# so the cursor only ever moves forward and the total scan cost is
-# amortized by the grid size.
+# Two variables only.  psi(d1^a d2^b) = x^(aN + bM) is a ring homomorphism
+# into F_q[x; F], F the Frobenius, when N = sigma_1 and M = sigma_2 (mod k),
+# and injective while d2 exponents span less than N / M.  Neither the lowest
+# nor the highest exponent on an axis cancels in a product, so h = p*q fixes
+# q's exponent box and lowest line position; a twist absorbs the shift of
+# each line to x^0.  A left cofactor is a right one in the opposite ring,
+# which a -> F^-i(a) on x^i maps onto F_q[x; F^-1].
 
-class _Cursor:
-    """Grevlex-descending scan over a dense two-variable grid."""
-
-    def __init__(self, grid, d0):
-        self.grid = grid
-        self.d = d0
-        self.a = min(d0, grid.shape[0] - 1)
-
-    def next_lead(self):
-        na, nb = self.grid.shape
-        while self.d >= 0:
-            amin = max(0, self.d - (nb - 1))
-            a = self.a
-            while a >= amin:
-                b = self.d - a
-                if self.grid[a, b] != 0:
-                    self.a = a
-                    return a, b
-                a -= 1
-            self.d -= 1
-            self.a = min(self.d, na - 1)
-        return None
-
-    def advance(self):
-        self.a -= 1
+def _series_inverse(tab, s: int, u: np.ndarray, n: int) -> np.ndarray:
+    """u^-1 mod x^n in F_q[[x; F^s]] (u[0] != 0) by Newton's y <- y + y(1 - u y)."""
+    steps = []
+    while n > 1:
+        steps.append(n)
+        n = (n + 1) // 2
+    y = tab.inv[u[:1]]
+    for m in reversed(steps):  # each precision at most doubles the last
+        # u*y = 1 + O(x^len(y)): y*(1 - u*y) is y times the negated top of
+        # u*y, shifted up; shifting a right factor leaves the twists alone
+        top = tab.neg[_convolve(tab, (s,), u[:m], y, (m,))[len(y):]]
+        y = np.concatenate([y, _convolve(tab, (s,), y[:m - len(y)], top, (m - len(y),))])
+    return y
 
 
-def _lead_term(terms: dict):
-    lead = max(terms, key=lambda e: (e[0] + e[1], e[0]))
-    return lead, terms[lead]
+def _right_quotient(tab, s: int, D: np.ndarray, H: np.ndarray, n: int) -> np.ndarray:
+    """Q of length n with D*Q = H in F_q[x; F^s] (D[0] != 0), else
+    NotDivisibleError.  Q's low half is D^-1 H and its high half D^-1 times
+    what D leaves of H, so no product is longer than the line."""
+    half = (n + 1) // 2
+    y = _series_inverse(tab, s, D, half)
+    lo = _convolve(tab, (s,), y, H[:half], (half,))
+    check = np.zeros(len(H), dtype=tab.dtype)
+    check[:len(D) + half - 1] = _convolve(tab, (s,), D, lo)
+    hi = _convolve(tab, (s,), y[:n - half], tab.sub[H[half:n], check[half:n]], (n - half,))
+    # D*(x^half hi) is D*hi shifted up by half
+    check[half:] = tab.add[check[half:], _convolve(tab, (s,), D, hi)]
+    if not np.array_equal(check, H):
+        raise NotDivisibleError("the divisor does not divide exactly")
+    return np.concatenate([lo, hi])
 
 
-def _prepare(h_terms: dict, div_terms: dict, dtype):
-    """Dividend grid, zeroed cofactor grid and a cursor at the dividend's lead."""
-    dh = _total_degree(h_terms)
-    nq = dh - _total_degree(div_terms)
-    if nq < 0:
-        raise NotDivisibleError("divisor has higher total degree than dividend")
-    _check_cells((dh + 1, dh + 1))
-    h = np.zeros((dh + 1, dh + 1), dtype=dtype)
-    for (a, b), c in h_terms.items():
-        h[a, b] = c
-    return h, np.zeros((nq + 1, nq + 1), dtype=dtype), _Cursor(h, dh)
+def _line(exps: np.ndarray, coeffs: np.ndarray, w, lo):
+    """Terms at x^(w.(e - lo)) shifted down to start at x^0, and the shift."""
+    pos = np.array(w) @ (exps - np.array(lo)[:, None])
+    low = int(pos.min())
+    pos -= low
+    line = np.zeros(int(pos.max()) + 1, dtype=coeffs.dtype)
+    line[pos] = coeffs
+    return line, low
+
+
+def _divide(ring, h_terms: dict, d_terms: dict, right: bool) -> dict:
+    if not h_terms:
+        return {}
+    tab = tables_for(ring.field)
+    kf = ring.field.k
+    he, hc = _to_coo(h_terms, tab.dtype)
+    de, dc = _to_coo(d_terms, tab.dtype)
+    h_lo, h_hi = he.min(1).tolist(), he.max(1).tolist()
+    d_lo, d_hi = de.min(1).tolist(), de.max(1).tolist()
+    q_lo = [a - b for a, b in zip(h_lo, d_lo)]
+    q_span = [a - b - c for a, b, c in zip(h_hi, d_hi, q_lo)]
+    if min(q_lo) < 0 or min(q_span) < 0:
+        raise NotDivisibleError("no cofactor fits the operands' exponent ranges")
+    s1, s2 = ring.sigma_powers  # reduced mod k and nonzero: 1 <= s2 < k
+    b_span = h_hi[1] - h_lo[1]
+    w = (s1 + kf * ((s2 * b_span - s1) // kf + 1), s2)  # (N, M), N > M * b_span
+    # every array and transform below is at most one line long
+    _check_cells((w[0] * (h_hi[0] - h_lo[0]) + w[1] * b_span + 1,))
+    H, h_low = _line(he, hc, w, h_lo)
+    D, d_low = _line(de, dc, w, d_lo)
+    del he, hc, de, dc
+    n = len(H) - len(D) + 1  # the cofactor's length on the line
+    shift = h_low - d_low  # its lowest position, counted from q_lo
+    if n < 1 or shift < 0:
+        raise NotDivisibleError("no cofactor fits the operands' line positions")
+    if right:
+        # D * F^e(Q) = H, e the divisor's lowest line position
+        e = (w[0] * d_lo[0] + w[1] * d_lo[1] + d_low) % kf
+        Q = tab.frob[-e % kf, _right_quotient(tab, 1, D, H, n)]
+    else:
+        # Q * F^e(D) = H, e the cofactor's lowest line position
+        e = (w[0] * q_lo[0] + w[1] * q_lo[1] + shift) % kf
+        i = np.arange(len(H))
+        Q = _right_quotient(tab, kf - 1, tab.frob[(e - i[:len(D)]) % kf, D],
+                            tab.frob[-i % kf, H], n)
+        Q = tab.frob[i[:n] % kf, Q]
+    idx = np.flatnonzero(Q)
+    a, rest = np.divmod(idx + shift, w[0])
+    b, off = np.divmod(rest, w[1])
+    if off.any() or a.max() > q_span[0] or b.max() > q_span[1]:
+        raise NotDivisibleError("the cofactor does not decode into its exponent box")
+    return dict(zip(zip((a + q_lo[0]).tolist(), (b + q_lo[1]).tolist()), Q[idx].tolist()))
 
 
 def skew2_right_cofactor(ring, h_terms: dict, p_terms: dict) -> dict:
-    """Solve h = p * q for q by leading-term peeling; raises NotDivisibleError."""
-    if not h_terms:
-        return {}
-    tab = tables_for(ring.field)
-    MUL, FROB, SUB = tab.mul, tab.frob, tab.sub
-    pe, pc = _to_coo(p_terms, tab.dtype)
-    pa, pb = pe
-    twp = np.array(ring.sigma_powers) @ pe % ring.field.k
-    (la, lb), lc = _lead_term(p_terms)
-    inv_lc = int(tab.inv[lc])
-    inv_s = -ring.twist_power((la, lb)) % ring.field.k
-    h, qout, cur = _prepare(h_terms, p_terms, tab.dtype)
-    while (lead := cur.next_lead()) is not None:
-        mua, mub = lead[0] - la, lead[1] - lb
-        if mua < 0 or mub < 0:
-            raise NotDivisibleError("no exact right cofactor exists")
-        c = FROB[inv_s, MUL[inv_lc, h[lead]]]
-        qout[mua, mub] = c
-        ia, ib = pa + mua, pb + mub
-        h[ia, ib] = SUB[h[ia, ib], MUL[pc, FROB[twp, c]]]
-        cur.advance()
-    return _grid_to_terms(qout)
+    """Solve h = p * q for q; raises NotDivisibleError."""
+    return _divide(ring, h_terms, p_terms, right=True)
 
 
 def skew2_left_cofactor(ring, h_terms: dict, q_terms: dict) -> dict:
-    """Solve h = p * q for p; mirror of skew2_right_cofactor."""
-    if not h_terms:
-        return {}
-    tab = tables_for(ring.field)
-    MUL, FROB, SUB = tab.mul, tab.frob, tab.sub
-    qe, qc = _to_coo(q_terms, tab.dtype)
-    qa, qb = qe
-    (lqa, lqb), lcq = _lead_term(q_terms)
-    h, pout, cur = _prepare(h_terms, q_terms, tab.dtype)
-    while (lead := cur.next_lead()) is not None:
-        mua, mub = lead[0] - lqa, lead[1] - lqb
-        if mua < 0 or mub < 0:
-            raise NotDivisibleError("no exact left cofactor exists")
-        tmu = ring.twist_power((mua, mub))
-        c = MUL[h[lead], tab.inv[FROB[tmu, lcq]]]
-        pout[mua, mub] = c
-        ia, ib = mua + qa, mub + qb
-        h[ia, ib] = SUB[h[ia, ib], MUL[c, FROB[tmu, qc]]]
-        cur.advance()
-    return _grid_to_terms(pout)
+    """Solve h = p * q for p; raises NotDivisibleError."""
+    return _divide(ring, h_terms, q_terms, right=False)

@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from math import prod
 
 import numpy as np
 
-from . import costs, serial
+from . import backend, costs, serial
 from .encoding import decode_bytes, encode_bytes
 from .errors import (EncodingError, NotDivisibleError, OreKexError, ParseError,
                      ProtocolError, ResampleExhaustedError)
@@ -69,9 +70,12 @@ def _value(ring, key: str, text: str):
         return constant_poly_from_text(ring.p, text)
     if key == "nu":
         try:
-            return int(text)
+            nu = int(text)
         except ValueError:
             raise ParseError(f"bad integer {text!r} on the nu line") from None
+        if nu < 1:
+            raise ParseError(f"nu {nu}: the pool degree must be at least 1")
+        return nu
     return poly_from_text(ring, text)
 
 
@@ -100,6 +104,12 @@ def _params_entries(params: PublicParameters) -> list:
 def _load_params(path: str, keys) -> tuple[PublicParameters, list]:
     """The public parameters in the file at ``path`` and the values of ``keys``."""
     ring, nu, public_l, left, right, *values = _load(path, PARAMS_KEYS + keys)
+    # a pool element f(P) spans nu times P's exponents: refuse a box over the
+    # kernel limit before a coefficient is drawn
+    if ring.is_skew and max(prod(nu * d + 1 for d in gen.d_degrees())
+                            for gen in (left, right)) > backend.MAX_GRID_CELLS:
+        raise ParseError(f"{path}: nu {nu} puts pool elements over the "
+                         f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")
     return PublicParameters(ring, public_l, left, right, nu), values
 
 

@@ -2,28 +2,27 @@
 
 These rings have no Euclidean structure and no one-sided gcds, so only
 exact division is meaningful: given h and a known left factor p (resp.
-right factor q) with h = p*q, recover the other factor by leading-term
-peeling under the graded order.  A graded order makes leading monomials
-multiplicative, so each step is forced:
+right factor q) with h = p*q, recover the other factor.  Two-variable skew
+rings divide in :mod:`orekex.backend` (a Kronecker map and a Newton
+inverse on the FFT product).  Every other ring peels leading terms here;
+a graded order makes leading monomials multiplicative, so each step is
+forced:
 
   candidate monomial   mu = lm(h) - lm(divisor)   (componentwise)
   candidate coefficient  solves the twisted leading-coefficient equation
 
-A reduction step that produces a lead not componentwise >= lm(divisor),
-or a nonzero final remainder, raises :class:`NotDivisibleError`.
-
-Two-variable skew rings peel on a dense grid in :mod:`orekex.backend`,
-bounded by its ``MAX_GRID_CELLS``; every other ring peels one term at a
-time here.  A skew divisor times a one-term factor is a shift and a twist
-of its terms; a Weyl divisor goes through the ring product.
+A lead not componentwise >= lm(divisor) raises :class:`NotDivisibleError`.
+The remainder is one mutable dict whose leads come off a heap of grevlex
+keys, so a step costs |divisor| updates, not a scan of the remainder.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from . import backend
 from .errors import NotDivisibleError, OreKexError, RingMismatchError
 from .fields import tables_for
-from .monomials import grevlex_key
 from .orepoly import OrePolynomial
 
 
@@ -74,38 +73,46 @@ def _solve_coeff(ring, side, lm_div, lc_div, lc_head, mu):
 
 def _peel(h: OrePolynomial, divisor: OrePolynomial, side: str) -> OrePolynomial:
     ring = h.ring
+    tab = tables_for(ring.field) if ring.is_skew else None
     lm_div, lc_div = divisor.leading()
-    remainder = h
-    cofactor = ring.zero()
-    prev_key = None
-    while not remainder.is_zero():
-        lm_head, lc_head = remainder.leading()
-        key = grevlex_key(lm_head)
-        assert prev_key is None or key < prev_key, "reduction failed to make progress"
-        prev_key = key
+    remainder = dict(h.terms)
+    # (-sum(e), reversed e) ascends as monomials.grevlex_key descends; an
+    # entry whose term has since cancelled is skipped
+    heap = [(-sum(e), e[::-1]) for e in remainder]
+    heapify(heap)
+    cofactor = {}
+    while remainder:
+        lm_head = heappop(heap)[1][::-1]
+        if lm_head not in remainder:
+            continue
         mu = tuple(a - b for a, b in zip(lm_head, lm_div))
-        if any(e < 0 for e in mu):
+        if min(mu) < 0:
             raise NotDivisibleError("leading monomial is not a multiple of the divisor's")
-        c = _solve_coeff(ring, side, lm_div, lc_div, lc_head, mu)
-        term = OrePolynomial(ring, {mu: c})
-        cofactor = cofactor + term
-        remainder = remainder - _times_term(divisor, term, side)
-    return cofactor
+        c = cofactor[mu] = _solve_coeff(ring, side, lm_div, lc_div, remainder[lm_head], mu)
+        for e, v in _times_term(divisor, mu, c, side).items():
+            if e not in remainder:
+                heappush(heap, (-sum(e), e[::-1]))
+            old = remainder.pop(e, 0)
+            if old != v:
+                remainder[e] = int(tab.sub[old, v]) if tab is not None else (old - v) % ring.p
+        if lm_head in remainder:
+            raise OreKexError("a reduction step failed to cancel the leading term")
+    return OrePolynomial._raw(ring, cofactor)
 
 
-def _times_term(divisor: OrePolynomial, term: OrePolynomial, side: str) -> OrePolynomial:
-    """divisor * term (side "right") or term * divisor (side "left").
+def _times_term(divisor: OrePolynomial, mu, c, side: str) -> dict:
+    """Terms of divisor * c*d^mu (side "right") or c*d^mu * divisor (side "left").
 
-    In a skew ring the one-term factor c*d^mu only shifts the divisor's
-    exponents by mu and twists one side: a*d^e * c*d^mu = a*sigma^t(e)(c)*d^(e+mu)
-    and c*d^mu * a*d^e = c*sigma^t(mu)(a)*d^(mu+e).  That is |divisor| table
+    In a skew ring the one-term factor only shifts the divisor's exponents
+    by mu and twists one side: a*d^e * c*d^mu = a*sigma^t(e)(c)*d^(e+mu) and
+    c*d^mu * a*d^e = c*sigma^t(mu)(a)*d^(mu+e).  That is |divisor| table
     lookups, where the product kernel would transform the whole bounding box.
     """
     ring = divisor.ring
     if ring.is_weyl:
-        return divisor * term if side == "right" else term * divisor
+        term = OrePolynomial._raw(ring, {mu: c})
+        return (divisor * term if side == "right" else term * divisor).terms
     tab = tables_for(ring.field)
-    ((mu, c),) = term.terms.items()
     t_mu = ring.twist_power(mu)
     out = {}
     for e, a in divisor.terms.items():
@@ -115,4 +122,4 @@ def _times_term(divisor: OrePolynomial, term: OrePolynomial, side: str) -> OrePo
             coeff = tab.mul[c, tab.frob[t_mu, a]]
         out[tuple(x + y for x, y in zip(e, mu))] = int(coeff)
     # a field product of nonzero elements is nonzero and the shift is injective
-    return OrePolynomial._raw(ring, out)
+    return out

@@ -69,15 +69,47 @@ def test_division_recovers_oracle_products():
     # h comes from the independent oracle, not the product kernel, so a fault
     # shared by product and division cannot cancel out
     f4 = skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1))
+    f125_12 = skew_ring(f125_spec(), (1, 2))
     ring3 = skew_ring(f125_spec(), (1, 2, 1))
     rng = np.random.default_rng(23)
-    for ring, dp, dq in ((SKEW, 6, 5), (f4, 6, 5), (ring3, 3, 3)):
+    for ring, dp, dq in ((SKEW, 6, 5), (f4, 6, 5), (f125_12, 6, 5), (ring3, 3, 3)):
         for _ in range(20):
             p = random_polynomial(ring, dp, 8, rng)
             q = random_polynomial(ring, dq, 8, rng)
             h = skew_mul_oracle(p, q)
             assert right_cofactor(h, p) == q
             assert left_cofactor(h, q) == p
+    for ring in (SKEW, f4, f125_12):
+        d1, d2 = ring.d(1), ring.d(2)
+        for i, j in product(range(3), repeat=2):
+            # monomial factors move the lowest Kronecker position of divisor
+            # and cofactor through every residue mod k
+            p = d1 ** i * d2 ** j * random_polynomial(ring, 4, 6, rng)
+            q = random_polynomial(ring, 3, 6, rng) * d1 ** j * d2 ** (2 - i)
+            h = skew_mul_oracle(p, q)
+            assert right_cofactor(h, p) == q
+            assert left_cofactor(h, q) == p
+            # a new coefficient on h's top term keeps every exponent range and
+            # every line position below the cofactor's length, so only the
+            # final product check can reject it
+            top = max(h.terms)
+            bad = dict(h.terms)
+            bad[top] = bad[top] % (ring.n_coeff_values - 1) + 1
+            bad = ring.poly(bad)
+            with pytest.raises(NotDivisibleError):
+                right_cofactor(bad, p)
+            with pytest.raises(NotDivisibleError):
+                left_cofactor(bad, q)
+
+
+def test_division_far_from_the_origin():
+    # exponent ranges pin the cofactor, and the Kronecker line has one cell
+    d1 = SKEW.d(1)
+    for a in (20000, 2 ** 62):
+        h, q = SKEW.poly({(a, 1): 2}), SKEW.poly({(a - 1, 1): 2})
+        assert right_cofactor(h, d1) == q and left_cofactor(h, d1) == q
+        with pytest.raises(NotDivisibleError):
+            right_cofactor(h, d1 + 1)
 
 
 def test_sparse_division_in_three_variables_builds_no_grid():

@@ -122,8 +122,12 @@ def test_skew_mul_matches_oracle_in_more_variables():
     # exponents inside int64: refused before any padding to a transform length
     pytest.param(lambda: SKEW.poly({(10 ** 12, 0): 1}) * SKEW.d(1), id="mul-int64-exponent"),
     pytest.param(lambda: SKEW4.poly({(2 ** 62, 0, 0, 0): 1}) * SKEW4.d(3), id="mul4-int64-exponent"),
-    pytest.param(lambda: right_cofactor(SKEW.poly({(20000, 0): 1}), SKEW.d(1)), id="rdiv"),
-    pytest.param(lambda: left_cofactor(SKEW.poly({(20000, 0): 1}), SKEW.d(1)), id="ldiv"),
+    # d1 + d2 fits the exponent ranges of d1^3000 + d2^3000, whose Kronecker
+    # line needs 3002*3000 + 3000 + 1 cells
+    pytest.param(lambda: right_cofactor(SKEW.poly({(3000, 0): 1, (0, 3000): 1}),
+                                        SKEW.d(1) + SKEW.d(2)), id="rdiv"),
+    pytest.param(lambda: left_cofactor(SKEW.poly({(3000, 0): 1, (0, 3000): 1}),
+                                       SKEW.d(1) + SKEW.d(2)), id="ldiv"),
 ])
 def test_oversized_grids_are_refused_before_allocation(make):
     tracemalloc.start()

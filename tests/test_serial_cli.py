@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -80,6 +81,20 @@ def test_cli_three_pass(tmp_path):
     kv = dict(entries)
     assert kv["recovered"] == kv["L"]
 
+
+
+def test_cli_three_variable_three_pass(tmp_path):
+    # three-variable skew rings divide by peeling one term at a time; taking
+    # each lead with a max over the whole remainder made this session
+    # quadratic (about 19 s).  The digest is that of the session's file
+    # before the division changed.
+    out = tmp_path / "t.txt"
+    t0 = time.perf_counter()
+    assert _run("three-pass", "--ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[1,2,1]",
+                "--dL", "10", "--dPQ", "2", "--nu", "3", "--seed", "1", "--out", str(out)) == 0
+    assert time.perf_counter() - t0 < 8.0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ecb62c65218ecf6133d1bedbcb2bd74415c99fd3d503d9a3e77f1a94ab3f6d2c")
 
 def test_cli_encrypt_decrypt_and_corruption(tmp_path):
     prefix = tmp_path / "alice"
@@ -229,17 +244,32 @@ def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, s
 
 
 def test_cli_oversized_division_exits_2(tmp_path, capsys):
-    # m_e = d1^20000 would need a 20001^2-cell dividend grid
     prefix = tmp_path / "alice"
     assert _run("keygen", "--scheme", "encrypt", "--ring", "f125-skew2",
                 "--dL", "6", "--dPQ", "2", "--nu", "2", "--seed", "3",
                 "--out-prefix", str(prefix)) == 0
-    ct = tmp_path / "ct.txt"
-    ct.write_text(render_file(SKEW, 4, ["m_e [1,0,0]*d1^20000*d2^0",
-                                        "P_Bob [1,0,0]*d1^1*d2^0"]))
-    assert _run("decrypt", "--sec", f"{prefix}.sec", "--in", str(ct),
-                "--out", str(tmp_path / "out.bin")) == 2
-    assert "cell limit" in capsys.readouterr().err
+    sec = {key: rest for key, rest in parse_file((tmp_path / "alice.sec").read_text())[2]}
+    p_bob = SKEW.d(1)
+    p_final = poly_from_text(SKEW, sec["P_A"]) * p_bob * poly_from_text(SKEW, sec["Q_A"])
+    ct, out = tmp_path / "ct.txt", tmp_path / "out.bin"
+
+    def decrypt(m_e):
+        ct.write_text(render_file(SKEW, 4, [f"m_e {poly_to_text(m_e)}",
+                                            f"P_Bob {poly_to_text(p_bob)}"]))
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        code = _run("decrypt", "--sec", f"{prefix}.sec", "--in", str(ct), "--out", str(out))
+        return code, time.perf_counter() - t0, capsys.readouterr().err
+
+    # m_e = d1^20000 has one exponent on each axis, where a multiple of
+    # P_final spans as many as P_final does: no cofactor, and no grid built
+    code, seconds, _ = decrypt(SKEW.poly({(20000, 0): 1}))
+    assert code == 3 and seconds < 1.0
+    # P_final plus d1^3000*d2^3000 fits the exponent ranges of a multiple of
+    # P_final, but its Kronecker line needs about 3000^2 cells
+    code, seconds, err = decrypt(p_final + SKEW.poly({(3000, 3000): 1}))
+    assert code == 2 and "cell limit" in err and seconds < 1.0
+    assert not out.exists()
 
 
 def _valid_files(tmp_path):
@@ -272,12 +302,15 @@ def _valid_files(tmp_path):
 @pytest.mark.parametrize("name, key, replacement, named", [
     ("enc.pub", "P_Alice", None, "no P_Alice line"),
     ("enc.pub", "nu", "nu x", "nu line"),
+    ("enc.pub", "nu", "nu 0", "at least 1"),
+    ("enc.pub", "nu", "nu 99999999", "cell limit"),
     ("ct.txt", "P_Bob", None, "no P_Bob line"),
     ("signer.pub", "L", None, "no L line"),
     ("raw.sig", "eps2", None, "no eps2 line"),
     ("weak.key", "key", None, "no key line"),
     ("ct.txt", "ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[1,2]", "ring differs"),
-], ids=["encrypt-key-without-P_Alice", "encrypt-key-nu-x", "ciphertext-without-P_Bob",
+], ids=["encrypt-key-without-P_Alice", "encrypt-key-nu-x", "encrypt-key-nu-0",
+        "encrypt-key-nu-over-cell-limit", "ciphertext-without-P_Bob",
         "sign-key-without-L", "signature-without-eps2", "weak-key-without-key",
         "ciphertext-in-another-ring"])
 def test_cli_file_missing_or_malformed_entry_exits_2(tmp_path, capsys, name, key,

@@ -158,17 +158,13 @@ def skew2_mul(ring, f_terms: dict, g_terms: dict) -> dict:
 
 def _series_inverse(tab, s: int, u: np.ndarray, n: int) -> np.ndarray:
     """u^-1 mod x^n in F_q[[x; F^s]] (u[0] != 0) by Newton's y <- y + y(1 - u y)."""
-    steps = []
-    while n > 1:
-        steps.append(n)
-        n = (n + 1) // 2
-    y = tab.inv[u[:1]]
-    for m in reversed(steps):  # each precision at most doubles the last
-        # u*y = 1 + O(x^len(y)): y*(1 - u*y) is y times the negated top of
-        # u*y, shifted up; shifting a right factor leaves the twists alone
-        top = tab.neg[_convolve(tab, (s,), u[:m], y, (m,))[len(y):]]
-        y = np.concatenate([y, _convolve(tab, (s,), y[:m - len(y)], top, (m - len(y),))])
-    return y
+    if n == 1:
+        return tab.inv[u[:1]]
+    y = _series_inverse(tab, s, u, (n + 1) // 2)
+    # u*y = 1 + O(x^len(y)): y*(1 - u*y) is y times the negated top of u*y,
+    # shifted up; shifting a right factor leaves the twists alone
+    top = tab.neg[_convolve(tab, (s,), u[:n], y, (n,))[len(y):]]
+    return np.concatenate([y, _convolve(tab, (s,), y[:n - len(y)], top, (n - len(y),))])
 
 
 def _right_quotient(tab, s: int, D: np.ndarray, H: np.ndarray, n: int) -> np.ndarray:

@@ -188,10 +188,7 @@ def _line(exps: np.ndarray, coeffs: np.ndarray, w, lo):
     """Terms at x^(w.(e - lo)) shifted down to start at x^0, and the shift."""
     pos = np.array(w) @ (exps - np.array(lo)[:, None])
     low = int(pos.min())
-    pos -= low
-    line = np.zeros(int(pos.max()) + 1, dtype=coeffs.dtype)
-    line[pos] = coeffs
-    return line, low
+    return _to_grid(pos[None] - low, coeffs), low
 
 
 def _divide(ring, h_terms: dict, d_terms: dict, right: bool) -> dict:

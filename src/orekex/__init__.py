@@ -12,7 +12,7 @@ from .errors import (EncodingError, NotDivisibleError, OreKexError, ParseError,
                      ProtocolError, RingMismatchError, ResampleExhaustedError,
                      ZeroInverseError)
 from .fields import Automorphism, FieldElement, FieldSpec
-from .orepoly import DegreeProfile, OrePolynomial, random_polynomial
+from .orepoly import OrePolynomial, random_polynomial
 from .protocols import (CommutingSetup, FactorizationProver, KexResult,
                         PrivateTuple, ProtocolTranscript, PublicParameters,
                         SignatureTuple, ThreePassResult, ZkpCommitment, ZkpRound,

@@ -11,8 +11,15 @@ Newton iteration, reads the cofactor off the line and checks that its
 product with the divisor is the dividend.  There is no other
 implementation.
 
-Polynomials enter as ``{exponents: coeff_index}`` dicts and leave the same
-way.  Both kernels work on dense arrays, whose size follows the operands'
+A skew value's grid is the array these kernels convolve: cell e holds the
+coefficient index of d^e, the origin is d^0 and every axis ends at the
+value's highest exponent on it (see :class:`orekex.orepoly.OrePolynomial`).
+The kernels take values and read their grids, so a product's grid goes
+straight into the next product; a ``{exponents: coeff_index}`` dict is
+built only when a caller asks for a value's terms.  Division reads its
+operands' nonzero cells and returns its cofactor as such a dict.
+
+Both kernels work on dense arrays, whose size follows the operands'
 exponents rather than their term counts: the product's grid is the
 output's bounding box, division's line about sigma_2 x (d1-span) x
 (d2-span) of the dividend.  An array over ``MAX_GRID_CELLS`` cells raises
@@ -65,13 +72,33 @@ def _to_grid(exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _grid_to_terms(grid: np.ndarray) -> dict:
+def terms_to_grid(terms: dict, coeff_dtype) -> np.ndarray:
+    """The grid of a nonzero term dict; its box must fit ``MAX_GRID_CELLS``."""
+    exps, coeffs = _to_coo(terms, coeff_dtype)
+    _check_cells((exps.max(1) + 1).tolist())
+    return _to_grid(exps, coeffs)
+
+
+def grid_to_terms(grid: np.ndarray) -> dict:
     # row by row: short lists keep the transient memory of a large dict small
     terms = {}
     for a, row in enumerate(grid):
         idx = np.nonzero(row)
         terms.update(zip(zip(repeat(a), *(i.tolist() for i in idx)), row[idx].tolist()))
     return terms
+
+
+def grid_sum(tab, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """f + g over their union box, trimmed; None when the sum is zero."""
+    out = np.zeros([max(a, b) for a, b in zip(f.shape, g.shape)], dtype=tab.dtype)
+    out[tuple(map(slice, f.shape))] = f
+    cut = tuple(map(slice, g.shape))
+    out[cut] = tab.add[out[cut], g]
+    axes = range(out.ndim)
+    tops = [np.flatnonzero(out.any(axis=tuple(j for j in axes if j != i))) for i in axes]
+    if not tops[0].size:
+        return None
+    return out[tuple(slice(t[-1] + 1) for t in tops)]
 
 
 # -- the convolution core ----------------------------------------------------------
@@ -132,18 +159,28 @@ def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray
 
 # -- multiplication ------------------------------------------------------------
 
-def skew2_mul(ring, f_terms: dict, g_terms: dict) -> dict:
-    """Product f*g in a skew ring with any number of Ore variables; moving
-    d^e of f past a coefficient of g applies Frobenius^t, t = sigma_powers.e
-    mod k.  One call of the convolution core on the operands' grids; the
-    output grid must fit in ``MAX_GRID_CELLS``."""
-    if not f_terms or not g_terms:
-        return {}
+def skew2_mul(ring, f, g):
+    """Product f*g of two nonzero values of a skew ring with any number of
+    Ore variables; moving d^e of f past a coefficient of g applies
+    Frobenius^t, t = sigma_powers.e mod k.  One call of the convolution core
+    on the operands' grids; the output grid must fit in ``MAX_GRID_CELLS``.
+    Each axis's top exponents add in a domain, so the product of two
+    trimmed grids is trimmed."""
     tab = tables_for(ring.field)
-    fe, fc = _to_coo(f_terms, tab.dtype)
-    ge, gc = _to_coo(g_terms, tab.dtype)
-    _check_cells([a + b + 1 for a, b in zip(fe.max(1).tolist(), ge.max(1).tolist())])
-    return _grid_to_terms(_convolve(tab, ring.sigma_powers, _to_grid(fe, fc), _to_grid(ge, gc)))
+    return type(f)._of_grid(ring, _convolve(tab, ring.sigma_powers, f.grid, g.grid))
+
+
+# Side of the low corner of f*g and g*f that commutation is decided on first.
+CORNER = 8
+
+
+def low_corner(ring, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Cells below CORNER on every axis of the product of grids f and g.
+    Cell e of a skew product reads only operand cells <= e, so the corner
+    comes from the operands cut to it."""
+    cut = (slice(CORNER),) * f.ndim
+    return _convolve(tables_for(ring.field), ring.sigma_powers, f[cut], g[cut],
+                     (CORNER,) * f.ndim)
 
 
 # -- exact division ------------------------------------------------------------
@@ -191,13 +228,20 @@ def _line(exps: np.ndarray, coeffs: np.ndarray, w, lo):
     return _to_grid(pos[None] - low, coeffs), low
 
 
-def _divide(ring, h_terms: dict, d_terms: dict, right: bool) -> dict:
-    if not h_terms:
-        return {}
+def _coo(poly, coeff_dtype):
+    """(exponents, coefficients) of a nonzero value, read from its grid when
+    it holds one, so dividing a product builds no dict."""
+    if poly._grid is None:
+        return _to_coo(poly.terms, coeff_dtype)
+    idx = np.nonzero(poly._grid)
+    return np.array(idx, dtype=np.int64), poly._grid[idx]
+
+
+def _divide(ring, h, d, right: bool) -> dict:
     tab = tables_for(ring.field)
     kf = ring.field.k
-    he, hc = _to_coo(h_terms, tab.dtype)
-    de, dc = _to_coo(d_terms, tab.dtype)
+    he, hc = _coo(h, tab.dtype)
+    de, dc = _coo(d, tab.dtype)
     h_lo, h_hi = he.min(1).tolist(), he.max(1).tolist()
     d_lo, d_hi = de.min(1).tolist(), de.max(1).tolist()
     q_lo = [a - b for a, b in zip(h_lo, d_lo)]
@@ -235,11 +279,13 @@ def _divide(ring, h_terms: dict, d_terms: dict, right: bool) -> dict:
     return dict(zip(zip((a + q_lo[0]).tolist(), (b + q_lo[1]).tolist()), Q[idx].tolist()))
 
 
-def skew2_right_cofactor(ring, h_terms: dict, p_terms: dict) -> dict:
-    """Solve h = p * q for q; raises NotDivisibleError."""
-    return _divide(ring, h_terms, p_terms, right=True)
+def skew2_right_cofactor(ring, h, p) -> dict:
+    """The terms of q with h = p * q, for nonzero values h and p; raises
+    NotDivisibleError."""
+    return _divide(ring, h, p, right=True)
 
 
-def skew2_left_cofactor(ring, h_terms: dict, q_terms: dict) -> dict:
-    """Solve h = p * q for p; raises NotDivisibleError."""
-    return _divide(ring, h_terms, q_terms, right=False)
+def skew2_left_cofactor(ring, h, q) -> dict:
+    """The terms of p with h = p * q, for nonzero values h and q; raises
+    NotDivisibleError."""
+    return _divide(ring, h, q, right=False)

@@ -22,7 +22,7 @@ from . import backend, costs, serial
 from .encoding import decode_bytes, encode_bytes
 from .errors import (EncodingError, NotDivisibleError, OreKexError, ParseError,
                      ProtocolError, ResampleExhaustedError)
-from .orepoly import random_polynomial
+from .orepoly import MAX_WEYL_STEPS, random_polynomial
 from .protocols import (CommutingSetup, EncryptionPublicKey, EncryptionSecretKey,
                         Ciphertext, FactorizationProver, PrivateTuple,
                         PublicParameters, SignaturePublicKey, SignatureSecretKey,
@@ -104,12 +104,18 @@ def _params_entries(params: PublicParameters) -> list:
 def _load_params(path: str, keys) -> tuple[PublicParameters, list]:
     """The public parameters in the file at ``path`` and the values of ``keys``."""
     ring, nu, public_l, left, right, *values = _load(path, PARAMS_KEYS + keys)
-    # a pool element f(P) spans nu times P's exponents: refuse a box over the
-    # kernel limit before a coefficient is drawn
-    if ring.is_skew and max(prod(nu * d + 1 for d in gen.d_degrees())
-                            for gen in (left, right)) > backend.MAX_GRID_CELLS:
-        raise ParseError(f"{path}: nu {nu} puts pool elements over the "
-                         f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")
+    # Refused before a coefficient is drawn: each exponent's top adds under a
+    # product, so f(P) lies in the box of nu times P's tops.  That box is the
+    # last skew Horner product's grid; each of the nu - 1 weyl Horner
+    # products pairs at most its terms with P's, charged one Leibniz step each.
+    for gen in (left, right):
+        box = prod(nu * max(col) + 1 for col in zip(*gen.terms))
+        if ring.is_skew and box > backend.MAX_GRID_CELLS:
+            raise ParseError(f"{path}: nu {nu} puts pool elements over the "
+                             f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")
+        if ring.is_weyl and (nu - 1) * box * len(gen) > MAX_WEYL_STEPS:
+            raise ParseError(f"{path}: nu {nu} puts pool evaluation over the "
+                             f"{MAX_WEYL_STEPS}-step limit of the weyl product")
     return PublicParameters(ring, public_l, left, right, nu), values
 
 

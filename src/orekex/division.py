@@ -42,7 +42,7 @@ def right_cofactor(h: OrePolynomial, p: OrePolynomial) -> OrePolynomial:
     if h.is_zero():
         return ring.zero()
     if ring.is_skew and ring.n == 2:
-        return OrePolynomial._raw(ring, backend.skew2_right_cofactor(ring, h.terms, p.terms))
+        return OrePolynomial._raw(ring, backend.skew2_right_cofactor(ring, h, p))
     return _peel(h, p, side="right")
 
 
@@ -53,7 +53,7 @@ def left_cofactor(h: OrePolynomial, q: OrePolynomial) -> OrePolynomial:
     if h.is_zero():
         return ring.zero()
     if ring.is_skew and ring.n == 2:
-        return OrePolynomial._raw(ring, backend.skew2_left_cofactor(ring, h.terms, q.terms))
+        return OrePolynomial._raw(ring, backend.skew2_left_cofactor(ring, h, q))
     return _peel(h, q, side="left")
 
 

@@ -20,6 +20,16 @@ import numpy as np
 from .errors import OreKexError, RingMismatchError, ZeroInverseError
 
 
+# Largest field order q = p^k whose lookup tables are built.  The q x q
+# tables take Python-level products: 0.14 s at q = 13^2, 0.68 s at 2^8,
+# 2.8 s at 2^9.  F_125, the largest field of the aliases and tests, is
+# inside.
+MAX_FIELD_ORDER = 256
+# Largest characteristic a ring line may name: is_prime takes sqrt(p)
+# trial divisions, 46,341 at this bound.
+MAX_CHARACTERISTIC = 1 << 31
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -385,6 +395,9 @@ _TABLE_CACHE: dict[FieldSpec, FieldTables] = {}
 def tables_for(spec: FieldSpec) -> FieldTables:
     tab = _TABLE_CACHE.get(spec)
     if tab is None:
+        if spec.q > MAX_FIELD_ORDER:
+            raise OreKexError(f"a field of order {spec.q} is over the "
+                              f"{MAX_FIELD_ORDER}-element limit of the lookup tables")
         tab = FieldTables(spec)
         _TABLE_CACHE[spec] = tab
     return tab

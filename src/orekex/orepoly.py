@@ -1,4 +1,4 @@
-"""Sparse polynomials in an iterated Ore extension.
+"""Polynomials in an iterated Ore extension.
 
 A term maps an exponent vector to a coefficient index:
 
@@ -11,14 +11,25 @@ Values are immutable once constructed; all operations are pure.  Products
 respect the defining relations d*c = sigma(c)*d (skew) and d_i*x_i =
 x_i*d_i + 1 (weyl).  Every skew product, whatever the number of variables,
 is delegated to the FFT kernel in :mod:`orekex.backend`.
+
+A weyl value holds a term dict.  A skew value holds a term dict, a grid
+or both.  The grid is the dense coefficient-index array the product
+kernel convolves: cell e holds the coefficient of d^e, it starts at d^0
+and every axis ends at the value's highest exponent on it, so it is
+trimmed.  Products and sums of skew values hold grids only; a value made
+from a dict (the parser, :func:`random_polynomial`, constants) builds its
+grid when a product first needs it, and a grid-held value builds its
+``terms`` when a caller first reads them.  Both are cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
+from types import MappingProxyType
+
+import numpy as np
 
 from . import backend
 from .errors import OreKexError, RingMismatchError
@@ -27,30 +38,13 @@ from .monomials import grevlex_key, sorted_descending
 from .rings import OreRing
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-Ore-variable d-degrees plus the total degree over all exponents."""
-
-    d_degrees: tuple[int, ...]
-    total: int
-    is_zero: bool = False
-
-    def __add__(self, other: "DegreeProfile") -> "DegreeProfile":
-        if self.is_zero or other.is_zero:
-            raise OreKexError("zero polynomial has no degree profile to add")
-        return DegreeProfile(
-            tuple(a + b for a, b in zip(self.d_degrees, other.d_degrees)),
-            self.total + other.total,
-        )
-
-
 @lru_cache(maxsize=4096)
 def _leibniz_coef(w: int, e: int, k: int, p: int) -> int:
     return comb(w, k) * comb(e, k) * factorial(k) % p
 
 
 class OrePolynomial:
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms", "_grid")
 
     def __init__(self, ring: OreRing, terms: dict):
         clean = {}
@@ -69,15 +63,30 @@ class OrePolynomial:
                 c %= limit
             if c:
                 clean[exps] = c
+        self._set(ring, clean, None)
+
+    def _set(self, ring, terms, grid):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_grid", grid)
 
     @classmethod
     def _raw(cls, ring: OreRing, terms: dict) -> "OrePolynomial":
         # trusted path for internally produced, already-canonical term dicts
         self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
+        self._set(ring, terms, None)
+        return self
+
+    @classmethod
+    def _of_grid(cls, ring: OreRing, grid) -> "OrePolynomial":
+        # trusted path for a kernel's trimmed grid, which the value takes
+        # over; None is the zero value
+        self = object.__new__(cls)
+        if grid is None:
+            self._set(ring, {}, None)
+        else:
+            grid.flags.writeable = False
+            self._set(ring, None, grid)
         return self
 
     def __setattr__(self, *a):  # immutable value
@@ -85,14 +94,44 @@ class OrePolynomial:
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def terms(self):
+        """Read-only ``{exponents: coefficient}`` view, built from the grid on
+        first use."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", backend.grid_to_terms(self._grid))
+        return MappingProxyType(self._terms)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """Read-only coefficient-index grid of a nonzero skew value (see the
+        module docstring), built from the terms on first use; OreKexError
+        when its box is over ``backend.MAX_GRID_CELLS``."""
+        if self._grid is None:
+            if not self.ring.is_skew or not self._terms:
+                raise OreKexError("only nonzero skew polynomials have a grid")
+            grid = backend.terms_to_grid(self._terms, tables_for(self.ring.field).dtype)
+            grid.flags.writeable = False
+            object.__setattr__(self, "_grid", grid)
+        return self._grid
+
+    def _tops(self) -> list[int]:
+        """Highest exponent on each axis of a nonzero value."""
+        if self._grid is not None:
+            return [a - 1 for a in self._grid.shape]
+        return [max(col) for col in zip(*self._terms)]
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def __bool__(self):
-        return bool(self.terms)
+        # a held grid is trimmed, so it has a nonzero cell
+        return self._grid is not None or bool(self._terms)
 
     def __len__(self):
-        return len(self.terms)
+        if self._terms is None:
+            return int(np.count_nonzero(self._grid))
+        return len(self._terms)
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Greatest term in the global grevlex order: (exponents, coeff index)."""
@@ -110,18 +149,13 @@ class OrePolynomial:
         """Degree in the Ore variable d_i (1-based); -1 for the zero polynomial."""
         if not 1 <= i <= self.ring.n:
             raise OreKexError(f"Ore variable index {i} out of range")
-        if not self.terms:
+        if not self:
             return -1
         off = 0 if self.ring.is_skew else self.ring.n
-        return max(e[off + i - 1] for e in self.terms)
+        return self._tops()[off + i - 1]
 
     def d_degrees(self) -> tuple[int, ...]:
         return tuple(self.d_degree(i) for i in range(1, self.ring.n + 1))
-
-    def degree_profile(self) -> DegreeProfile:
-        if not self.terms:
-            return DegreeProfile((0,) * self.ring.n, 0, is_zero=True)
-        return DegreeProfile(self.d_degrees(), self.total_degree())
 
     def coefficient(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
@@ -142,50 +176,58 @@ class OrePolynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        if self.ring.is_skew:
-            tab = tables_for(self.ring.field)
-            out = dict(self.terms)
-            for e, c in other.terms.items():
-                v = int(tab.add[out.get(e, 0), c])
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        else:
-            p = self.ring.p
-            out = dict(self.terms)
-            for e, c in other.terms.items():
+        ring = self.ring
+        if not other:
+            return self
+        if not self:
+            return other
+        if ring.is_weyl:
+            p = ring.p
+            out = dict(self._terms)
+            for e, c in other._terms.items():
                 v = (out.get(e, 0) + c) % p
                 if v:
                     out[e] = v
                 elif e in out:
                     del out[e]
-        return OrePolynomial._raw(self.ring, out)
+            return OrePolynomial._raw(ring, out)
+        tab = tables_for(ring.field)
+        # on grids unless the union box is over the kernels' limit, as
+        # f + d1^3000*d2^3000 is: that sum stays a dict
+        if prod(max(a, b) + 1 for a, b in zip(self._tops(), other._tops())) \
+                <= backend.MAX_GRID_CELLS:
+            return OrePolynomial._of_grid(ring, backend.grid_sum(tab, self.grid, other.grid))
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            v = int(tab.add[out.get(e, 0), c])
+            if v:
+                out[e] = v
+            elif e in out:
+                del out[e]
+        return OrePolynomial._raw(ring, out)
 
     def __sub__(self, other):
         other = self._coerce(other)
         return self + (-other)
 
     def __neg__(self):
-        if self.ring.is_skew:
-            tab = tables_for(self.ring.field)
-            return OrePolynomial._raw(
-                self.ring, {e: int(tab.neg[c]) for e, c in self.terms.items()}
-            )
-        p = self.ring.p
-        return OrePolynomial._raw(
-            self.ring, {e: (-c) % p for e, c in self.terms.items()}
-        )
+        if self.ring.is_weyl:
+            p = self.ring.p
+            return OrePolynomial._raw(self.ring, {e: (-c) % p for e, c in self._terms.items()})
+        tab = tables_for(self.ring.field)
+        if self._grid is not None:
+            return OrePolynomial._of_grid(self.ring, tab.neg[self._grid])
+        return OrePolynomial._raw(self.ring, {e: int(tab.neg[c]) for e, c in self._terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
         ring = self.ring
-        if not self.terms or not other.terms:
+        if not self or not other:
             return ring.zero()
         if ring.is_skew:
-            return OrePolynomial._raw(ring, backend.skew2_mul(ring, self.terms, other.terms))
-        return OrePolynomial._raw(ring, _weyl_mul(ring, self.terms, other.terms))
+            return backend.skew2_mul(ring, self, other)
+        return OrePolynomial._raw(ring, _weyl_mul(ring, self._terms, other._terms))
 
     def __radd__(self, other):
         return self + other
@@ -212,12 +254,23 @@ class OrePolynomial:
     def commutes_with(self, other: "OrePolynomial") -> bool:
         other = self._coerce(other)
         self._check(other)
+        ring = self.ring
+        if ring.is_skew and self and other:
+            # the low corners of f*g and g*f are exact: one that differs
+            # settles the question without the full products
+            f, g = self.grid, other.grid
+            if not np.array_equal(backend.low_corner(ring, f, g), backend.low_corner(ring, g, f)):
+                return False
         return self * other == other * self
 
     def __eq__(self, other):
         if not isinstance(other, OrePolynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        if self.ring != other.ring:
+            return False
+        if self._grid is not None and other._grid is not None:
+            return np.array_equal(self._grid, other._grid)
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
@@ -225,12 +278,13 @@ class OrePolynomial:
     # -- text form -------------------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.terms:
+        if not self:
             return "0"
         ring = self.ring
+        terms = self.terms
         parts = []
-        for exps in sorted_descending(self.terms):
-            c = self.terms[exps]
+        for exps in sorted_descending(terms):
+            c = terms[exps]
             if ring.is_skew:
                 coeff = ring.field.from_index(c).to_text()
                 mono = "*".join(f"d{i+1}^{e}" for i, e in enumerate(exps))
@@ -248,7 +302,7 @@ class OrePolynomial:
     def __repr__(self):
         text = self.to_text()
         if len(text) > 120:
-            text = f"<{len(self.terms)} terms, total degree {self.total_degree()}>"
+            text = f"<{len(self)} terms, total degree {self.total_degree()}>"
         return f"OrePolynomial({self.ring.kind}: {text})"
 
 

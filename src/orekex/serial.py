@@ -20,7 +20,7 @@ import re
 
 from .commuting import ConstantPolynomial
 from .errors import ParseError
-from .fields import FieldSpec
+from .fields import MAX_CHARACTERISTIC, MAX_FIELD_ORDER, FieldSpec
 from .orepoly import OrePolynomial
 from .rings import OreRing, skew_ring, weyl_ring
 
@@ -41,10 +41,6 @@ def _parse_int_list(text: str) -> list[int]:
         raise ParseError(f"bad integer list {text!r}") from exc
 
 
-def ring_to_text(ring: OreRing) -> str:
-    return ring.to_text()
-
-
 def ring_from_text(line: str) -> OreRing:
     parts = line.split()
     if len(parts) < 2 or parts[0] != "ring":
@@ -57,15 +53,31 @@ def ring_from_text(line: str) -> OreRing:
         kv[key] = val
     try:
         if parts[1] == "skew":
-            spec = FieldSpec(int(kv["p"]), int(kv["k"]), tuple(_parse_int_list(kv["m"])))
+            p, k = int(kv["p"]), int(kv["k"])
+            _check_bounds(p, k)
+            spec = FieldSpec(p, k, tuple(_parse_int_list(kv["m"])))
             return skew_ring(spec, tuple(_parse_int_list(kv["sigma"])))
         if parts[1] == "weyl":
-            return weyl_ring(int(kv["p"]), int(kv["n"]))
+            p = int(kv["p"])
+            _check_bounds(p)
+            return weyl_ring(p, int(kv["n"]))
     except KeyError as exc:
         raise ParseError(f"ring line misses attribute {exc}") from exc
     except ValueError as exc:
         raise ParseError(f"bad integer in ring line {line!r}") from exc
     raise ParseError(f"unknown ring kind {parts[1]!r}")
+
+
+def _check_bounds(p: int, k: int | None = None) -> None:
+    """ParseError when p, or a skew ring's field order p^k, is over its limit:
+    checked before any primality, irreducibility or table work."""
+    if p > MAX_CHARACTERISTIC:
+        raise ParseError(f"characteristic {p} is over the limit {MAX_CHARACTERISTIC}")
+    # p >= 2 in a field, so a k past the limit's bit length is over it too
+    if k is not None and k >= 1 and (k > MAX_FIELD_ORDER.bit_length()
+                                     or p ** k > MAX_FIELD_ORDER):
+        raise ParseError(f"a field of order {p}^{k} is over the {MAX_FIELD_ORDER}-element "
+                         f"limit of the lookup tables")
 
 
 _SKEW_TERM = re.compile(r"^(\[[0-9, ]*\])\*(.+)$")
@@ -133,7 +145,7 @@ def constant_poly_from_text(p: int, text: str) -> ConstantPolynomial:
 
 def render_file(ring: OreRing, seed, lines: list[str]) -> str:
     seed_text = "withheld" if seed is None else str(seed)
-    head = [MAGIC, ring_to_text(ring), f"seed {seed_text}", f"rng {RNG_NAME}"]
+    head = [MAGIC, ring.to_text(), f"seed {seed_text}", f"rng {RNG_NAME}"]
     return "\n".join(head + lines) + "\n"
 
 

@@ -169,6 +169,29 @@ class CommPolynomial:
         return self.to_text()
 
 
+@dataclass(frozen=True)
+class DegreeProfile:
+    """Per-Ore-variable d-degrees plus the total degree over all exponents."""
+
+    d_degrees: tuple[int, ...]
+    total: int
+    is_zero: bool = False
+
+    def __add__(self, other: "DegreeProfile") -> "DegreeProfile":
+        if self.is_zero or other.is_zero:
+            raise OreKexError("zero polynomial has no degree profile to add")
+        return DegreeProfile(
+            tuple(a + b for a, b in zip(self.d_degrees, other.d_degrees)),
+            self.total + other.total,
+        )
+
+
+def degree_profile(h: OrePolynomial) -> DegreeProfile:
+    if h.is_zero():
+        return DegreeProfile((0,) * h.ring.n, 0, is_zero=True)
+    return DegreeProfile(h.d_degrees(), h.total_degree())
+
+
 def skew_mul_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
     """Skew product via FieldElement arithmetic and one-automorphism-at-a-time
     twisting; a separate route from the table kernels."""

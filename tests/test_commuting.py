@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from orekex import (ConstantPolynomial, OreKexError, ProtocolError,
+from orekex import (ConstantPolynomial, FieldSpec, backend, f125_spec, skew_ring, OreKexError, ProtocolError,
                     ResampleExhaustedError, random_constant_polynomial,
                     random_polynomial, ring_by_name, sample_private)
+
+from helpers import degree_profile, skew_mul_oracle
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
@@ -64,11 +68,11 @@ def test_evaluation_degree_profile():
             nu = int(rng.integers(1, 5))
             f = random_constant_polynomial(ring.p, nu, rng)
             P = random_polynomial(ring, int(rng.integers(1, 4)), 3, rng)
-            prof = P.degree_profile()
+            prof = degree_profile(P)
             expected = prof
             for _ in range(nu - 1):
                 expected = expected + prof
-            got = f(P).degree_profile()
+            got = degree_profile(f(P))
             assert got.total == expected.total
             assert got.d_degrees == expected.d_degrees
 
@@ -106,3 +110,75 @@ def test_sample_private_preconditions():
 def test_serialization():
     f = ConstantPolynomial(5, (2, 0, 3))
     assert f.to_text() == "[2,0,3]"
+
+
+# -- commutation: the low corner first, then the full products ------------------------
+
+CORNER_RINGS = [SKEW, skew_ring(f125_spec(), (1, 2)), skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1))]
+
+
+@pytest.fixture
+def full_products(monkeypatch):
+    """Counts the full products (backend.skew2_mul calls) made meanwhile."""
+    calls = []
+    mul = backend.skew2_mul
+
+    def counted(ring, f, g):
+        calls.append(1)
+        return mul(ring, f, g)
+
+    monkeypatch.setattr(backend, "skew2_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", CORNER_RINGS, ids=["f125-skew2", "sigma12", "f4"])
+def test_commuting_pairs_fall_through_to_the_full_products(ring, full_products):
+    # pool elements whose boxes reach past the corner on both axes
+    rng = np.random.default_rng(7)
+    P = random_polynomial(ring, 4, 15, rng)
+    while min(P.d_degrees()) < 3:
+        P = random_polynomial(ring, 4, 15, rng)
+    for _ in range(6):
+        f, g = (random_constant_polynomial(ring.p, 3, rng)(P) for _ in range(2))
+        assert min(f.d_degrees()) >= backend.CORNER
+        full_products.clear()
+        assert f.commutes_with(g) and g.commutes_with(f)
+        assert len(full_products) == 4
+
+
+@pytest.mark.parametrize("ring", CORNER_RINGS, ids=["f125-skew2", "sigma12", "f4"])
+def test_far_shifted_pairs_fall_through_to_the_full_products(ring, full_products):
+    # no term below the corner: both corners are empty and prove nothing
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        f = ring.d(1) ** 9 * random_polynomial(ring, 3, 6, rng)
+        g = ring.d(2) ** 12 * random_polynomial(ring, 3, 6, rng)
+        full_products.clear()
+        want = skew_mul_oracle(f, g) == skew_mul_oracle(g, f)
+        assert f.commutes_with(g) == want
+        assert len(full_products) == 2
+
+
+def test_corner_settles_noncommuting_pairs_without_full_products(full_products):
+    rng = np.random.default_rng(9)
+    for ring in CORNER_RINGS:
+        for _ in range(20):
+            f, g = random_polynomial(ring, 5, 12, rng), random_polynomial(ring, 5, 12, rng)
+            if skew_mul_oracle(f, g) != skew_mul_oracle(g, f) and f.commutes_with(g):
+                pytest.fail("a non-commuting pair reported as commuting")
+    # d1 moves alpha by sigma_1: the corners differ at d1.  The far term makes
+    # g's grid 1001 x 1001, so a corner that cut only one operand would
+    # transform about a million cells
+    ring = SKEW
+    f = ring.d(1)
+    g = ring.constant(ring.field.alpha()) + ring.poly({(1000, 1000): 1})
+    g.grid  # built outside the measured window
+    full_products.clear()
+    tracemalloc.start()
+    try:
+        answer = f.commutes_with(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer is False and not full_products
+    assert peak < 1 << 20

@@ -8,7 +8,7 @@ from orekex import (FieldSpec, OreKexError, OrePolynomial, RingMismatchError,
                     ring_by_name, skew_ring, weyl_ring)
 from orekex.monomials import grevlex_key
 
-from helpers import skew_mul_oracle, weyl_mul_oracle
+from helpers import degree_profile, skew_mul_oracle, weyl_mul_oracle
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
@@ -173,8 +173,7 @@ def test_backend_parity():
     assert {SKEW.twist_power(e) for e in all_twists.terms} == {0, 1, 2}
     cases += [(SKEW, all_twists, all_twists), (SKEW, all_twists, cases[0][1])]
     for ring, f, g in cases:
-        prod = backend.skew2_mul(ring, f.terms, g.terms)
-        assert OrePolynomial(ring, prod) == skew_mul_oracle(f, g)
+        assert backend.skew2_mul(ring, f, g) == skew_mul_oracle(f, g)
 
 
 def test_ring_axioms_random_triples():
@@ -193,10 +192,10 @@ def test_degree_additivity_and_profiles():
         for _ in range(50):
             a = random_polynomial(ring, int(rng.integers(1, 5)), 4, rng)
             b = random_polynomial(ring, int(rng.integers(1, 5)), 4, rng)
-            pa, pb, pab = a.degree_profile(), b.degree_profile(), (a * b).degree_profile()
+            pa, pb, pab = degree_profile(a), degree_profile(b), degree_profile(a * b)
             assert pab.total == pa.total + pb.total
             assert pab.d_degrees == (pa + pb).d_degrees
-    assert SKEW.zero().degree_profile().is_zero
+    assert degree_profile(SKEW.zero()).is_zero
 
 
 def test_constants_central():
@@ -273,3 +272,97 @@ def test_pow_and_negative_power():
     assert d1 ** 3 == d1 * d1 * d1
     with pytest.raises(OreKexError):
         d1 ** -1
+
+
+# -- skew values held as grids ------------------------------------------------------
+
+GRID_RINGS = [SKEW, skew_ring(f125_spec(), (1, 2)), skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1))]
+
+
+def _as_grid(h):
+    """h held as a grid only: a product, which builds no dict."""
+    g = h * h.ring.one()
+    assert g._terms is None and g._grid is not None
+    return g
+
+
+def _sum_oracle(f, g):
+    """f + g by FieldElement addition over the union of the term dicts."""
+    spec = f.ring.field
+    out = {e: spec.from_index(f.terms.get(e, 0)) + spec.from_index(g.terms.get(e, 0))
+           for e in set(f.terms) | set(g.terms)}
+    return OrePolynomial(f.ring, {e: v.index for e, v in out.items() if not v.is_zero()})
+
+
+@pytest.mark.parametrize("ring", GRID_RINGS, ids=["f125-skew2", "sigma12", "f4"])
+def test_products_and_sums_mix_dict_and_grid_operands(ring):
+    rng = np.random.default_rng(19)
+    for _ in range(15):
+        a, b = _rand(ring, rng, 6, 12), _rand(ring, rng, 6, 12)
+        for f in (a, _as_grid(a)):
+            for g in (b, _as_grid(b)):
+                assert f * g == skew_mul_oracle(a, b)
+                assert f + g == _sum_oracle(a, b)
+                assert f - g == _sum_oracle(a, -b)
+                assert (f * g) + g == _sum_oracle(skew_mul_oracle(a, b), b)
+
+
+@pytest.mark.parametrize("ring", GRID_RINGS, ids=["f125-skew2", "sigma12", "f4"])
+def test_sums_that_cancel_are_trimmed(ring):
+    rng = np.random.default_rng(20)
+    for _ in range(15):
+        a = _as_grid(random_polynomial(ring, 8, 30, rng))
+        top_a = max(e[0] for e in a.terms)
+        # b cancels a's top d1 row and adds terms lower down
+        row = {e: c for e, c in a.terms.items() if e[0] == top_a}
+        b = -ring.poly(row) + random_polynomial(ring, 3, 4, rng)
+        for g in (b, _as_grid(b)):
+            s = a + g
+            want = _sum_oracle(a, b)
+            assert s == want
+            assert s.grid.shape == want.grid.shape  # want's grid comes from its dict
+            assert np.array_equal(s.grid, want.grid)
+            assert s.d_degrees() == want.d_degrees()
+        for zero in (a + (-a), a - _as_grid(a), _as_grid(a) + (-ring.poly(dict(a.terms)))):
+            assert zero.is_zero() and not zero and len(zero) == 0
+            assert zero == ring.zero() and zero.total_degree() is None
+
+
+def test_equality_and_hash_across_representations():
+    rng = np.random.default_rng(21)
+    for ring in GRID_RINGS:
+        for _ in range(10):
+            a = random_polynomial(ring, 7, 20, rng)
+            g = _as_grid(a)
+            assert len(g) == len(a.terms) and bool(g) and not g.is_zero()
+            assert g._terms is None  # len and bool count cells, no dict
+            assert g == a and a == g and hash(g) == hash(a)
+            assert len({a, g}) == 1
+            assert g != a + 1 and g + 1 == a + 1
+            assert g._grid is not None and a._grid is not None
+
+
+def test_grids_and_terms_are_read_only():
+    rng = np.random.default_rng(22)
+    a = random_polynomial(SKEW, 5, 10, rng)
+    for h in (a, _as_grid(a), a + _as_grid(a), -_as_grid(a)):
+        with pytest.raises(ValueError):
+            h.grid[0, 0] = 1
+        with pytest.raises(TypeError):
+            h.terms[(0, 0)] = 1
+    assert a == random_polynomial(SKEW, 5, 10, np.random.default_rng(22))
+
+
+def test_wide_sparse_sum_builds_no_grid():
+    rng = np.random.default_rng(23)
+    h = random_polynomial(SKEW, 10, 40, rng) * random_polynomial(SKEW, 10, 40, rng)
+    far = SKEW.poly({(3000, 3000): 1})
+    tracemalloc.start()
+    try:
+        s = h + far  # a 3001 x 3001 box: over MAX_GRID_CELLS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert s._grid is None and len(s) == len(h) + 1 and s.terms[(3000, 3000)] == 1
+    assert s - far == h

@@ -6,8 +6,7 @@ import pytest
 
 from orekex import ParseError, random_polynomial, ring_by_name
 from orekex.cli import main
-from orekex.serial import (parse_file, poly_from_text, poly_to_text, render_file,
-                           ring_from_text, ring_to_text)
+from orekex.serial import parse_file, poly_from_text, poly_to_text, render_file, ring_from_text
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl3-f71")
@@ -15,9 +14,9 @@ WEYL = ring_by_name("weyl3-f71")
 
 def test_ring_round_trip():
     for ring in (SKEW, WEYL):
-        assert ring_from_text(ring_to_text(ring)) == ring
-    assert ring_to_text(SKEW) == "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1]"
-    assert ring_to_text(WEYL) == "ring weyl p=71 n=3"
+        assert ring_from_text(ring.to_text()) == ring
+    assert SKEW.to_text() == "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1]"
+    assert WEYL.to_text() == "ring weyl p=71 n=3"
     with pytest.raises(ParseError):
         ring_from_text("ring cyclic p=5")
 
@@ -216,7 +215,7 @@ def test_cli_usage_errors(tmp_path):
 
 
 SIGNATURE_KEYS = ("m", "gamma", "q1", "r1", "q2", "r2", "eps1", "eps2")
-SKEW_LINE = ring_to_text(SKEW)
+SKEW_LINE = SKEW.to_text()
 SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
 
 
@@ -230,8 +229,13 @@ SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
      "[1,0,0]*d1^0*d2^0*d3^100*d4^0 + [2,0,0]*d1^0*d2^0*d3^0*d4^100"),
     # m * L is d1^(10^12 + 1): refused before padding to a transform length
     (SKEW_LINE, "seed 1", "[1,0,0]*d1^999999999999*d2^0", "[1,0,0]*d1^1*d2^0"),
+    # a field of order about 10^18: the irreducibility check would try every
+    # element of F_p as a root, and the tables would need q^2 cells
+    ("ring skew p=1000000007 k=2 m=[5,0,1] sigma=[1,1]", "seed 1", "0", "0"),
+    # a 19-digit characteristic: about 10^9 trial divisions in is_prime
+    ("ring weyl p=1000000000000000003 n=2", "seed 1", "0", "0"),
 ], ids=["empty-digit", "blank-coefficient", "seed-x", "ring-k-x", "skew4-grid",
-        "int64-exponent"])
+        "int64-exponent", "skew-field-order", "weyl-characteristic"])
 def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, seed_line,
                                                   public_l, m):
     head = f"# ore-kex v1\n{ring_line}\n{seed_line}\nrng numpy-pcg64\n"
@@ -239,7 +243,9 @@ def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, s
     pub.write_text(head + f"L {public_l}\nP_Alice 0\n")
     sig = tmp_path / "sig.txt"
     sig.write_text(head + f"m {m}\n" + "".join(f"{k} 0\n" for k in SIGNATURE_KEYS[1:]))
+    t0 = time.perf_counter()
     assert _run("verify", "--pub", str(pub), "--sig", str(sig)) == 2
+    assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -285,12 +291,16 @@ def _valid_files(tmp_path):
                 "--out-prefix", str(d / "signer")) == 0
     assert _run("sign", "--sec", str(d / "signer.sec"), "--in", str(d / "msg.bin"),
                 "--seed", "6", "--out", str(d / "raw.sig")) == 0
+    assert _run("keygen", "--scheme", "encrypt", "--ring", "weyl2-f71", "--dL", "4",
+                "--dPQ", "2", "--nu", "1", "--seed", "3", "--out-prefix", str(d / "weyl")) == 0
     weyl = ring_by_name("weyl2-f71")
     (d / "weak.key").write_text(render_file(weyl, None, ["key 1*x1^1*x2^0*d1^0*d2^0"]))
     verify = ["verify", "--pub", str(d / "signer.pub"), "--sig", str(d / "raw.sig")]
     return {
         "enc.pub": ["encrypt", "--pub", str(d / "enc.pub"), "--in", str(d / "msg.bin"),
                     "--seed", "4", "--out", str(d / "ct2.txt")],
+        "weyl.pub": ["encrypt", "--pub", str(d / "weyl.pub"), "--in", str(d / "msg.bin"),
+                     "--seed", "4", "--out", str(d / "ct3.txt")],
         "ct.txt": ["decrypt", "--sec", str(d / "enc.sec"), "--in", str(d / "ct.txt"),
                    "--out", str(d / "plain.bin")],
         "signer.pub": verify,
@@ -304,13 +314,15 @@ def _valid_files(tmp_path):
     ("enc.pub", "nu", "nu x", "nu line"),
     ("enc.pub", "nu", "nu 0", "at least 1"),
     ("enc.pub", "nu", "nu 99999999", "cell limit"),
+    ("weyl.pub", "nu", "nu 99999999", "step limit"),
     ("ct.txt", "P_Bob", None, "no P_Bob line"),
     ("signer.pub", "L", None, "no L line"),
     ("raw.sig", "eps2", None, "no eps2 line"),
     ("weak.key", "key", None, "no key line"),
     ("ct.txt", "ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[1,2]", "ring differs"),
 ], ids=["encrypt-key-without-P_Alice", "encrypt-key-nu-x", "encrypt-key-nu-0",
-        "encrypt-key-nu-over-cell-limit", "ciphertext-without-P_Bob",
+        "encrypt-key-nu-over-cell-limit", "weyl-encrypt-key-nu-over-step-limit",
+        "ciphertext-without-P_Bob",
         "sign-key-without-L", "signature-without-eps2", "weak-key-without-key",
         "ciphertext-in-another-ring"])
 def test_cli_file_missing_or_malformed_entry_exits_2(tmp_path, capsys, name, key,

@@ -211,6 +211,14 @@ def skew_mul_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
     return OrePolynomial(ring, {k: v.index for k, v in out.items() if not v.is_zero()})
 
 
+def skew_add_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
+    """Skew sum by FieldElement addition over the union of the term dicts."""
+    spec = f.ring.field
+    out = {e: spec.from_index(f.terms.get(e, 0)) + spec.from_index(g.terms.get(e, 0))
+           for e in set(f.terms) | set(g.terms)}
+    return OrePolynomial(f.ring, {e: v.index for e, v in out.items() if not v.is_zero()})
+
+
 def _operator_of(h: OrePolynomial):
     """Weyl polynomial as {d-exponents: CommPolynomial coefficient}."""
     n, p = h.ring.n, h.ring.p

@@ -7,13 +7,9 @@ from orekex import OreKexError, OrePolynomial, RingMismatchError
 from orekex.monomials import sorted_descending
 
 
-def naive_mulmod(a, b, modulus, p):
-    """Schoolbook multiply-and-reduce over F_p[x]; lists lowest degree first."""
-    res = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            res[i + j] += x * y
-    res = [c % p for c in res]
+def naive_remainder(a, modulus, p):
+    """Long division by a monic modulus over F_p[x]; k remainder digits."""
+    res = [c % p for c in a]
     k = len(modulus) - 1
     for i in range(len(res) - 1, k - 1, -1):
         c = res[i]
@@ -22,6 +18,26 @@ def naive_mulmod(a, b, modulus, p):
                 res[i - k + j] = (res[i - k + j] - c * modulus[j]) % p
     res = res[:k]
     return tuple(res + [0] * (k - len(res)))
+
+
+def naive_mulmod(a, b, modulus, p):
+    """Schoolbook multiply-and-reduce over F_p[x]; lists lowest degree first."""
+    res = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            res[i + j] += x * y
+    return naive_remainder(res, modulus, p)
+
+
+def naive_is_irreducible(modulus, p):
+    """Trial division of a monic modulus of degree k by every monic
+    polynomial of degree 1..k//2."""
+    k = len(modulus) - 1
+    for d in range(1, k // 2 + 1):
+        for low in product(range(p), repeat=d):
+            if not any(naive_remainder(modulus, list(low) + [1], p)):
+                return False
+    return True
 
 
 def naive_pow(a, n, modulus, p):

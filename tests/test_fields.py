@@ -1,10 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from orekex import FieldSpec, OreKexError, ZeroInverseError, f125_spec
 from orekex.fields import tables_for
 
-from helpers import naive_mulmod, naive_pow
+from helpers import naive_is_irreducible, naive_mulmod, naive_pow
 
 F125 = f125_spec()
 ALPHA = F125.alpha()
@@ -20,9 +22,31 @@ def test_spec_validation():
     with pytest.raises(OreKexError):
         FieldSpec(2, 4, (1, 0, 1, 0, 1))  # (x^2+x+1)^2
     with pytest.raises(OreKexError):
-        FieldSpec(5, 6, tuple([2] + [0] * 5 + [1]))  # k > 4 needs the flag
-    FieldSpec(5, 6, tuple([2] + [0] * 5 + [1]), assume_irreducible=True)
+        FieldSpec(5, 6, (2, 0, 0, 0, 0, 0, 1))  # x^6 + 2: 3 has order 4 in F_5^*
+    assert not naive_is_irreducible([2, 0, 0, 0, 0, 0, 1], 5)
     FieldSpec(2, 4, (1, 1, 0, 0, 1))  # irreducible quartic passes
+    FieldSpec(5, 6, (1, 0, 0, 0, 1, 1, 1))  # irreducible sextic passes
+    assert naive_is_irreducible([1, 0, 0, 0, 1, 1, 1], 5)
+
+
+# Gauss's count of monic irreducibles of degree k over F_p
+IRREDUCIBLE_COUNTS = {(2, 2): 1, (2, 3): 2, (2, 4): 3, (2, 5): 6, (2, 6): 9,
+                      (3, 2): 3, (3, 3): 8, (3, 4): 18, (5, 2): 10, (5, 3): 40}
+
+
+@pytest.mark.parametrize("p, k", sorted(IRREDUCIBLE_COUNTS))
+def test_irreducibility_matches_trial_division(p, k):
+    accepted = 0
+    for low in product(range(p), repeat=k):
+        modulus = list(low) + [1]
+        try:
+            FieldSpec(p, k, tuple(modulus))
+            ok = True
+        except OreKexError:
+            ok = False
+        assert ok == naive_is_irreducible(modulus, p), modulus
+        accepted += ok
+    assert accepted == IRREDUCIBLE_COUNTS[p, k]
 
 
 def test_mul_examples():
@@ -46,7 +70,7 @@ def test_inverse():
     assert F125.one().inverse() == F125.one()
     inv = ALPHA.inverse()
     assert ALPHA * inv == F125.one()
-    assert inv.coeffs == (4, 0, 3)  # from extended Euclid on (x, x^3+3x+3) over F_5
+    assert inv.coeffs == (4, 0, 3)  # alpha * (3 alpha^2 + 4) = 3 (2 alpha + 2) + 4 alpha = 1
     with pytest.raises(ZeroInverseError):
         F125.zero().inverse()
     for idx in range(1, 125):
@@ -107,20 +131,36 @@ def test_frobenius_order_and_fixed_subfield():
             assert F125.frobenius(j)(e) == e  # prime subfield pointwise fixed
 
 
-def test_tables_match_element_arithmetic():
-    tab = tables_for(F125)
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        i = int(rng.integers(0, 125))
-        j = int(rng.integers(0, 125))
-        a, b = F125.from_index(i), F125.from_index(j)
+def _check_tables(spec, pairs):
+    """Table entries at the given index pairs (and at their first indices)
+    against FieldElement arithmetic, which shares no code with the tables."""
+    tab = tables_for(spec)
+    for name in ("add", "sub", "neg", "mul", "inv", "frob", "twist_digits"):
+        assert getattr(tab, name).dtype == np.uint8, name
+    for i, j in pairs:
+        a, b = spec.from_index(i), spec.from_index(j)
         assert int(tab.mul[i, j]) == (a * b).index
         assert int(tab.add[i, j]) == (a + b).index
         assert int(tab.sub[i, j]) == (a - b).index
+    for i in sorted({i for i, _ in pairs}):
+        a = spec.from_index(i)
+        assert int(tab.neg[i]) == (-a).index
         if i:
             assert int(tab.inv[i]) == a.inverse().index
-        for power in range(3):
-            assert int(tab.frob[power, i]) == F125.frobenius(power)(a).index
+        for power in range(spec.k):
+            assert int(tab.frob[power, i]) == spec.frobenius(power)(a).index
+
+
+def test_tables_match_element_arithmetic():
+    _check_tables(F125, product(range(125), repeat=2))  # every entry
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(13, 2, (2, 0, 1)), FieldSpec(251, 1, (0, 1)),
+                                  FieldSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))],
+                         ids=["F169", "F251", "F256"])
+def test_tables_match_element_arithmetic_sampled(spec):
+    rng = np.random.default_rng(7)
+    _check_tables(spec, rng.integers(0, spec.q, (300, 2)).tolist() + [[spec.q - 1] * 2])
 
 
 def test_serialization_text():

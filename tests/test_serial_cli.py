@@ -95,6 +95,15 @@ def test_cli_three_variable_three_pass(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "ecb62c65218ecf6133d1bedbcb2bd74415c99fd3d503d9a3e77f1a94ab3f6d2c")
 
+def test_cli_exchange_over_f256(tmp_path):
+    # F_2[x]/<x^8 + x^4 + x^3 + x + 1>: k = 8, irreducible by Rabin's test
+    out, key = tmp_path / "t.txt", tmp_path / "t.key"
+    assert _run("exchange", "--ring", "ring skew p=2 k=8 m=[1,1,0,1,1,0,0,0,1] sigma=[1,3]",
+                "--dL", "6", "--dPQ", "2", "--nu", "2", "--seed", "1", "--out", str(out),
+                "--key-out", str(key)) == 0
+    assert "shared_key" in dict(parse_file(key.read_text())[2])
+
+
 def test_cli_encrypt_decrypt_and_corruption(tmp_path):
     prefix = tmp_path / "alice"
     assert _run("keygen", "--scheme", "encrypt", "--ring", "f125-skew2",
@@ -229,13 +238,14 @@ SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
      "[1,0,0]*d1^0*d2^0*d3^100*d4^0 + [2,0,0]*d1^0*d2^0*d3^0*d4^100"),
     # m * L is d1^(10^12 + 1): refused before padding to a transform length
     (SKEW_LINE, "seed 1", "[1,0,0]*d1^999999999999*d2^0", "[1,0,0]*d1^1*d2^0"),
-    # a field of order about 10^18: the irreducibility check would try every
-    # element of F_p as a root, and the tables would need q^2 cells
+    # a field of order about 10^18: the tables would need q^2 cells
     ("ring skew p=1000000007 k=2 m=[5,0,1] sigma=[1,1]", "seed 1", "0", "0"),
     # a 19-digit characteristic: about 10^9 trial divisions in is_prime
     ("ring weyl p=1000000000000000003 n=2", "seed 1", "0", "0"),
+    # (x+1)^8 over F_2 names no field
+    ("ring skew p=2 k=8 m=[1,0,0,0,0,0,0,0,1] sigma=[1,3]", "seed 1", "0", "0"),
 ], ids=["empty-digit", "blank-coefficient", "seed-x", "ring-k-x", "skew4-grid",
-        "int64-exponent", "skew-field-order", "weyl-characteristic"])
+        "int64-exponent", "skew-field-order", "weyl-characteristic", "reducible-modulus"])
 def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, seed_line,
                                                   public_l, m):
     head = f"# ore-kex v1\n{ring_line}\n{seed_line}\nrng numpy-pcg64\n"

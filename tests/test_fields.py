@@ -22,7 +22,7 @@ def test_spec_validation():
     with pytest.raises(OreKexError):
         FieldSpec(2, 4, (1, 0, 1, 0, 1))  # (x^2+x+1)^2
     with pytest.raises(OreKexError):
-        FieldSpec(5, 6, (2, 0, 0, 0, 0, 0, 1))  # x^6 + 2: 3 has order 4 in F_5^*
+        FieldSpec(5, 6, (2, 0, 0, 0, 0, 0, 1))  # x^6 - 3: 3 has order 4 in F_5^*, 3 | 6, 3 ∤ 4
     assert not naive_is_irreducible([2, 0, 0, 0, 0, 0, 1], 5)
     FieldSpec(2, 4, (1, 1, 0, 0, 1))  # irreducible quartic passes
     FieldSpec(5, 6, (1, 0, 0, 0, 1, 1, 1))  # irreducible sextic passes

@@ -95,6 +95,7 @@ def test_cli_three_variable_three_pass(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "ecb62c65218ecf6133d1bedbcb2bd74415c99fd3d503d9a3e77f1a94ab3f6d2c")
 
+
 def test_cli_exchange_over_f256(tmp_path):
     # F_2[x]/<x^8 + x^4 + x^3 + x + 1>: k = 8, irreducible by Rabin's test
     out, key = tmp_path / "t.txt", tmp_path / "t.key"

@@ -19,6 +19,7 @@ from math import prod
 import numpy as np
 
 from . import backend, costs, serial
+from .commuting import MAX_ATTEMPTS
 from .encoding import decode_bytes, encode_bytes
 from .errors import (EncodingError, NotDivisibleError, OreKexError, ParseError,
                      ProtocolError, ResampleExhaustedError)
@@ -193,7 +194,7 @@ def _three_pass_texts(ring, args) -> tuple[str, str, bool]:
 
 def _noncommuting_secret(ring, d_l, setup, rng):
     terms = max(2 * d_l, 4)
-    for _ in range(100):
+    for _ in range(MAX_ATTEMPTS):
         cand = random_polynomial(ring, d_l, terms, rng)
         if not cand.commutes_with(setup.left_gen) and not cand.commutes_with(setup.right_gen):
             return cand
@@ -276,7 +277,7 @@ def cmd_zkp(args) -> int:
 
 
 def _nontrivial_factor(ring, degree, rng):
-    for _ in range(100):
+    for _ in range(MAX_ATTEMPTS):
         cand = random_polynomial(ring, degree, max(2 * degree, 4), rng)
         if max(cand.d_degrees()) >= 1:
             return cand

@@ -17,6 +17,11 @@ from dataclasses import dataclass
 from .errors import OreKexError, ProtocolError, ResampleExhaustedError
 from .orepoly import OrePolynomial
 
+# Draws a sampler makes before it gives up with ResampleExhaustedError.  A
+# sampler stops at its first acceptable draw, so the cap matters only when
+# every draw fails.
+MAX_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class ConstantPolynomial:
@@ -66,8 +71,8 @@ def random_constant_polynomial(p: int, degree: int, rng) -> ConstantPolynomial:
     return ConstantPolynomial(p, tuple(coeffs))
 
 
-def sample_private(point: OrePolynomial, public_l: OrePolynomial, degree: int, rng,
-                   max_attempts: int = 100) -> tuple[ConstantPolynomial, OrePolynomial]:
+def sample_private(point: OrePolynomial, public_l: OrePolynomial, degree: int,
+                   rng) -> tuple[ConstantPolynomial, OrePolynomial]:
     """Draw f of the given degree until f(point) does not commute with the
     public element; returns (f, f(point)).
 
@@ -77,11 +82,11 @@ def sample_private(point: OrePolynomial, public_l: OrePolynomial, degree: int, r
     """
     if point.commutes_with(public_l):
         raise ProtocolError("the pool generator must not commute with the public element")
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         f = random_constant_polynomial(point.ring.p, degree, rng)
         value = f(point)
         if not value.commutes_with(public_l):
             return f, value
     raise ResampleExhaustedError(
-        f"no usable key after {max_attempts} draws; public parameters look degenerate"
+        f"no usable key after {MAX_ATTEMPTS} draws; public parameters look degenerate"
     )

@@ -289,6 +289,7 @@ class FieldTables:
     Attributes
     ----------
     add, sub, mul : (q, q)
+    digits : (q, k), digits[c] = the base-p digits of index c, lowest first
     neg, inv : (q,)  (inv[0] is a 0 sentinel, never dereferenced)
     frob : (k, q), frob[j][i] = index of element_i ** (p**j)
     twist_digits : (q, k, k, k), [c, t, i, l] = digit i of c * frob^t(alpha^l)
@@ -305,7 +306,7 @@ class FieldTables:
         dtype = np.min_scalar_type(q - 1)
         self.dtype = dtype
         idx = np.arange(q)
-        digits = idx[:, None] // p ** np.arange(k) % p  # (q, k)
+        self.digits = digits = idx[:, None] // p ** np.arange(k) % p
         weights = p ** np.arange(k)
 
         def encode(d):

@@ -278,23 +278,17 @@ class OrePolynomial:
     # -- text form -------------------------------------------------------------
 
     def to_text(self) -> str:
+        """The terms in descending grevlex order, each filled into the ring's
+        :meth:`OreRing.term_format`, joined by `` + ``; ``0`` when zero."""
         if not self:
             return "0"
-        ring = self.ring
-        terms = self.terms
-        parts = []
-        for exps in sorted_descending(terms):
-            c = terms[exps]
-            if ring.is_skew:
-                coeff = ring.field.from_index(c).to_text()
-                mono = "*".join(f"d{i+1}^{e}" for i, e in enumerate(exps))
-            else:
-                coeff = str(c)
-                xs = "*".join(f"x{i+1}^{e}" for i, e in enumerate(exps[: ring.n]))
-                ds = "*".join(f"d{i+1}^{e}" for i, e in enumerate(exps[ring.n:]))
-                mono = f"{xs}*{ds}"
-            parts.append(f"{coeff}*{mono}")
-        return " + ".join(parts)
+        ring, terms = self.ring, self.terms
+        fmt = ring.term_format().format
+        # the template's coefficient fields of each index: its digits, or
+        # in a weyl ring (no tables, p up to 2^31) the scalar itself
+        digits = (tables_for(ring.field).digits.tolist() if ring.is_skew
+                  else {c: (c,) for c in terms.values()})
+        return " + ".join(fmt(*digits[terms[e]], *e) for e in sorted_descending(terms))
 
     def __str__(self):
         return self.to_text()

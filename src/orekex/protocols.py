@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .commuting import ConstantPolynomial, random_constant_polynomial, sample_private
+from .commuting import (MAX_ATTEMPTS, ConstantPolynomial, random_constant_polynomial,
+                        sample_private)
 from .division import left_cofactor, right_cofactor
 from .errors import ProtocolError, ResampleExhaustedError
 from .orepoly import OrePolynomial, random_polynomial
 from .rings import OreRing
-from .weakkeys import screen_private_key
+from .weakkeys import grading_vector
 
 
 def _dense_terms(degree: int, slots: int) -> int:
@@ -77,26 +78,26 @@ class PublicParameters:
 
     @classmethod
     def generate(cls, ring: OreRing, d_l: int, d_pq: int, nu: int, rng,
-                 terms_l: int | None = None, terms_pq: int | None = None,
-                 max_attempts: int = 100) -> "PublicParameters":
+                 terms_l: int | None = None,
+                 terms_pq: int | None = None) -> "PublicParameters":
         if terms_l is None:
             terms_l = _dense_terms(d_l, ring.exp_len)
         if terms_pq is None:
             terms_pq = _dense_terms(d_pq, ring.exp_len)
-        for _ in range(max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             public_l = random_polynomial(ring, d_l, terms_l, rng)
             try:
                 witness = noncentral_witness(public_l)
             except ProtocolError:
                 continue
-            left = _sample_noncommuting(ring, d_pq, terms_pq, public_l, rng, max_attempts)
-            right = _sample_noncommuting(ring, d_pq, terms_pq, public_l, rng, max_attempts)
+            left = _sample_noncommuting(ring, d_pq, terms_pq, public_l, rng)
+            right = _sample_noncommuting(ring, d_pq, terms_pq, public_l, rng)
             return cls(ring, public_l, left, right, nu, witness)
         raise ResampleExhaustedError("could not sample a non-central public element")
 
 
-def _sample_noncommuting(ring, degree, terms, against, rng, max_attempts):
-    for _ in range(max_attempts):
+def _sample_noncommuting(ring, degree, terms, against, rng):
+    for _ in range(MAX_ATTEMPTS):
         cand = random_polynomial(ring, degree, terms, rng)
         if not cand.commutes_with(against):
             return cand
@@ -113,20 +114,16 @@ class PrivateTuple:
     g: ConstantPolynomial
 
     @classmethod
-    def generate(cls, params: PublicParameters, rng,
-                 max_attempts: int = 100) -> "PrivateTuple":
+    def generate(cls, params: PublicParameters, rng) -> "PrivateTuple":
         weyl = params.ring.is_weyl
-        for _ in range(max_attempts):
-            f, p_side = sample_private(params.left_gen, params.public_l, params.nu,
-                                       rng, max_attempts)
-            g, q_side = sample_private(params.right_gen, params.public_l, params.nu,
-                                       rng, max_attempts)
-            if weyl:
-                # graded keys leak through commutative factoring; redraw them
-                if not screen_private_key(p_side, params.public_l).accepted:
-                    continue
-                if not screen_private_key(q_side, params.public_l).accepted:
-                    continue
+        for _ in range(MAX_ATTEMPTS):
+            f, p_side = sample_private(params.left_gen, params.public_l, params.nu, rng)
+            g, q_side = sample_private(params.right_gen, params.public_l, params.nu, rng)
+            # graded keys leak through commutative factoring; redraw them.
+            # sample_private has already refused keys that commute with L.
+            if weyl and (grading_vector(p_side) is not None
+                         or grading_vector(q_side) is not None):
+                continue
             return cls(p_side, q_side, f, g)
         raise ResampleExhaustedError("weak-key screening rejected every candidate tuple")
 
@@ -214,18 +211,16 @@ class CommutingSetup:
         return cls(ring, left, right, nu)
 
 
-def _unchecked_tuple(setup: "CommutingSetup", rng, max_attempts: int = 100) -> "PrivateTuple":
+def _unchecked_tuple(setup: "CommutingSetup", rng) -> "PrivateTuple":
     ring = setup.ring
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         f = random_constant_polynomial(ring.p, setup.nu, rng)
         g = random_constant_polynomial(ring.p, setup.nu, rng)
         p_side = f(setup.left_gen)
         q_side = g(setup.right_gen)
-        if ring.is_weyl:
-            from .weakkeys import grading_vector
-
-            if grading_vector(p_side) is not None or grading_vector(q_side) is not None:
-                continue
+        if ring.is_weyl and (grading_vector(p_side) is not None
+                             or grading_vector(q_side) is not None):
+            continue
         return PrivateTuple(p_side, q_side, f, g)
     raise ResampleExhaustedError("grading screen rejected every candidate tuple")
 
@@ -238,8 +233,8 @@ class ThreePassResult:
     bob: PrivateTuple
 
 
-def three_pass_exchange(setup: CommutingSetup, secret_l: OrePolynomial, rng,
-                        max_attempts: int = 100) -> ThreePassResult:
+def three_pass_exchange(setup: CommutingSetup, secret_l: OrePolynomial,
+                        rng) -> ThreePassResult:
     """Send Alice's secret element to Bob under commuting two-sided locks.
 
     Alice locks the secret, Bob adds his own locks, Alice strips hers by two
@@ -252,7 +247,7 @@ def three_pass_exchange(setup: CommutingSetup, secret_l: OrePolynomial, rng,
     alice = PrivateTuple.generate(params, rng)
     # Bob cannot check against the secret he does not yet know; correctness
     # needs no constraint on his draws.  Graded keys are still redrawn.
-    bob = _unchecked_tuple(setup, rng, max_attempts)
+    bob = _unchecked_tuple(setup, rng)
 
     transcript = ProtocolTranscript("three-pass")
     pass1 = alice.p_side * secret_l * alice.q_side
@@ -295,24 +290,22 @@ def encryption_keygen(params: PublicParameters, rng) -> tuple[EncryptionPublicKe
     return EncryptionPublicKey(params, p_alice), EncryptionSecretKey(params, priv)
 
 
-def _mutually_noncommuting_tuple(params: PublicParameters, rng,
-                                 max_attempts: int = 100) -> PrivateTuple:
+def _mutually_noncommuting_tuple(params: PublicParameters, rng) -> PrivateTuple:
     # the sender's pair additionally avoids commuting with each other
-    for _ in range(max_attempts):
-        cand = PrivateTuple.generate(params, rng, max_attempts)
+    for _ in range(MAX_ATTEMPTS):
+        cand = PrivateTuple.generate(params, rng)
         if not cand.p_side.commutes_with(cand.q_side):
             return cand
     raise ResampleExhaustedError("could not draw a mutually non-commuting pair")
 
 
-def encrypt(pub: EncryptionPublicKey, message: OrePolynomial, rng,
-            max_attempts: int = 100) -> Ciphertext:
+def encrypt(pub: EncryptionPublicKey, message: OrePolynomial, rng) -> Ciphertext:
     """m_e = m * P_final with a fresh P_final = P_B * P_Alice * Q_B."""
     if message.is_zero():
         raise ProtocolError("cannot encrypt the zero message")
     if message.ring != pub.params.ring:
         raise ProtocolError("message lives in a different ring")
-    bob = _mutually_noncommuting_tuple(pub.params, rng, max_attempts)
+    bob = _mutually_noncommuting_tuple(pub.params, rng)
     p_final = bob.p_side * pub.p_alice * bob.q_side
     m_e = message * p_final
     p_bob = bob.p_side * pub.params.public_l * bob.q_side
@@ -358,10 +351,9 @@ class SignatureTuple:
 
 
 def _pairwise_noncommuting(ring: OreRing, degree: int, terms: int, rng,
-                           fixed: list[OrePolynomial], count: int,
-                           max_attempts: int = 100) -> list[OrePolynomial]:
+                           fixed: list[OrePolynomial], count: int) -> list[OrePolynomial]:
     out: list[OrePolynomial] = []
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         cand = random_polynomial(ring, degree, terms, rng)
         if all(not cand.commutes_with(other) for other in fixed + out):
             out.append(cand)
@@ -464,7 +456,7 @@ class FactorizationProver:
         if degree is None:
             degree = max(self.public_l.total_degree(), 1)
         terms = self.blind_terms or _dense_terms(degree, self.ring.exp_len)
-        for _ in range(100):
+        for _ in range(MAX_ATTEMPTS):
             cand = random_polynomial(self.ring, degree, terms, rng)
             if all(cand != used for used in self._used):
                 self._used.append(cand)

@@ -134,6 +134,18 @@ class OreRing:
 
         return OrePolynomial(self, terms)
 
+    def term_format(self) -> str:
+        """One term's text as a ``str.format`` template: a ``{}`` per coefficient
+        digit (k in a skew ring, one in a weyl ring), then one per exponent:
+        ``[{},{},{}]*d1^{}*d2^{}`` in f125-skew2.  ``OrePolynomial.to_text``
+        fills it and ``serial.poly_from_text`` compiles it."""
+        if self.kind == SKEW:
+            coeff, names = "[" + ",".join(["{}"] * self.field.k) + "]", ["d"]
+        else:
+            coeff, names = "{}", ["x", "d"]
+        return "*".join([coeff] + [f"{v}{i}^{{}}" for v in names
+                                   for i in range(1, self.n + 1)])
+
     def to_text(self) -> str:
         if self.kind == SKEW:
             m = ",".join(str(c) for c in self.field.modulus)

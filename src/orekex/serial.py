@@ -7,16 +7,26 @@ Every output file starts with the same header block::
     seed 7
     rng numpy-pcg64
 
-followed by ``key value`` lines.  Polynomials print as grevlex-descending
-terms joined by `` + ``; skew coefficients as ``[a0,a1,a2]`` vectors,
-weyl coefficients as scalars.  Transcript messages are ``msg <sender>
+followed by ``key value`` lines.  Transcript messages are ``msg <sender>
 <label> <polynomial>`` lines.  The format round-trips exactly and equal
 seeds produce byte-identical files.
+
+A polynomial is ``0`` or terms joined by `` + ``::
+
+    poly  := "0" | term (" + " term)*
+    term  := the ring's OreRing.term_format(), each "{}" a [0-9]+ run
+
+so ``[a0,a1,a2]*d1^e1*d2^e2`` in f125-skew2 (base-p digits of the
+coefficient, lowest first) and ``c*x1^e1*x2^e2*d1^f1*d2^f2`` in a weyl2
+ring.  Output terms are grevlex-descending; input terms come in any
+order.  A digit or weyl coefficient must be below p and a monomial may
+not repeat; a zero coefficient drops its term.
 """
 
 from __future__ import annotations
 
 import re
+from operator import mul
 
 from .commuting import ConstantPolynomial
 from .errors import ParseError
@@ -31,24 +41,24 @@ RNG_NAME = "numpy-pcg64"
 def _parse_int_list(text: str) -> list[int]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"expected [..] list, got {text!r}")
+        raise ParseError(f"expected [..] list, got {_quote(text)}")
     body = text[1:-1].strip()
     if not body:
         return []
     try:
         return [int(x) for x in body.split(",")]
     except ValueError as exc:
-        raise ParseError(f"bad integer list {text!r}") from exc
+        raise ParseError(f"bad integer list {_quote(text)}") from exc
 
 
 def ring_from_text(line: str) -> OreRing:
     parts = line.split()
     if len(parts) < 2 or parts[0] != "ring":
-        raise ParseError(f"not a ring line: {line!r}")
+        raise ParseError(f"not a ring line: {_quote(line)}")
     kv = {}
     for part in parts[2:]:
         if "=" not in part:
-            raise ParseError(f"bad ring attribute {part!r}")
+            raise ParseError(f"bad ring attribute {_quote(part)}")
         key, val = part.split("=", 1)
         kv[key] = val
     try:
@@ -64,8 +74,8 @@ def ring_from_text(line: str) -> OreRing:
     except KeyError as exc:
         raise ParseError(f"ring line misses attribute {exc}") from exc
     except ValueError as exc:
-        raise ParseError(f"bad integer in ring line {line!r}") from exc
-    raise ParseError(f"unknown ring kind {parts[1]!r}")
+        raise ParseError(f"bad integer in ring line {_quote(line)}") from exc
+    raise ParseError(f"unknown ring kind {_quote(parts[1])}")
 
 
 def _check_bounds(p: int, k: int | None = None) -> None:
@@ -80,61 +90,41 @@ def _check_bounds(p: int, k: int | None = None) -> None:
                          f"limit of the lookup tables")
 
 
-_SKEW_TERM = re.compile(r"^(\[[0-9, ]*\])\*(.+)$")
-
-
 def poly_to_text(poly: OrePolynomial) -> str:
     return poly.to_text()
 
 
 def poly_from_text(ring: OreRing, text: str) -> OrePolynomial:
+    """The polynomial of a line in the grammar of the module docstring;
+    ParseError for any other line."""
     text = text.strip()
     if text == "0":
         return ring.zero()
+    term = re.compile(re.escape(ring.term_format()).replace(r"\{\}", "([0-9]+)"))
+    n, p = ring.exp_len, ring.p
+    weights = [p ** j for j in range(term.groups - n)]
     terms = {}
     for chunk in text.split(" + "):
-        chunk = chunk.strip()
-        if ring.is_skew:
-            m = _SKEW_TERM.match(chunk)
-            if not m:
-                raise ParseError(f"bad skew term {chunk!r}")
-            coeff = ring.field.element(_parse_int_list(m.group(1))).index
-            mono = m.group(2)
-        else:
-            if "*" not in chunk:
-                raise ParseError(f"bad term {chunk!r}")
-            head, mono = chunk.split("*", 1)
-            try:
-                coeff = int(head)
-            except ValueError as exc:
-                raise ParseError(f"bad coefficient {head!r}") from exc
-        exps = _parse_monomial(ring, mono)
+        m = term.fullmatch(chunk)
+        if m is None:
+            raise ParseError(f"bad term {_quote(chunk)}")
+        try:
+            fields = list(map(int, m.groups()))
+        except ValueError:  # past the interpreter's limit on digits per int
+            raise ParseError(f"integer too long in term {_quote(chunk)}") from None
+        digits, exps = fields[:-n], tuple(fields[-n:])
+        if max(digits) >= p:
+            raise ParseError(f"coefficient digit not below p={p} in {_quote(chunk)}")
         if exps in terms:
-            raise ParseError(f"duplicate monomial in {text!r}")
-        terms[exps] = coeff
-    return OrePolynomial(ring, terms)
+            raise ParseError(f"duplicate monomial {_quote(chunk)}")
+        terms[exps] = sum(map(mul, digits, weights))
+    return OrePolynomial._raw(ring, {e: c for e, c in terms.items() if c})
 
 
-def _parse_monomial(ring: OreRing, mono: str) -> tuple[int, ...]:
-    factors = mono.split("*")
-    if len(factors) != ring.exp_len:
-        raise ParseError(f"monomial {mono!r} has wrong variable count")
-    exps = [0] * ring.exp_len
-    for slot, factor in enumerate(factors):
-        m = re.match(r"^([xd])(\d+)\^(\d+)$", factor)
-        if not m:
-            raise ParseError(f"bad monomial factor {factor!r}")
-        kind, idx, e = m.group(1), int(m.group(2)), int(m.group(3))
-        if ring.is_skew:
-            expected_kind, expected_slot = "d", idx - 1
-        elif slot < ring.n:
-            expected_kind, expected_slot = "x", idx - 1
-        else:
-            expected_kind, expected_slot = "d", ring.n + idx - 1
-        if kind != expected_kind or expected_slot != slot or not 1 <= idx <= ring.n:
-            raise ParseError(f"variable {factor!r} out of order in {mono!r}")
-        exps[slot] = e
-    return tuple(exps)
+def _quote(text: str) -> str:
+    """The start of a bad input for an error message: a line may run to
+    megabytes, and repr spends at most 10 characters on one of its own."""
+    return repr(text[:24]) + ("..." if len(text) > 24 else "")
 
 
 def constant_poly_from_text(p: int, text: str) -> ConstantPolynomial:
@@ -167,7 +157,7 @@ def parse_file(text: str) -> tuple[OreRing, int | None, list[tuple[str, str]]]:
             try:
                 seed = None if rest.strip() == "withheld" else int(rest.strip())
             except ValueError as exc:
-                raise ParseError(f"bad seed line {ln!r}") from exc
+                raise ParseError(f"bad seed line {_quote(ln)}") from exc
         elif key == "rng":
             continue
         else:
@@ -181,6 +171,6 @@ def entries_dict(entries: list[tuple[str, str]]) -> dict[str, str]:
     out = {}
     for key, rest in entries:
         if key in out:
-            raise ParseError(f"duplicate key {key!r}")
+            raise ParseError(f"duplicate key {_quote(key)}")
         out[key] = rest
     return out

@@ -6,6 +6,7 @@ import pytest
 from orekex import (ConstantPolynomial, FieldSpec, OreKexError, ProtocolError,
                     ResampleExhaustedError, backend, f125_spec, random_constant_polynomial,
                     random_polynomial, ring_by_name, sample_private, skew_ring)
+from orekex import commuting
 
 from helpers import degree_profile, skew_mul_oracle
 
@@ -95,7 +96,7 @@ def test_sample_private_contract():
     assert sample_private(P, L, 4, rng_a)[0].coeffs == sample_private(P, L, 4, rng_b)[0].coeffs
 
 
-def test_sample_private_preconditions():
+def test_sample_private_preconditions(monkeypatch):
     rng = np.random.default_rng(6)
     L = random_polynomial(SKEW, 4, 6, rng)
     with pytest.raises(ProtocolError):
@@ -103,8 +104,9 @@ def test_sample_private_preconditions():
     P = random_polynomial(SKEW, 3, 5, rng)
     while P.commutes_with(L):
         P = random_polynomial(SKEW, 3, 5, rng)
+    monkeypatch.setattr(commuting, "MAX_ATTEMPTS", 0)
     with pytest.raises(ResampleExhaustedError):
-        sample_private(P, L, 2, rng, max_attempts=0)
+        sample_private(P, L, 2, rng)
 
 
 def test_serialization():

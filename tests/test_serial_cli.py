@@ -6,6 +6,7 @@ import pytest
 
 from orekex import ParseError, random_polynomial, ring_by_name
 from orekex.cli import main
+from orekex.rings import RING_ALIASES
 from orekex.serial import parse_file, poly_from_text, poly_to_text, render_file, ring_from_text
 
 SKEW = ring_by_name("f125-skew2")
@@ -21,16 +22,35 @@ def test_ring_round_trip():
         ring_from_text("ring cyclic p=5")
 
 
+ROUND_TRIP_RINGS = [ring_by_name(name) for name in RING_ALIASES] + [
+    ring_from_text("ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"),
+    ring_from_text("ring skew p=2 k=8 m=[1,1,0,1,1,0,0,0,1] sigma=[1,3]"),
+]
+
+
 def test_poly_round_trip():
     rng = np.random.default_rng(70)
-    for ring in (SKEW, WEYL):
+    for ring in ROUND_TRIP_RINGS:
         for _ in range(50):
             h = random_polynomial(ring, int(rng.integers(0, 6)), int(rng.integers(1, 8)), rng)
-            assert poly_from_text(ring, poly_to_text(h)) == h
+            text = poly_to_text(h)
+            assert poly_from_text(ring, text) == h
+            # term order is free on input
+            chunks = text.split(" + ")
+            rng.shuffle(chunks)
+            assert poly_from_text(ring, " + ".join(chunks)) == h
         assert poly_from_text(ring, "0") == ring.zero()
+        # a zero coefficient drops its term
+        fields = ring.term_format().count("{}")
+        zero_term = ring.term_format().format(*[0] * fields)
+        one_term = ring.term_format().format(*[1] * fields)
+        assert poly_from_text(ring, zero_term) == ring.zero()
+        assert poly_from_text(ring, f"{one_term} + {zero_term}") == poly_from_text(ring, one_term)
 
 
 def test_poly_text_shape():
+    assert SKEW.term_format() == "[{},{},{}]*d1^{}*d2^{}"
+    assert ring_by_name("weyl2-f71").term_format() == "{}*x1^{}*x2^{}*d1^{}*d2^{}"
     d1, d2 = SKEW.d(1), SKEW.d(2)
     h = SKEW.constant(SKEW.field.alpha()) * d1 * d2 + 2
     assert poly_to_text(h) == "[0,1,0]*d1^1*d2^1 + [2,0,0]*d1^0*d2^0"
@@ -226,6 +246,7 @@ def test_cli_usage_errors(tmp_path):
 
 SIGNATURE_KEYS = ("m", "gamma", "q1", "r1", "q2", "r2", "eps1", "eps2")
 SKEW_LINE = SKEW.to_text()
+DIAGONAL_TERMS = " + ".join(f"[1,0,0]*d1^{i}*d2^{i}" for i in range(50_000))
 SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
 
 
@@ -245,8 +266,17 @@ SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
     ("ring weyl p=1000000000000000003 n=2", "seed 1", "0", "0"),
     # (x+1)^8 over F_2 names no field
     ("ring skew p=2 k=8 m=[1,0,0,0,0,0,0,0,1] sigma=[1,3]", "seed 1", "0", "0"),
+    # hostile lines of about a megabyte: each is refused or parsed in linear time
+    ("ring weyl p=" + "1" * 10**6 + " n=2", "seed 1", "0", "0"),
+    (SKEW_LINE, "seed 1", "[" + "1" * 10**6, "0"),
+    (SKEW_LINE, "seed 1", "[1,0,0]*d1^" + "9" * 10**6 + "*d2^0", "0"),
+    (SKEW_LINE, "seed 1", " + ".join(["[1,0,0]*d1^1*d2^0"] * 50_000), "0"),
+    # parses, then m * L is refused by the cell limit: m spans a 50000^2 box
+    (SKEW_LINE, "seed 1", "[1,0,0]*d1^1*d2^0", DIAGONAL_TERMS),
 ], ids=["empty-digit", "blank-coefficient", "seed-x", "ring-k-x", "skew4-grid",
-        "int64-exponent", "skew-field-order", "weyl-characteristic", "reducible-modulus"])
+        "int64-exponent", "skew-field-order", "weyl-characteristic", "reducible-modulus",
+        "megabyte-ring-line", "unclosed-digit-run", "million-digit-exponent", "repeated-term",
+        "distinct-terms-over-cell-limit"])
 def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, seed_line,
                                                   public_l, m):
     head = f"# ore-kex v1\n{ring_line}\n{seed_line}\nrng numpy-pcg64\n"
@@ -257,6 +287,44 @@ def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, s
     t0 = time.perf_counter()
     assert _run("verify", "--pub", str(pub), "--sig", str(sig)) == 2
     assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 300 and "Traceback" not in err
+
+
+def test_many_distinct_terms_parse():
+    t0 = time.perf_counter()
+    assert len(poly_from_text(SKEW, DIAGONAL_TERMS)) == 50_000
+    assert time.perf_counter() - t0 < 1.0
+
+
+WEYL2_LINE = ring_by_name("weyl2-f71").to_text()
+
+
+@pytest.mark.parametrize("ring_line, bad, good", [
+    (SKEW_LINE, "[5,0,0]*d1^1*d2^0", "[4,0,0]*d1^1*d2^0"),
+    (SKEW_LINE, "[6,0,0]*d1^1*d2^0", "[1,0,0]*d1^1*d2^0"),
+    (SKEW_LINE, "[ 1 , 0,0 ]*d1^1*d2^0", "[1,0,0]*d1^1*d2^0"),
+    (SKEW_LINE, "[1,0,0]*d1^\u0661*d2^0", "[1,0,0]*d1^1*d2^0"),
+    (SKEW_LINE, "[1,0,0]*d1^1*d2^0 +  [2,0,0]*d1^0*d2^0",
+     "[1,0,0]*d1^1*d2^0 + [2,0,0]*d1^0*d2^0"),
+    (SKEW_LINE, "[1,0]*d1^1*d2^0", "[1,0,0]*d1^1*d2^0"),
+    (SKEW_LINE, "[1,0,0]*d2^0*d1^1", "[1,0,0]*d1^1*d2^0"),
+    (SKEW_LINE, "[1,0,0]*d1^1*d2^0*d3^0", "[1,0,0]*d1^1*d2^0"),
+    (WEYL2_LINE, "-1*x1^1*x2^0*d1^0*d2^0", "70*x1^1*x2^0*d1^0*d2^0"),
+    (WEYL2_LINE, "+3*x1^1*x2^0*d1^0*d2^0", "3*x1^1*x2^0*d1^0*d2^0"),
+    (WEYL2_LINE, "72*x1^1*x2^0*d1^0*d2^0", "1*x1^1*x2^0*d1^0*d2^0"),
+], ids=["digit-p", "digit-over-p", "spaces-in-term", "non-ascii-digit", "double-space",
+        "short-coefficient", "d2-before-d1", "extra-variable",
+        "weyl-minus", "weyl-plus", "weyl-coefficient-over-p"])
+def test_cli_term_outside_the_grammar_exits_2(tmp_path, capsys, ring_line, bad, good):
+    """Only the writer's own term shape parses: each bad line is refused and
+    the line the writer emits for the same term is accepted."""
+    head = f"# ore-kex v1\n{ring_line}\nseed 1\nrng numpy-pcg64\n"
+    pub, sig = tmp_path / "pub.txt", tmp_path / "sig.txt"
+    sig.write_text(head + "".join(f"{k} 0\n" for k in SIGNATURE_KEYS))
+    for text, code in ((good, 0), (bad, 2)):
+        pub.write_text(head + f"L {text}\nP_Alice 0\n")
+        assert _run("verify", "--pub", str(pub), "--sig", str(sig)) == code
     assert capsys.readouterr().err.startswith("error: ")
 
 

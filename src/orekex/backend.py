@@ -1,6 +1,6 @@
 """Hot kernels for skew rings over the field-index encoding: the product
-of two polynomials in any number of Ore variables, and exact one-sided
-division in two variables.
+of two polynomials and exact one-sided division, both in any number of
+Ore variables.
 
 Both rest on one exact numpy FFT convolution over F_p digits
 (:func:`_convolve`).  The product (:func:`skew2_mul`) is one convolution
@@ -21,16 +21,17 @@ operands' nonzero cells and returns its cofactor as such a dict.
 
 Both kernels work on dense arrays, whose size follows the operands'
 exponents rather than their term counts: the product's grid is the
-output's bounding box, division's line about sigma_2 x (d1-span) x
-(d2-span) of the dividend.  An array over ``MAX_GRID_CELLS`` cells raises
-:class:`OreKexError` before anything is allocated, so a few bytes of
-``d1^N`` in an input file cannot buy unbounded time or memory.
+output's bounding box, division's line about sigma_n times the cells of
+the dividend's exponent box.  An array over ``MAX_GRID_CELLS`` cells
+raises :class:`OreKexError` before anything is allocated, so a few bytes
+of ``d1^N`` in an input file cannot buy unbounded time or memory.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -39,11 +40,11 @@ from .fields import tables_for
 
 # Largest dense array either kernel allocates, counted after transform
 # padding: the product d1^2047 * d2^2047 is exactly this size.  Division
-# allocates nothing longer than its Kronecker line, about
-# sigma_2 * (d1-span) * (d2-span) of the dividend.  A three-pass at the
-# paper's largest tuple (50, 5, 50) needs 1.04M cells (a product) and a
-# 0.99M-cell line; the tests build at most 0.36M (a product), the
-# benchmark 64,000 (a product) and a 61,000-cell line.
+# allocates nothing longer than its Kronecker line, about sigma_n times the
+# cells of the dividend's exponent box.  A three-pass at the paper's largest
+# tuple (50, 5, 50) needs 1.04M cells (a product) and a 0.99M-cell line; the
+# tests build at most 0.36M (a product), the benchmark 64,000 (a product)
+# and a 61,000-cell line.
 MAX_GRID_CELLS = 1 << 22
 
 
@@ -185,13 +186,14 @@ def low_corner(ring, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 # -- exact division ------------------------------------------------------------
 #
-# Two variables only.  psi(d1^a d2^b) = x^(aN + bM) is a ring homomorphism
-# into F_q[x; F], F the Frobenius, when N = sigma_1 and M = sigma_2 (mod k),
-# and injective while d2 exponents span less than N / M.  Neither the lowest
-# nor the highest exponent on an axis cancels in a product, so h = p*q fixes
-# q's exponent box and lowest line position; a twist absorbs the shift of
-# each line to x^0.  A left cofactor is a right one in the opposite ring,
-# which a -> F^-i(a) on x^i maps onto F_q[x; F^-1].
+# Any number of variables.  psi(d^e) = x^(w.e) is a ring homomorphism into
+# F_q[x; F], F the Frobenius, when w_i = sigma_i (mod k): moving d^e past a
+# coefficient applies F^(w.e) = F^(sigma.e).  With mixed-radix weights
+# (:func:`_weights`) it is injective on the dividend's exponent box.
+# Neither the lowest nor the highest exponent on an axis cancels in a
+# product, so h = p*q fixes q's exponent box and lowest line position; a
+# twist absorbs the shift of each line to x^0.  A left cofactor is a right
+# one in the opposite ring, which a -> F^-i(a) on x^i maps onto F_q[x; F^-1].
 
 def _series_inverse(tab, s: int, u: np.ndarray, n: int) -> np.ndarray:
     """u^-1 mod x^n in F_q[[x; F^s]] (u[0] != 0) by Newton's y <- y + y(1 - u y)."""
@@ -237,6 +239,19 @@ def _coo(poly, coeff_dtype):
     return np.array(idx, dtype=np.int64), poly._grid[idx]
 
 
+def _weights(sigma, kf: int, span) -> list[int]:
+    """Line weights w with w_i = sigma_i (mod k), last axis fastest: w_n =
+    sigma_n and each earlier w_i the least such integer above what the later
+    axes reach, sum_{j>i} w_j * span_j, so a box of these spans maps
+    injectively onto the line and decodes by successive divmod."""
+    w = [sigma[-1]]
+    reach = sigma[-1] * span[-1]
+    for s, a in zip(sigma[-2::-1], span[-2::-1]):
+        w.insert(0, s + kf * ((reach - s) // kf + 1))
+        reach += w[0] * a
+    return w
+
+
 def _divide(ring, h, d, right: bool) -> dict:
     tab = tables_for(ring.field)
     kf = ring.field.k
@@ -248,11 +263,10 @@ def _divide(ring, h, d, right: bool) -> dict:
     q_span = [a - b - c for a, b, c in zip(h_hi, d_hi, q_lo)]
     if min(q_lo) < 0 or min(q_span) < 0:
         raise NotDivisibleError("no cofactor fits the operands' exponent ranges")
-    s1, s2 = ring.sigma_powers  # reduced mod k and nonzero: 1 <= s2 < k
-    b_span = h_hi[1] - h_lo[1]
-    w = (s1 + kf * ((s2 * b_span - s1) // kf + 1), s2)  # (N, M), N > M * b_span
+    h_span = [a - b for a, b in zip(h_hi, h_lo)]
+    w = _weights(ring.sigma_powers, kf, h_span)
     # every array and transform below is at most one line long
-    _check_cells((w[0] * (h_hi[0] - h_lo[0]) + w[1] * b_span + 1,))
+    _check_cells((sum(map(mul, w, h_span)) + 1,))
     H, h_low = _line(he, hc, w, h_lo)
     D, d_low = _line(de, dc, w, d_lo)
     del he, hc, de, dc
@@ -262,21 +276,25 @@ def _divide(ring, h, d, right: bool) -> dict:
         raise NotDivisibleError("no cofactor fits the operands' line positions")
     if right:
         # D * F^e(Q) = H, e the divisor's lowest line position
-        e = (w[0] * d_lo[0] + w[1] * d_lo[1] + d_low) % kf
+        e = (sum(map(mul, w, d_lo)) + d_low) % kf
         Q = tab.frob[-e % kf, _right_quotient(tab, 1, D, H, n)]
     else:
         # Q * F^e(D) = H, e the cofactor's lowest line position
-        e = (w[0] * q_lo[0] + w[1] * q_lo[1] + shift) % kf
+        e = (sum(map(mul, w, q_lo)) + shift) % kf
         i = np.arange(len(H))
         Q = _right_quotient(tab, kf - 1, tab.frob[(e - i[:len(D)]) % kf, D],
                             tab.frob[-i % kf, H], n)
         Q = tab.frob[i[:n] % kf, Q]
     idx = np.flatnonzero(Q)
-    a, rest = np.divmod(idx + shift, w[0])
-    b, off = np.divmod(rest, w[1])
-    if off.any() or a.max() > q_span[0] or b.max() > q_span[1]:
+    rest, exps = idx + shift, []
+    for wi, lo, span in zip(w, q_lo, q_span):
+        a, rest = np.divmod(rest, wi)
+        if a.max() > span:
+            raise NotDivisibleError("the cofactor does not decode into its exponent box")
+        exps.append((a + lo).tolist())
+    if rest.any():
         raise NotDivisibleError("the cofactor does not decode into its exponent box")
-    return dict(zip(zip((a + q_lo[0]).tolist(), (b + q_lo[1]).tolist()), Q[idx].tolist()))
+    return dict(zip(zip(*exps), Q[idx].tolist()))
 
 
 def skew2_right_cofactor(ring, h, p) -> dict:

@@ -73,9 +73,9 @@ def _value(ring, key: str, text: str):
         try:
             nu = int(text)
         except ValueError:
-            raise ParseError(f"bad integer {text!r} on the nu line") from None
+            raise ParseError(f"bad integer {serial._quote(text)} on the nu line") from None
         if nu < 1:
-            raise ParseError(f"nu {nu}: the pool degree must be at least 1")
+            raise ParseError(f"nu {serial._quote(text)}: the pool degree must be at least 1")
         return nu
     return poly_from_text(ring, text)
 
@@ -109,13 +109,14 @@ def _load_params(path: str, keys) -> tuple[PublicParameters, list]:
     # product, so f(P) lies in the box of nu times P's tops.  That box is the
     # last skew Horner product's grid; each of the nu - 1 weyl Horner
     # products pairs at most its terms with P's, charged one Leibniz step each.
+    shown = serial._quote(str(nu))
     for gen in (left, right):
         box = prod(nu * max(col) + 1 for col in zip(*gen.terms))
         if ring.is_skew and box > backend.MAX_GRID_CELLS:
-            raise ParseError(f"{path}: nu {nu} puts pool elements over the "
+            raise ParseError(f"{path}: nu {shown} puts pool elements over the "
                              f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")
         if ring.is_weyl and (nu - 1) * box * len(gen) > MAX_WEYL_STEPS:
-            raise ParseError(f"{path}: nu {nu} puts pool evaluation over the "
+            raise ParseError(f"{path}: nu {shown} puts pool evaluation over the "
                              f"{MAX_WEYL_STEPS}-step limit of the weyl product")
     return PublicParameters(ring, public_l, left, right, nu), values
 

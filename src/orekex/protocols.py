@@ -22,6 +22,7 @@ refuse to store anything except public polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .commuting import (MAX_ATTEMPTS, ConstantPolynomial, random_constant_polynomial,
                         sample_private)
@@ -33,11 +34,8 @@ from .weakkeys import grading_vector
 
 
 def _dense_terms(degree: int, slots: int) -> int:
-    # sampling target that fills most monomials up to the degree bound
-    total = 1
-    for i in range(1, slots + 1):
-        total = total * (degree + i) // i
-    return total
+    # sampling target: the number of monomials up to the degree bound
+    return comb(degree + slots, slots)
 
 
 def noncentral_witness(h: OrePolynomial) -> OrePolynomial:

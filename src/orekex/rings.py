@@ -78,10 +78,6 @@ class OreRing:
     def is_weyl(self) -> bool:
         return self.kind == WEYL
 
-    def twist_power(self, exps: tuple[int, ...]) -> int:
-        """Frobenius power applied when d^exps moves past a coefficient."""
-        return sum(j * e for j, e in zip(self.sigma_powers, exps)) % self.field.k
-
     # -- element builders (thin wrappers around OrePolynomial) ---------------
 
     def zero(self):

@@ -14,7 +14,8 @@ seeds produce byte-identical files.
 A polynomial is ``0`` or terms joined by `` + ``::
 
     poly  := "0" | term (" + " term)*
-    term  := the ring's OreRing.term_format(), each "{}" a [0-9]+ run
+    term  := the ring's OreRing.term_format(), each "{}" an ASCII decimal
+             integer without leading zeros: 0|[1-9][0-9]*
 
 so ``[a0,a1,a2]*d1^e1*d2^e2`` in f125-skew2 (base-p digits of the
 coefficient, lowest first) and ``c*x1^e1*x2^e2*d1^f1*d2^f2`` in a weyl2
@@ -100,7 +101,7 @@ def poly_from_text(ring: OreRing, text: str) -> OrePolynomial:
     text = text.strip()
     if text == "0":
         return ring.zero()
-    term = re.compile(re.escape(ring.term_format()).replace(r"\{\}", "([0-9]+)"))
+    term = re.compile(re.escape(ring.term_format()).replace(r"\{\}", "(0|[1-9][0-9]*)"))
     n, p = ring.exp_len, ring.p
     weights = [p ** j for j in range(term.groups - n)]
     terms = {}

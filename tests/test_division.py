@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -44,8 +45,8 @@ def test_round_trip_both_sides():
 
 
 def test_round_trip_three_variable_skew():
-    # the generic peeling path, including its twisted coefficient solves,
-    # is only reachable off the two-variable kernel fast path
+    # three variables put a third weight on the Kronecker line: each weight is
+    # congruent to its sigma mod k and lifted above what the later axes reach
     ring3 = skew_ring(f125_spec(), (1, 2, 1))
     rng = np.random.default_rng(27)
     for _ in range(40):
@@ -71,21 +72,23 @@ def test_division_recovers_oracle_products():
     f4 = skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1))
     f125_12 = skew_ring(f125_spec(), (1, 2))
     ring3 = skew_ring(f125_spec(), (1, 2, 1))
+    ring4 = skew_ring(f125_spec(), (2, 1, 1, 2))
     rng = np.random.default_rng(23)
-    for ring, dp, dq in ((SKEW, 6, 5), (f4, 6, 5), (f125_12, 6, 5), (ring3, 3, 3)):
+    for ring, dp, dq in ((SKEW, 6, 5), (f4, 6, 5), (f125_12, 6, 5), (ring3, 3, 3),
+                         (ring4, 3, 3)):
         for _ in range(20):
             p = random_polynomial(ring, dp, 8, rng)
             q = random_polynomial(ring, dq, 8, rng)
             h = skew_mul_oracle(p, q)
             assert right_cofactor(h, p) == q
             assert left_cofactor(h, q) == p
-    for ring in (SKEW, f4, f125_12):
-        d1, d2 = ring.d(1), ring.d(2)
-        for i, j in product(range(3), repeat=2):
-            # monomial factors move the lowest Kronecker position of divisor
-            # and cofactor through every residue mod k
-            p = d1 ** i * d2 ** j * random_polynomial(ring, 4, 6, rng)
-            q = random_polynomial(ring, 3, 6, rng) * d1 ** j * d2 ** (2 - i)
+    for ring in (SKEW, f4, f125_12, ring3):
+        for e in product(range(3), repeat=ring.n):
+            # monomial factors d^e and d^(e_2, .., e_n, 2 - e_1) move the lowest
+            # Kronecker position of divisor and cofactor through every residue
+            # mod k
+            p = ring.poly({e: 1}) * random_polynomial(ring, 4, 6, rng)
+            q = random_polynomial(ring, 3, 6, rng) * ring.poly({e[1:] + (2 - e[0],): 1})
             h = skew_mul_oracle(p, q)
             assert right_cofactor(h, p) == q
             assert left_cofactor(h, q) == p
@@ -113,16 +116,25 @@ def test_division_far_from_the_origin():
 
 
 def test_sparse_division_in_three_variables_builds_no_grid():
-    # p*q spans a 3001 x 8 x 3006 box, over the product kernel's cell limit;
-    # peeling off the one-term steps touches only the few terms present
+    # p*q spans a 3001 x 8 x 3006 box, over the product kernel's cell limit,
+    # and its Kronecker line needs 81,264,140 cells: division refuses it as
+    # the product does, before any array of the line's size exists
     ring3 = skew_ring(f125_spec(), (1, 2, 1))
     p = ring3.poly({(3000, 0, 0): 7, (0, 7, 5): 3})
     q = ring3.poly({(0, 0, 3000): 11, (1, 1, 0): 2})
     h = skew_mul_oracle(p, q)
     with pytest.raises(OreKexError, match="limit"):
         p * q
-    assert right_cofactor(h, p) == q
-    assert left_cofactor(h, q) == p
+    tracemalloc.start()
+    try:
+        with pytest.raises(OreKexError, match="limit"):
+            right_cofactor(h, p)
+        with pytest.raises(OreKexError, match="limit"):
+            left_cofactor(h, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_three_pass_chain_identity():

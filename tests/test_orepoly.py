@@ -170,7 +170,7 @@ def test_backend_parity():
         ]
     # every F_125 twist class (2a + b mod 3) on both sides
     all_twists = poly(SKEW, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 2), (3, 1), (1, 4)])
-    assert {SKEW.twist_power(e) for e in all_twists.terms} == {0, 1, 2}
+    assert {(2 * a + b) % 3 for a, b in all_twists.terms} == {0, 1, 2}
     cases += [(SKEW, all_twists, all_twists), (SKEW, all_twists, cases[0][1])]
     for ring, f, g in cases:
         assert backend.skew2_mul(ring, f, g) == skew_mul_oracle(f, g)

@@ -102,18 +102,32 @@ def test_cli_three_pass(tmp_path):
 
 
 
-def test_cli_three_variable_three_pass(tmp_path):
-    # three-variable skew rings divide by peeling one term at a time; taking
-    # each lead with a max over the whole remainder made this session
-    # quadratic (about 19 s).  The digest is that of the session's file
-    # before the division changed.
+def _three_variable_three_pass(tmp_path, d_l, d_pq, nu, seed) -> tuple[float, str]:
+    """Seconds and output sha256 of a CLI three-pass in F_125 with sigma = (1, 2, 1)."""
     out = tmp_path / "t.txt"
     t0 = time.perf_counter()
     assert _run("three-pass", "--ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[1,2,1]",
-                "--dL", "10", "--dPQ", "2", "--nu", "3", "--seed", "1", "--out", str(out)) == 0
-    assert time.perf_counter() - t0 < 8.0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "ecb62c65218ecf6133d1bedbcb2bd74415c99fd3d503d9a3e77f1a94ab3f6d2c")
+                "--dL", d_l, "--dPQ", d_pq, "--nu", nu, "--seed", seed, "--out", str(out)) == 0
+    return time.perf_counter() - t0, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_cli_three_variable_three_pass(tmp_path):
+    # three-variable skew rings divide on a three-weight Kronecker line, as
+    # two-variable ones do on a two-weight one.  Peeling one term at a time
+    # with each lead a max over the whole remainder made this session
+    # quadratic (about 19 s).  The digest is that of the session's file from
+    # the peeling code.
+    seconds, digest = _three_variable_three_pass(tmp_path, "10", "2", "3", "1")
+    assert seconds < 8.0
+    assert digest == "ecb62c65218ecf6133d1bedbcb2bd74415c99fd3d503d9a3e77f1a94ab3f6d2c"
+
+
+def test_cli_three_variable_three_pass_at_20_3_5(tmp_path):
+    # peeling took about 110 s here even with its leads off a heap; the
+    # digest is that of the session's file from the peeling code
+    seconds, digest = _three_variable_three_pass(tmp_path, "20", "3", "5", "2")
+    assert seconds < 10.0
+    assert digest == "3fa0a87ed08f5de2faee271258081f6c7a33e1644eedf6addcca9928d30d1ed8"
 
 
 def test_cli_exchange_over_f256(tmp_path):
@@ -313,9 +327,14 @@ WEYL2_LINE = ring_by_name("weyl2-f71").to_text()
     (WEYL2_LINE, "-1*x1^1*x2^0*d1^0*d2^0", "70*x1^1*x2^0*d1^0*d2^0"),
     (WEYL2_LINE, "+3*x1^1*x2^0*d1^0*d2^0", "3*x1^1*x2^0*d1^0*d2^0"),
     (WEYL2_LINE, "72*x1^1*x2^0*d1^0*d2^0", "1*x1^1*x2^0*d1^0*d2^0"),
+    # one value, one text: no integer field takes a leading zero
+    (SKEW_LINE, "[01,0,0]*d1^1*d2^0", "[1,0,0]*d1^1*d2^0"),
+    (SKEW_LINE, "[1,0,0]*d1^01*d2^0", "[1,0,0]*d1^1*d2^0"),
+    (WEYL2_LINE, "01*x1^1*x2^0*d1^0*d2^0", "1*x1^1*x2^0*d1^0*d2^0"),
 ], ids=["digit-p", "digit-over-p", "spaces-in-term", "non-ascii-digit", "double-space",
         "short-coefficient", "d2-before-d1", "extra-variable",
-        "weyl-minus", "weyl-plus", "weyl-coefficient-over-p"])
+        "weyl-minus", "weyl-plus", "weyl-coefficient-over-p",
+        "digit-leading-zero", "exponent-leading-zero", "weyl-coefficient-leading-zero"])
 def test_cli_term_outside_the_grammar_exits_2(tmp_path, capsys, ring_line, bad, good):
     """Only the writer's own term shape parses: each bad line is refused and
     the line the writer emits for the same term is accepted."""
@@ -394,6 +413,11 @@ def _valid_files(tmp_path):
     ("enc.pub", "nu", "nu 0", "at least 1"),
     ("enc.pub", "nu", "nu 99999999", "cell limit"),
     ("weyl.pub", "nu", "nu 99999999", "step limit"),
+    # error messages quote only the start of a long nu
+    ("enc.pub", "nu", "nu " + "1" * 100_000, "nu line"),
+    ("enc.pub", "nu", "nu " + "9" * 4_000, "cell limit"),
+    ("weyl.pub", "nu", "nu " + "9" * 4_000, "step limit"),
+    ("enc.pub", "nu", "nu -" + "9" * 4_000, "at least 1"),
     ("ct.txt", "P_Bob", None, "no P_Bob line"),
     ("signer.pub", "L", None, "no L line"),
     ("raw.sig", "eps2", None, "no eps2 line"),
@@ -401,6 +425,8 @@ def _valid_files(tmp_path):
     ("ct.txt", "ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[1,2]", "ring differs"),
 ], ids=["encrypt-key-without-P_Alice", "encrypt-key-nu-x", "encrypt-key-nu-0",
         "encrypt-key-nu-over-cell-limit", "weyl-encrypt-key-nu-over-step-limit",
+        "encrypt-key-nu-of-100000-digits", "encrypt-key-nu-of-4000-digits",
+        "weyl-encrypt-key-nu-of-4000-digits", "encrypt-key-nu-of-minus-4000-digits",
         "ciphertext-without-P_Bob",
         "sign-key-without-L", "signature-without-eps2", "weak-key-without-key",
         "ciphertext-in-another-ring"])
@@ -412,9 +438,12 @@ def test_cli_file_missing_or_malformed_entry_exits_2(tmp_path, capsys, name, key
              for ln in path.read_text().splitlines()]
     path.write_text("".join(f"{ln}\n" for ln in lines if ln is not None))
     capsys.readouterr()
+    t0 = time.perf_counter()
     assert _run(*commands[name]) == 2
+    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert len(err) < 300
 
 
 def test_cli_weyl_product_over_step_limit_exits_2(capsys):

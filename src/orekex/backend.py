@@ -57,13 +57,13 @@ def _check_cells(shape) -> None:
 
 # -- dict <-> array interchange ----------------------------------------------
 
-def _to_coo(terms: dict, coeff_dtype):
+def terms_to_coo(terms: dict, coeff_dtype):
     """(exponents, coefficients): an int64 (n, terms) array and a vector."""
     n = len(next(iter(terms)))
     try:
         flat = np.fromiter(chain.from_iterable(terms), np.int64, n * len(terms))
     except OverflowError:
-        raise OreKexError("exponent too large for the skew kernels") from None
+        raise OreKexError("exponent too large for the int64 kernels") from None
     return flat.reshape(-1, n).T.copy(), np.fromiter(terms.values(), coeff_dtype, len(terms))
 
 
@@ -75,7 +75,7 @@ def _to_grid(exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def terms_to_grid(terms: dict, coeff_dtype) -> np.ndarray:
     """The grid of a nonzero term dict; its box must fit ``MAX_GRID_CELLS``."""
-    exps, coeffs = _to_coo(terms, coeff_dtype)
+    exps, coeffs = terms_to_coo(terms, coeff_dtype)
     _check_cells((exps.max(1) + 1).tolist())
     return _to_grid(exps, coeffs)
 
@@ -234,7 +234,7 @@ def _coo(poly, coeff_dtype):
     """(exponents, coefficients) of a nonzero value, read from its grid when
     it holds one, so dividing a product builds no dict."""
     if poly._grid is None:
-        return _to_coo(poly.terms, coeff_dtype)
+        return terms_to_coo(poly.terms, coeff_dtype)
     idx = np.nonzero(poly._grid)
     return np.array(idx, dtype=np.int64), poly._grid[idx]
 

@@ -70,10 +70,8 @@ def _value(ring, key: str, text: str):
     if key in ("f", "g"):
         return constant_poly_from_text(ring.p, text)
     if key == "nu":
-        try:
-            nu = int(text)
-        except ValueError:
-            raise ParseError(f"bad integer {serial._quote(text)} on the nu line") from None
+        # the grammar has no sign: "-3" is refused as text, "0" as a value
+        nu = serial.parse_int(text, "on the nu line: the pool degree is at least 1")
         if nu < 1:
             raise ParseError(f"nu {serial._quote(text)}: the pool degree must be at least 1")
         return nu

@@ -10,7 +10,8 @@ A term maps an exponent vector to a coefficient index:
 Values are immutable once constructed; all operations are pure.  Products
 respect the defining relations d*c = sigma(c)*d (skew) and d_i*x_i =
 x_i*d_i + 1 (weyl).  Every skew product, whatever the number of variables,
-is delegated to the FFT kernel in :mod:`orekex.backend`.
+is delegated to the FFT kernel in :mod:`orekex.backend`; every weyl product
+is one numpy kernel over all pairs of terms (:func:`_weyl_mul`).
 
 A weyl value holds a term dict.  A skew value holds a term dict, a grid
 or both.  The grid is the dense coefficient-index array the product
@@ -24,9 +25,7 @@ grid when a product first needs it, and a grid-held value builds its
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
-from math import comb, factorial, prod
+from math import prod
 from types import MappingProxyType
 
 import numpy as np
@@ -36,11 +35,6 @@ from .errors import OreKexError, RingMismatchError
 from .fields import FieldElement, tables_for
 from .monomials import grevlex_key, sorted_descending
 from .rings import OreRing
-
-
-@lru_cache(maxsize=4096)
-def _leibniz_coef(w: int, e: int, k: int, p: int) -> int:
-    return comb(w, k) * comb(e, k) * factorial(k) % p
 
 
 class OrePolynomial:
@@ -300,48 +294,70 @@ class OrePolynomial:
         return f"OrePolynomial({self.ring.kind}: {text})"
 
 
-# Leibniz steps (one per k-tuple of the sum below) one Weyl product may take:
-# about a second of work.  d1^999*d2^999 * x1^999*x2^999 is exactly this
-# many; the largest product of the tests takes 62,937, of the benchmark 10,152.
+# Leibniz steps one Weyl product may take, one per pair of terms and k-tuple
+# of its sum in _weyl_mul; this bounds the kernel's arrays (at the limit about
+# a second and 150 MB besides the product's terms).  d1^999*d2^999 *
+# x1^999*x2^999 takes exactly this many; the largest product below it in the
+# tests 77,378, in the benchmark 14,984.
 MAX_WEYL_STEPS = 1_000_000
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _weyl_mul(ring: OreRing, f: dict, g: dict) -> dict:
-    """Weyl product via d^a x^b = sum_k C(a,k) C(b,k) k! x^(b-k) d^(a-k).
-
-    Raises OreKexError before the product would pass ``MAX_WEYL_STEPS``."""
+    """Weyl product of two nonzero term dicts, all pairs of terms at once on
+    int64 arrays, by d^w x^e = sum_k C(w,k) C(e,k) k! x^(e-k) d^(w-k) in each
+    variable.  Mod p that factor is w(w-1)..(w-k+1) e(e-1)..(e-k+1) / k!, zero
+    once k passes w mod p or e mod p, so a pair expands into k = 0..min(w mod
+    p, e mod p), all < p, with running products as factors.  OreKexError when
+    the steps pass ``MAX_WEYL_STEPS``, or an exponent or key passes int64."""
     p, n = ring.p, ring.n
-    out: dict[tuple[int, ...], int] = {}
-    steps = 0
-    for key1, c1 in f.items():
-        e1, w1 = key1[:n], key1[n:]
-        for key2, c2 in g.items():
-            e2, w2 = key2[:n], key2[n:]
-            base = c1 * c2 % p
-            # the sum below has one step per k-tuple, 0 <= k_i < sizes[i]
-            sizes = [min(a, b) + 1 for a, b in zip(w1, e2)]
-            pair_steps = prod(sizes)
-            if pair_steps == 1:
-                # the d-block of the left term never meets the x-block of
-                # the right one; plain exponent addition
-                key = tuple(a + b for a, b in zip(key1, key2))
-                out[key] = (out.get(key, 0) + base) % p
-                continue
-            steps += pair_steps
-            if steps > MAX_WEYL_STEPS:
-                raise OreKexError(f"Weyl product needs over {MAX_WEYL_STEPS} Leibniz steps")
-            for ks in product(*map(range, sizes)):
-                c = base
-                for i, k in enumerate(ks):
-                    if k:
-                        c = c * _leibniz_coef(w1[i], e2[i], k, p) % p
-                if c == 0:
-                    continue
-                key = tuple(e1[i] + e2[i] - ks[i] for i in range(n)) + tuple(
-                    w1[i] + w2[i] - ks[i] for i in range(n)
-                )
-                out[key] = (out.get(key, 0) + c) % p
-    return {k: v for k, v in out.items() if v}
+    (ef, cf), (eg, cg) = backend.terms_to_coo(f, np.int64), backend.terms_to_coo(g, np.int64)
+    # pair (a, b) takes prod_i (min(w_i, e_i) + 1) >= 1 steps, so the pair
+    # count goes first; float64 counts steps exactly far past the limit
+    if (len(f) * len(g) > MAX_WEYL_STEPS or (np.minimum(ef[n:, :, None], eg[:n, None, :])
+                                             + 1.0).prod(0).sum() > MAX_WEYL_STEPS):
+        raise OreKexError(f"Weyl product needs over {MAX_WEYL_STEPS} Leibniz steps")
+    # keys count from f's lowest x- and g's lowest d-exponents: no k takes an
+    # output below them
+    lo = ef[:n].min(1).tolist() + eg[n:].min(1).tolist()
+    hi = [s + t for s, t in zip(ef.max(1).tolist(), eg.max(1).tolist())]
+    box = [h - l + 1 for h, l in zip(hi, lo)]
+    if max(hi) > _INT64_MAX or prod(box) > _INT64_MAX:
+        raise OreKexError("exponent too large for the int64 kernels")
+    strides = np.array([prod(box[j + 1:]) for j in range(2 * n)], np.int64)
+    ef[:n] -= np.array(lo[:n])[:, None]
+    eg[n:] -= np.array(lo[n:])[:, None]
+    a, b = np.divmod(np.arange(len(f) * len(g)), len(g))  # pair a * len(g) + b
+    key = (strides @ ef)[a] + (strides @ eg)[b]
+    coef = cf[a] * cg[b] % p
+    w, e = ef[n:] % p, eg[:n] % p
+    cap = np.minimum(w[:, a], e[:, b])
+    inv = [0, 1]  # 1/j mod p for j < p, by p = (p // j) j + p % j
+    for j in range(2, int(cap.max()) + 1):
+        inv.append(-(p // j) * inv[p % j] % p)
+    inv = np.array(inv)
+    pair = np.arange(len(coef))  # of each entry, as the pairs expand into k
+    for i in np.flatnonzero(cap.any(1)):
+        run = cap[i, pair] + 1
+        src = np.repeat(np.arange(len(run)), run)
+        k = np.arange(len(src)) - (np.cumsum(run) - run)[src]
+        pair = pair[src]
+        fac = (w[i, a[pair]] - k + 1) * (e[i, b[pair]] - k + 1) % p * inv[k] % p
+        fac[k == 0] = 1
+        s = 1  # running products along each run, by doubling
+        while s <= cap[i].max():
+            fac[s:] = np.where(k[s:] >= s, fac[s:] * fac[:-s] % p, fac[s:])
+            s *= 2
+        key = key[src] - k * (strides[i] + strides[n + i])
+        coef = coef[src] * fac % p
+    order = np.argsort(key)
+    key, coef = key[order], coef[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    sums = np.add.reduceat(coef, first) % p
+    keep = sums != 0
+    exps = np.unravel_index(key[first[keep]], box)
+    return dict(zip(zip(*((col + l).tolist() for col, l in zip(exps, lo))),
+                    sums[keep].tolist()))
 
 
 def _random_composition(total: int, slots: int, rng) -> tuple[int, ...]:

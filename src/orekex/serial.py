@@ -9,13 +9,14 @@ Every output file starts with the same header block::
 
 followed by ``key value`` lines.  Transcript messages are ``msg <sender>
 <label> <polynomial>`` lines.  The format round-trips exactly and equal
-seeds produce byte-identical files.
+seeds produce byte-identical files.  Every integer of a file is an
+``INT``, so each value has one text.
 
 A polynomial is ``0`` or terms joined by `` + ``::
 
     poly  := "0" | term (" + " term)*
-    term  := the ring's OreRing.term_format(), each "{}" an ASCII decimal
-             integer without leading zeros: 0|[1-9][0-9]*
+    term  := the ring's OreRing.term_format(), each "{}" an INT
+    INT   := 0|[1-9][0-9]*  (ASCII digits, no sign, no leading zero)
 
 so ``[a0,a1,a2]*d1^e1*d2^e2`` in f125-skew2 (base-p digits of the
 coefficient, lowest first) and ``c*x1^e1*x2^e2*d1^f1*d2^f2`` in a weyl2
@@ -39,17 +40,26 @@ MAGIC = "# ore-kex v1"
 RNG_NAME = "numpy-pcg64"
 
 
-def _parse_int_list(text: str) -> list[int]:
+INT = "(0|[1-9][0-9]*)"
+
+
+def parse_int(text: str, where: str) -> int:
+    """The integer ``text`` in the grammar ``INT``; ParseError naming ``where``
+    for any other text, or one past the interpreter's limit on digits."""
+    if re.fullmatch(INT, text) is None:
+        raise ParseError(f"bad integer {_quote(text)} {where}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer too long {where}") from None
+
+
+def _parse_int_list(text: str, where: str) -> list[int]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"expected [..] list, got {_quote(text)}")
-    body = text[1:-1].strip()
-    if not body:
-        return []
-    try:
-        return [int(x) for x in body.split(",")]
-    except ValueError as exc:
-        raise ParseError(f"bad integer list {_quote(text)}") from exc
+    body = text[1:-1]
+    return [parse_int(x, where) for x in body.split(",")] if body else []
 
 
 def ring_from_text(line: str) -> OreRing:
@@ -62,20 +72,19 @@ def ring_from_text(line: str) -> OreRing:
             raise ParseError(f"bad ring attribute {_quote(part)}")
         key, val = part.split("=", 1)
         kv[key] = val
+    where = "in the ring line"
     try:
         if parts[1] == "skew":
-            p, k = int(kv["p"]), int(kv["k"])
+            p, k = parse_int(kv["p"], where), parse_int(kv["k"], where)
             _check_bounds(p, k)
-            spec = FieldSpec(p, k, tuple(_parse_int_list(kv["m"])))
-            return skew_ring(spec, tuple(_parse_int_list(kv["sigma"])))
+            spec = FieldSpec(p, k, tuple(_parse_int_list(kv["m"], where)))
+            return skew_ring(spec, tuple(_parse_int_list(kv["sigma"], where)))
         if parts[1] == "weyl":
-            p = int(kv["p"])
+            p = parse_int(kv["p"], where)
             _check_bounds(p)
-            return weyl_ring(p, int(kv["n"]))
+            return weyl_ring(p, parse_int(kv["n"], where))
     except KeyError as exc:
         raise ParseError(f"ring line misses attribute {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"bad integer in ring line {_quote(line)}") from exc
     raise ParseError(f"unknown ring kind {_quote(parts[1])}")
 
 
@@ -101,7 +110,7 @@ def poly_from_text(ring: OreRing, text: str) -> OrePolynomial:
     text = text.strip()
     if text == "0":
         return ring.zero()
-    term = re.compile(re.escape(ring.term_format()).replace(r"\{\}", "(0|[1-9][0-9]*)"))
+    term = re.compile(re.escape(ring.term_format()).replace(r"\{\}", INT))
     n, p = ring.exp_len, ring.p
     weights = [p ** j for j in range(term.groups - n)]
     terms = {}
@@ -129,7 +138,7 @@ def _quote(text: str) -> str:
 
 
 def constant_poly_from_text(p: int, text: str) -> ConstantPolynomial:
-    return ConstantPolynomial(p, tuple(_parse_int_list(text)))
+    return ConstantPolynomial(p, tuple(_parse_int_list(text, "in a constant polynomial")))
 
 
 # -- whole files -----------------------------------------------------------------
@@ -155,10 +164,8 @@ def parse_file(text: str) -> tuple[OreRing, int | None, list[tuple[str, str]]]:
         if key == "ring":
             ring = ring_from_text(ln)
         elif key == "seed":
-            try:
-                seed = None if rest.strip() == "withheld" else int(rest.strip())
-            except ValueError as exc:
-                raise ParseError(f"bad seed line {_quote(ln)}") from exc
+            rest = rest.strip()
+            seed = None if rest == "withheld" else parse_int(rest, "on the seed line")
         elif key == "rng":
             continue
         else:

@@ -1,10 +1,11 @@
 import tracemalloc
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 from orekex import (FieldSpec, OreKexError, OrePolynomial, RingMismatchError,
-                    backend, f125_spec, left_cofactor, random_polynomial, right_cofactor,
+                    backend, orepoly, f125_spec, left_cofactor, random_polynomial, right_cofactor,
                     ring_by_name, skew_ring, weyl_ring)
 from orekex.monomials import grevlex_key
 
@@ -358,3 +359,58 @@ def test_wide_sparse_sum_builds_no_grid():
     assert peak < 4 << 20
     assert s._grid is None and len(s) == len(h) + 1 and s.terms[(3000, 3000)] == 1
     assert s - far == h
+
+
+# -- the weyl product kernel ---------------------------------------------------------
+
+WEYL_RINGS = [WEYL, ring_by_name("weyl3-f71"), weyl_ring(2, 2), weyl_ring(3, 2)]
+
+
+@pytest.mark.parametrize("ring", WEYL_RINGS, ids=["weyl2-f71", "weyl3-f71", "p2-n2", "p3-n2"])
+def test_weyl_mul_against_oracle_at_and_past_p(ring):
+    """d^a * x^b near and past p, where C(a,k) k! C(b,k) must be reduced with
+    care (k! and C(b,k) vanish mod p from k = p), beside one-term, constant
+    and random operands."""
+    p, n = ring.p, ring.n
+    rng = np.random.default_rng(24)
+    # every power up to 2p + 1 in the small rings; the oracle is slow past that
+    ks = range(2 * p + 2) if p < 5 else (0, 1, p - 1, p, p + 1)
+    cases = [(ring.d(i) ** a, ring.x(i) ** b) for i in (1, n) for a in ks for b in ks]
+    cases += [(ring.d(1) ** a * ring.d(n) ** b, ring.x(1) ** b * ring.x(n) ** a)
+              for a in (p, p + 1) for b in (1, p + 2)]
+    c = ring.constant(p - 1)
+    mono = ring.poly({tuple(int(v) for v in rng.integers(0, min(p + 3, 8), 2 * n)): 1})
+    for _ in range(8):
+        h = _rand(ring, rng, 6, 6)
+        cases += [(c, h), (h, c), (mono, h), (h, mono), (c, c), (mono, mono),
+                  (h, _rand(ring, rng, 6, 6))]
+    for f, g in cases:
+        assert f * g == weyl_mul_oracle(f, g)
+
+
+def test_weyl_mul_step_limit_is_exact():
+    """d1^999*d2^999 * x1^999*x2^999 takes exactly MAX_WEYL_STEPS and runs;
+    one more term pair, which meets in no Leibniz sum, puts it over."""
+    p, top = WEYL.p, 999
+    f = WEYL.poly({(0, 0, top, top): 1})
+    g = WEYL.poly({(top, top, 0, 0): 1})
+    # the closed form with exact binomials: the variables' sums multiply
+    c = [comb(top, k) ** 2 * factorial(k) % p for k in range(top + 1)]
+    want = {(top - a, top - b, top - a, top - b): c[a] * c[b] % p
+            for a in range(top + 1) for b in range(top + 1) if c[a] * c[b] % p}
+    assert orepoly.MAX_WEYL_STEPS == (top + 1) ** 2
+    assert dict((f * g).terms) == want
+    with pytest.raises(OreKexError, match="Leibniz steps"):
+        (f + 1) * g
+
+
+def test_weyl_mul_refuses_exponents_past_int64():
+    x1 = WEYL.x(1)
+    with pytest.raises(OreKexError, match="too large"):
+        WEYL.poly({(2 ** 63, 0, 0, 0): 1}) * WEYL.d(1)
+    # each operand fits int64, their product's exponent does not
+    with pytest.raises(OreKexError, match="too large"):
+        WEYL.poly({(2 ** 62, 0, 0, 0): 1}) * WEYL.poly({(2 ** 62, 0, 0, 0): 1})
+    # far from the origin but inside int64: the box starts at the lowest exponents
+    far = WEYL.poly({(2 ** 40, 0, 0, 3): 2, (2 ** 40 + 1, 0, 0, 0): 1})
+    assert far * (x1 + WEYL.x(2) ** 2) == weyl_mul_oracle(far, x1 + WEYL.x(2) ** 2)

@@ -233,7 +233,7 @@ def test_sign_verify_honest_runs():
         message = random_polynomial(SKEW, 3, 5, rng)
         sig = sign(sec, message, rng)
         assert verify_signature(pub, sig)
-    # weyl products densify fast in pure python; keep that ring tiny
+    # weyl products densify fast; keep that ring tiny
     pub, sec = signature_keygen(WEYL, rng, d_l=2, d_a=1, terms=4)
     for _ in range(3):
         message = random_polynomial(WEYL, 2, 4, rng)

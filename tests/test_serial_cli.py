@@ -423,13 +423,26 @@ def _valid_files(tmp_path):
     ("raw.sig", "eps2", None, "no eps2 line"),
     ("weak.key", "key", None, "no key line"),
     ("ct.txt", "ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[1,2]", "ring differs"),
+    # one value, one text: Python's int() takes each of these, the file grammar none
+    ("enc.pub", "nu", "nu +2", "nu line"),
+    ("enc.pub", "nu", "nu 0_2", "nu line"),
+    ("enc.pub", "nu", "nu \u0662", "nu line"),
+    ("enc.pub", "seed", "seed +3", "seed line"),
+    ("enc.pub", "seed", "seed 0_3", "seed line"),
+    ("enc.pub", "seed", "seed \u0663", "seed line"),
+    ("enc.pub", "ring", "ring skew p=+5 k=3 m=[3,3,0,1] sigma=[2,1]", "ring line"),
+    ("enc.pub", "ring", "ring skew p=5 k=0_3 m=[3,3,0,1] sigma=[2,1]", "ring line"),
+    ("enc.pub", "ring", "ring skew p=5 k=3 m=[3,3,0,\u0661] sigma=[2,1]", "ring line"),
 ], ids=["encrypt-key-without-P_Alice", "encrypt-key-nu-x", "encrypt-key-nu-0",
         "encrypt-key-nu-over-cell-limit", "weyl-encrypt-key-nu-over-step-limit",
         "encrypt-key-nu-of-100000-digits", "encrypt-key-nu-of-4000-digits",
         "weyl-encrypt-key-nu-of-4000-digits", "encrypt-key-nu-of-minus-4000-digits",
         "ciphertext-without-P_Bob",
         "sign-key-without-L", "signature-without-eps2", "weak-key-without-key",
-        "ciphertext-in-another-ring"])
+        "ciphertext-in-another-ring", "encrypt-key-nu-plus-sign", "encrypt-key-nu-underscore",
+        "encrypt-key-nu-arabic-indic-digit", "seed-plus-sign", "seed-underscore",
+        "seed-arabic-indic-digit", "ring-p-plus-sign", "ring-k-underscore",
+        "ring-modulus-arabic-indic-digit"])
 def test_cli_file_missing_or_malformed_entry_exits_2(tmp_path, capsys, name, key,
                                                      replacement, named):
     commands = _valid_files(tmp_path)
@@ -455,3 +468,23 @@ def test_cli_weyl_product_over_step_limit_exits_2(capsys):
                 "--public-text", f"1*x1^{n}*x2^{n}*d1^0*d2^0")
     assert code == 2 and time.perf_counter() - t0 < 1.0
     assert "Leibniz steps" in capsys.readouterr().err
+
+
+X_ONLY = " + ".join(f"1*x1^{i}*x2^{j}*d1^0*d2^0" for i in range(40) for j in range(40))
+
+
+@pytest.mark.parametrize("key, public, named", [
+    # 1,600 x 1,600 pairs of x-only terms meet in no Leibniz sum, but each
+    # pair is charged one step: 2.56M, over the limit before any pair array
+    (X_ONLY, X_ONLY, "Leibniz steps"),
+    # x1^(2^70): past the int64 exponents of the weyl kernel
+    ("1*x1^1180591620717411303424*x2^0*d1^0*d2^0 + 1*x1^0*x2^0*d1^1*d2^0",
+     "1*x1^0*x2^0*d1^1*d2^0", "too large"),
+], ids=["x-only-pairs-over-step-limit", "exponent-past-int64"])
+def test_cli_weyl_product_refused_exits_2(capsys, key, public, named):
+    t0 = time.perf_counter()
+    code = _run("check-weak", "--ring", "weyl2-f71", "--key-text", key, "--public-text", public)
+    assert code == 2 and time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert len(err) < 300

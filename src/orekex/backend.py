@@ -3,13 +3,14 @@ of two polynomials and exact one-sided division, both in any number of
 Ore variables.
 
 Both rest on one exact numpy FFT convolution over F_p digits
-(:func:`_convolve`).  The product (:func:`skew2_mul`) is one convolution
+(:func:`_product`).  The product (:func:`skew2_mul`) is one convolution
 of the operands' grids.  Division (:func:`skew2_right_cofactor`,
 :func:`skew2_left_cofactor`) maps both operands onto one line by a
-Kronecker substitution, inverts the divisor there as a power series by
-Newton iteration, reads the cofactor off the line and checks that its
-product with the divisor is the dividend.  There is no other
-implementation.
+Kronecker substitution and finds the cofactor there from the bottom, in
+blocks: the divisor's power-series inverse (by Newton iteration) and the
+divisor are transformed once, each block costs two products against those
+cached spectra, and the exact remainder must be zero at the end.  There is
+no other implementation.
 
 A skew value's grid is the array these kernels convolve: cell e holds the
 coefficient index of d^e, the origin is d^0 and every axis ends at the
@@ -30,7 +31,7 @@ of ``d1^N`` in an input file cannot buy unbounded time or memory.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from math import prod
+from math import isqrt, prod
 from operator import mul
 
 import numpy as np
@@ -90,16 +91,22 @@ def grid_to_terms(grid: np.ndarray) -> dict:
 
 
 def grid_sum(tab, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """f + g over their union box, trimmed; None when the sum is zero."""
-    out = np.zeros([max(a, b) for a, b in zip(f.shape, g.shape)], dtype=tab.dtype)
+    """f + g over their union box, trimmed; None when the sum is zero.  Both
+    grids are trimmed, so only an axis where they end together can shrink:
+    on any other the longer one's top slice passes into the sum unchanged."""
+    shape = [max(a, b) for a, b in zip(f.shape, g.shape)]
+    out = np.zeros(shape, dtype=tab.dtype)
     out[tuple(map(slice, f.shape))] = f
     cut = tuple(map(slice, g.shape))
     out[cut] = tab.add[out[cut], g]
     axes = range(out.ndim)
-    tops = [np.flatnonzero(out.any(axis=tuple(j for j in axes if j != i))) for i in axes]
-    if not tops[0].size:
-        return None
-    return out[tuple(slice(t[-1] + 1) for t in tops)]
+    for i in axes:
+        if f.shape[i] == g.shape[i]:
+            top = np.flatnonzero(out.any(axis=tuple(j for j in axes if j != i)))
+            if not top.size:
+                return None
+            shape[i] = top[-1] + 1
+    return out[tuple(map(slice, shape))]
 
 
 # -- the convolution core ----------------------------------------------------------
@@ -111,20 +118,44 @@ def _smooth(n: int) -> int:
     return n
 
 
-def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray:
-    """The skew product f*g of two coefficient-index grids, cut to ``crop``
-    (default: the whole product); moving cell e of f past a coefficient of g
-    applies Frobenius^(sigma.e mod k).
+def _product(tab, left, g: np.ndarray, size, crop) -> np.ndarray:
+    """The skew product f*g cut to ``crop``, from f's spectra at the transform
+    ``size``: ``left(i, l)`` is that of f's grid filled with
+    ``twist_digits[f, t, i, l]``, t = sigma.e mod k at cell e.
 
     c1 * Frobenius^t(c2) is F_p-bilinear in the digits of c1 and c2, so
     output digit i is (sum_l H_il * G_l) mod p: G_l is g's digit-l grid, H_il
-    is f's grid filled with ``twist_digits[f, t, i, l]`` and * is an
-    n-dimensional convolution, done by real FFTs in float64.  Every exact
-    cell sum is at most k*(p-1)^2*min(|f|, |g|) (48*min in F_125), far below
-    2^53; a rounding residue of 1/4 or more raises OreKexError.  The padded
-    transform must fit in ``MAX_GRID_CELLS``.
+    the grid of ``left(i, l)`` and * an n-dimensional convolution, done by
+    real FFTs in float64.  Every exact cell sum is at most
+    k*(p-1)^2*min(|f|, |g|) (48*min in F_125), far below 2^53; a rounding
+    residue of 1/4 or more raises OreKexError.
     """
     p, kf = tab.spec.p, tab.spec.k
+    axes = tuple(range(len(size)))
+    g_hat = [np.fft.rfftn(g // p ** l % p, size, axes) for l in range(kf)]
+    term = np.empty_like(g_hat[0])
+    out = np.zeros(crop, dtype=tab.dtype)
+    cut = tuple(slice(c) for c in crop)
+    for i in range(kf):
+        acc = left(i, 0) * g_hat[0]
+        for l in range(1, kf):
+            acc += np.multiply(left(i, l), g_hat[l], out=term)
+        v = np.fft.irfftn(acc, size, axes)[cut]
+        del acc
+        r = np.rint(v)
+        if np.abs(np.subtract(v, r, out=v), out=v).max() >= 0.25:
+            raise OreKexError("skew product lost exactness in floating point")
+        # r is an integer in [0, 2^53): r/p rounds to no integer above its floor
+        r -= p * np.floor(r / p)
+        out += (r * p ** i).astype(tab.dtype)
+        del v, r  # few transforms alive at once, none while the caller decodes
+    return out
+
+
+def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray:
+    """The skew product f*g of two coefficient-index grids, cut to ``crop``
+    (default: the whole product), by :func:`_product` with f's spectra made
+    one at a time; the padded transform must fit in ``MAX_GRID_CELLS``."""
     full = [a + b - 1 for a, b in zip(f.shape, g.shape)]
     crop = full if crop is None else crop
     if not f.size or not g.size:  # an empty half of a one-cell quotient
@@ -133,29 +164,12 @@ def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray
     _check_cells(size)  # before _smooth, which steps one integer at a time
     size = [_smooth(n) for n in size]
     _check_cells(size)
-    axes = tuple(range(f.ndim))
+    kf, axes = tab.spec.k, tuple(range(f.ndim))
     twist = sum(np.ix_(*[(np.arange(n) * s % kf).astype(np.uint8)
                          for n, s in zip(f.shape, sigma)])) % kf
-    g_hat = [np.fft.rfftn(g // p ** l % p, size, axes) for l in range(kf)]
     coeff = tab.twist_digits[f, twist]  # [..., i, l]
-    out = np.zeros(crop, dtype=tab.dtype)
-    cut = tuple(slice(c) for c in crop)
-    for i in range(kf):
-        acc = np.fft.rfftn(coeff[..., i, 0], size, axes)
-        acc *= g_hat[0]
-        for l in range(1, kf):
-            term = np.fft.rfftn(coeff[..., i, l], size, axes)
-            term *= g_hat[l]
-            acc += term
-            del term
-        v = np.fft.irfftn(acc, size, axes)[cut]
-        del acc
-        r = np.rint(v)
-        if np.abs(np.subtract(v, r, out=v), out=v).max() >= 0.25:
-            raise OreKexError("skew product lost exactness in floating point")
-        out += (r % p * p ** i).astype(tab.dtype)
-        del v, r  # few transforms alive at once, none while the caller decodes
-    return out
+    return _product(tab, lambda i, l: np.fft.rfftn(coeff[..., i, l], size, axes),
+                    g, size, crop)
 
 
 # -- multiplication ------------------------------------------------------------
@@ -195,32 +209,51 @@ def low_corner(ring, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 # twist absorbs the shift of each line to x^0.  A left cofactor is a right
 # one in the opposite ring, which a -> F^-i(a) on x^i maps onto F_q[x; F^-1].
 
+def _spectra(tab, s: int, f: np.ndarray, size: int):
+    """``left`` of :func:`_product` for a line f of F_q[x; F^s], all k^2
+    spectra made at once, so that many products can share them."""
+    twisted = tab.twist_digits[f, np.arange(len(f)) * s % tab.spec.k]
+    F = np.fft.rfft(np.moveaxis(twisted, 0, -1), size)
+    return lambda i, l: F[i, l]
+
+
 def _series_inverse(tab, s: int, u: np.ndarray, n: int) -> np.ndarray:
-    """u^-1 mod x^n in F_q[[x; F^s]] (u[0] != 0) by Newton's y <- y + y(1 - u y)."""
+    """u^-1 mod x^n in F_q[[x; F^s]] (u[0] != 0) by Newton's y <- y + y(1 - u y),
+    which doubles the precision per step; a division needs it once."""
     if n == 1:
         return tab.inv[u[:1]]
     y = _series_inverse(tab, s, u, (n + 1) // 2)
-    # u*y = 1 + O(x^len(y)): y*(1 - u*y) is y times the negated top of u*y,
-    # shifted up; shifting a right factor leaves the twists alone
-    top = tab.neg[_convolve(tab, (s,), u[:n], y, (n,))[len(y):]]
+    # u*y = 1 + O(x^len(y)), and y*(1 - u*y) is y times the negated top of
+    # u*y, shifted up.  A cyclic u*y of length >= n wraps its top below
+    # len(y), where nothing reads it
+    size = _smooth(n)
+    top = tab.neg[_product(tab, _spectra(tab, s, u[:n], size), y, (size,), (n,))[len(y):]]
     return np.concatenate([y, _convolve(tab, (s,), y[:n - len(y)], top, (n - len(y),))])
 
 
 def _right_quotient(tab, s: int, D: np.ndarray, H: np.ndarray, n: int) -> np.ndarray:
     """Q of length n with D*Q = H in F_q[x; F^s] (D[0] != 0), else
-    NotDivisibleError.  Q's low half is D^-1 H and its high half D^-1 times
-    what D leaves of H, so no product is longer than the line."""
-    half = (n + 1) // 2
-    y = _series_inverse(tab, s, D, half)
-    lo = _convolve(tab, (s,), y, H[:half], (half,))
-    check = np.zeros(len(H), dtype=tab.dtype)
-    check[:len(D) + half - 1] = _convolve(tab, (s,), D, lo)
-    hi = _convolve(tab, (s,), y[:n - half], tab.sub[H[half:n], check[half:n]], (n - half,))
-    # D*(x^half hi) is D*hi shifted up by half
-    check[half:] = tab.add[check[half:], _convolve(tab, (s,), D, hi)]
-    if not np.array_equal(check, H):
+    NotDivisibleError.  Q is found from the bottom in blocks of m cells: with
+    y = D^-1 mod x^m and R = H - D*Q so far, the block at x^o is y times R's
+    next m cells, cut to the block, and R drops D times the block shifted up
+    by o.  Shifting a right factor leaves the twists alone, so y and D are
+    transformed once for every block.  m >= sqrt(n) holds a short divisor to
+    about sqrt(n) blocks.  R is exact: its being zero proves D*Q = H."""
+    m = min(n, max(len(D), isqrt(n)))
+    size = _smooth(max(len(D), m) + m - 1)
+    _check_cells((size,))
+    y = _series_inverse(tab, s, D, m)
+    y_hat, d_hat = _spectra(tab, s, y, size), _spectra(tab, s, D, size)
+    R, Q = H.copy(), np.zeros(n, dtype=tab.dtype)
+    for o in range(0, n, m):
+        b = min(m, n - o)
+        if R[o:o + b].any():  # else the block of Q is zero
+            Q[o:o + b] = _product(tab, y_hat, R[o:o + b], (size,), (b,))
+            cut = slice(o, o + len(D) + b - 1)
+            R[cut] = tab.sub[R[cut], _product(tab, d_hat, Q[o:o + b], (size,), (cut.stop - o,))]
+    if R.any():
         raise NotDivisibleError("the divisor does not divide exactly")
-    return np.concatenate([lo, hi])
+    return Q
 
 
 def _line(exps: np.ndarray, coeffs: np.ndarray, w, lo):

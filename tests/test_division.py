@@ -1,12 +1,13 @@
 import tracemalloc
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from orekex import (FieldSpec, NotDivisibleError, OreKexError, OrePolynomial,
-                    f125_spec, left_cofactor, random_polynomial, right_cofactor,
-                    ring_by_name, skew_ring, weyl_ring)
+from orekex import (RING_ALIASES, FieldSpec, NotDivisibleError, OreKexError,
+                    OrePolynomial, backend, f125_spec, left_cofactor, random_polynomial,
+                    right_cofactor, ring_by_name, skew_ring, weyl_ring)
 
 from helpers import skew_mul_oracle
 
@@ -135,6 +136,95 @@ def test_sparse_division_in_three_variables_builds_no_grid():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+# every skew alias, and rings whose lines twist by other sigmas, fields and axes
+BLOCK_RINGS = [pytest.param(ring_by_name(name), id=name) for name in sorted(RING_ALIASES)
+               if ring_by_name(name).is_skew] + [
+    pytest.param(skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1)), id="f4"),
+    pytest.param(skew_ring(f125_spec(), (1, 2)), id="sigma12"),
+    pytest.param(skew_ring(f125_spec(), (1, 2, 1)), id="three-variable"),
+]
+
+
+@pytest.fixture
+def lines(monkeypatch):
+    """(divisor length, cofactor length) on the Kronecker line of every division."""
+    seen = []
+    real = backend._right_quotient
+
+    def spy(tab, s, D, H, n):
+        seen.append((len(D), n))
+        return real(tab, s, D, H, n)
+
+    monkeypatch.setattr(backend, "_right_quotient", spy)
+    return seen
+
+
+def _line_positions(h):
+    """Kronecker-line position of each term of h, counted from its lowest."""
+    exps = np.array(list(h.terms), dtype=np.int64).T
+    lo = exps.min(1)
+    w = backend._weights(h.ring.sigma_powers, h.ring.field.k, (exps.max(1) - lo).tolist())
+    pos = np.array(w) @ (exps - lo[:, None])
+    return dict(zip(h.terms, (pos - pos.min()).tolist()))
+
+
+@pytest.mark.parametrize("ring", BLOCK_RINGS)
+def test_division_in_blocks_against_the_oracle(ring, lines):
+    # cofactors at least three times the divisor's length on the line, so the
+    # quotient is found in three or more blocks
+    rng = np.random.default_rng(28)
+    short, long = (2, 12) if ring.n == 2 else (1, 8)
+    for right in (True, False):
+        d = random_polynomial(ring, short, 6, rng)
+        c = random_polynomial(ring, long, 40, rng)
+        h = skew_mul_oracle(d, c) if right else skew_mul_oracle(c, d)
+        divide, other = (right_cofactor, left_cofactor) if right else (left_cofactor, right_cofactor)
+        lines.clear()
+        assert divide(h, d) == c and other(h, c) == d
+        len_d, n = lines[0]
+        assert n >= 3 * len_d
+        # a new coefficient on the term nearest the middle of the cofactor's
+        # line: blocks of at most n/3 cells put it in neither the first nor the
+        # last block, and every exponent range and line position stays put
+        pos = _line_positions(h)
+        e = min(h.terms, key=lambda e: abs(pos[e] - n // 2))
+        assert n / 3 <= pos[e] < 2 * n / 3
+        bad = dict(h.terms)
+        bad[e] = bad[e] % (ring.n_coeff_values - 1) + 1
+        bad = ring.poly(bad)
+        with pytest.raises(NotDivisibleError):
+            divide(bad, d)
+        with pytest.raises(NotDivisibleError):
+            other(bad, c)
+
+
+@pytest.mark.parametrize("ring", BLOCK_RINGS)
+def test_division_across_zero_blocks(ring, lines):
+    # d1^N puts the cofactor's two parts far apart on the line, so the blocks
+    # between them have a zero remainder and a zero quotient
+    rng = np.random.default_rng(29)
+    d = random_polynomial(ring, 2, 6, rng)
+    c = ring.d(1) ** 1000 * random_polynomial(ring, 3, 8, rng) + random_polynomial(ring, 3, 8, rng)
+    assert right_cofactor(d * c, d) == c
+    assert left_cofactor(c * d, d) == c
+    assert all(n >= 3 * len_d for len_d, n in lines)
+
+
+def test_short_divisor_costs_about_root_n_blocks(monkeypatch):
+    # (d1 + 1) divides d1^N + 1 for odd N, and the cofactor is dense; blocks no
+    # shorter than sqrt(n) keep the products near 2 sqrt(n), not n
+    calls = []
+    real = backend._product
+    monkeypatch.setattr(backend, "_product", lambda *a: calls.append(1) or real(*a))
+    N = 40001
+    h, d = SKEW.poly({(N, 0): 1, (0, 0): 1}), SKEW.d(1) + 1
+    want = SKEW.poly({(e, 0): 1 if e % 2 == 0 else SKEW.p - 1 for e in range(N)})
+    for divide in (right_cofactor, left_cofactor):
+        calls.clear()
+        assert divide(h, d) == want
+        assert len(calls) < 3 * isqrt(N)
 
 
 def test_three_pass_chain_identity():

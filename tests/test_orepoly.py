@@ -115,6 +115,30 @@ def test_skew_mul_matches_oracle_in_more_variables():
             assert f * g == skew_mul_oracle(f, g)
 
 
+@pytest.mark.parametrize("spec", [f125_spec(), FieldSpec(13, 2, (11, 0, 1))], ids=["F125", "F169"])
+def test_product_at_the_top_of_the_exactness_bound(spec):
+    # every cell holds q - 1, whose digits are all p - 1, so output cells sum
+    # about k(p-1)^2 * min(|f|, |g|) digit products (48 * 2000 in F_125, 288 *
+    # 2000 in F_169, the largest k(p-1)^2 of any field with q <= 256 and k > 1)
+    ring = skew_ring(spec, (1, 1))
+    c, k, lf, lg = spec.q - 1, spec.k, 3000, 2000
+    f = ring.poly({(e, 0): c for e in range(lf)})
+    g = ring.poly({(e, 0): c for e in range(lg)})
+    # cell t of f*g sums c * F^e(c) over e in [t - lg + 1, t] within [0, lf),
+    # and F^e depends on e mod k only: the oracle gives the k distinct terms
+    term = [spec.from_index(skew_mul_oracle(ring.poly({(r, 0): c}), ring.poly({(0, 0): c})).terms[(r, 0)])
+            for r in range(k)]
+    want = {}
+    for t in range(lf + lg - 1):
+        lo, hi = max(0, t - lg + 1), min(t, lf - 1)
+        cell = spec.zero()
+        for r in range(k):
+            cell = cell + term[r] * len(range(lo + (r - lo) % k, hi + 1, k))
+        if not cell.is_zero():
+            want[(t, 0)] = cell.index
+    assert f * g == ring.poly(want)
+
+
 @pytest.mark.parametrize("make", [
     # (d1^100 + d2^100)(d3^100 + d4^100) needs a 101^4-cell grid
     pytest.param(lambda: SKEW4.poly({(100, 0, 0, 0): 1, (0, 100, 0, 0): 2})
@@ -305,17 +329,20 @@ def test_sums_that_cancel_are_trimmed(ring):
     rng = np.random.default_rng(20)
     for _ in range(15):
         a = _as_grid(random_polynomial(ring, 8, 30, rng))
-        top_a = max(e[0] for e in a.terms)
-        # b cancels a's top d1 row and adds terms lower down
-        row = {e: c for e, c in a.terms.items() if e[0] == top_a}
-        b = -ring.poly(row) + random_polynomial(ring, 3, 4, rng)
-        for g in (b, _as_grid(b)):
-            s = a + g
-            want = skew_add_oracle(a, b)
-            assert s == want
-            assert s.grid.shape == want.grid.shape  # want's grid comes from its dict
-            assert np.array_equal(s.grid, want.grid)
-            assert s.d_degrees() == want.d_degrees()
+        top = [{e: c for e, c in a.terms.items() if e[i] == a.grid.shape[i] - 1} for i in (0, 1)]
+        # b cancels a's top d1 row and adds terms lower down, or cancels a's
+        # top row on one axis and reaches above a on the other, where nothing
+        # of a can cancel it
+        for b in (-ring.poly(top[0]) + random_polynomial(ring, 3, 4, rng),
+                  -ring.poly(top[0]) + ring.d(2) ** a.grid.shape[1],
+                  -ring.poly(top[1]) + ring.d(1) ** a.grid.shape[0]):
+            for g in (b, _as_grid(b)):
+                s = a + g
+                want = skew_add_oracle(a, b)
+                assert s == want
+                assert s.grid.shape == want.grid.shape  # want's grid comes from its dict
+                assert np.array_equal(s.grid, want.grid)
+                assert s.d_degrees() == want.d_degrees()
         for zero in (a + (-a), a - _as_grid(a), _as_grid(a) + (-ring.poly(dict(a.terms)))):
             assert zero.is_zero() and not zero and len(zero) == 0
             assert zero == ring.zero() and zero.total_degree() is None

@@ -240,7 +240,7 @@ def _right_quotient(tab, s: int, D: np.ndarray, H: np.ndarray, n: int) -> np.nda
     transformed once for every block.  m >= sqrt(n) holds a short divisor to
     about sqrt(n) blocks.  R is exact: its being zero proves D*Q = H."""
     m = min(n, max(len(D), isqrt(n)))
-    size = _smooth(max(len(D), m) + m - 1)
+    size = _smooth(max(len(D), m) + m - 1)  # D or y times a block, unwrapped
     _check_cells((size,))
     y = _series_inverse(tab, s, D, m)
     y_hat, d_hat = _spectra(tab, s, y, size), _spectra(tab, s, D, size)

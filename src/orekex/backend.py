@@ -12,6 +12,14 @@ divisor are transformed once, each block costs two products against those
 cached spectra, and the exact remainder must be zero at the end.  There is
 no other implementation.
 
+The convolution packs output digits.  Every exact digit sum of a product
+is below B = 2^b, b set by the field and the smaller operand's cell count,
+so s digits share one float64 plane as sum_j B^j r_j with B^s at most
+2^``PACKED_BITS`` (:func:`_packing`).  A product in F_{p^k} then takes k
+forward transforms of its right operand, k * ceil(k/s) of its left one
+(made once when cached) and ceil(k/s) inverse ones: in F_125, 7 for small
+operands (s = 3) and 11 at the protocols' sizes (s = 2) instead of 15.
+
 A skew value's grid is the array these kernels convolve: cell e holds the
 coefficient index of d^e, the origin is d^0 and every axis ends at the
 value's highest exponent on it (see :class:`orekex.orepoly.OrePolynomial`).
@@ -30,6 +38,7 @@ of ``d1^N`` in an input file cannot buy unbounded time or memory.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, repeat
 from math import isqrt, prod
 from operator import mul
@@ -44,9 +53,19 @@ from .fields import tables_for
 # allocates nothing longer than its Kronecker line, about sigma_n times the
 # cells of the dividend's exponent box.  A three-pass at the paper's largest
 # tuple (50, 5, 50) needs 1.04M cells (a product) and a 0.99M-cell line; the
-# tests build at most 0.36M (a product), the benchmark 64,000 (a product)
-# and a 61,000-cell line.
+# tests build at most 1.13M (a product of 600,000 x 524,288 cells in F_4),
+# the benchmark 64,000 (a product) and a 61,000-cell line.
 MAX_GRID_CELLS = 1 << 22
+
+# Bits a packed output cell of the convolution core may use (see _packing).
+# Within MAX_GRID_CELLS an exact digit sum needs at most 31 bits (F_169), and
+# s digits packed into one cell stay below 2^40.  That leaves 13 of float64's
+# 53 bits for the transforms' rounding error, which grows with the magnitude
+# of the result (C. Percival, Math. Comp. 72, 2003) and must stay below 1/4.
+# The largest residue measured was 7.3e-4, on all-maximal-digit operands of
+# 2,000,000 x 20,000 cells in F_125 (B = 2^20, 2 digits a cell) and of
+# 4,000,000 x 3,640 in F_169; a kex session's largest was 3.8e-6.
+PACKED_BITS = 40
 
 
 def _check_cells(shape) -> None:
@@ -118,44 +137,83 @@ def _smooth(n: int) -> int:
     return n
 
 
-def _product(tab, left, g: np.ndarray, size, crop) -> np.ndarray:
-    """The skew product f*g cut to ``crop``, from f's spectra at the transform
-    ``size``: ``left(i, l)`` is that of f's grid filled with
-    ``twist_digits[f, t, i, l]``, t = sigma.e mod k at cell e.
+def _packing(tab, cells: int):
+    """How a product packs its output digits when its smaller operand has
+    ``cells`` cells: (b, s, table).  Every exact digit sum of the product is
+    at most k*(p-1)^2*cells < B = 2^b, so the s = min(k, PACKED_BITS // b)
+    (at least 1) digits i0..i0+s-1 share one plane sum_j B^j * digit_(i0+j)
+    without carries; table[c, t, j, l] is that plane's cell for
+    ``twist_digits[c, t, i, l]``, i running over the digits of group j."""
+    return _packed(tab, (tab.spec.k * (tab.spec.p - 1) ** 2 * cells).bit_length())
+
+
+@lru_cache(maxsize=64)  # b <= 31 in every field (see PACKED_BITS)
+def _packed(tab, b: int):
+    kf = tab.spec.k
+    s = min(kf, max(1, PACKED_BITS // b))
+    i = np.arange(kf)
+    weight = np.zeros((-(-kf // s), kf))
+    weight[i // s, i] = 2.0 ** (b * (i % s))
+    table = weight @ tab.twist_digits
+    table.flags.writeable = False
+    return b, s, table
+
+
+def _product(tab, pack, left, g: np.ndarray, size, crop) -> np.ndarray:
+    """The skew product f*g cut to ``crop``, from f's packed spectra at the
+    transform ``size``: ``left(j, l)`` is that of f's grid filled with
+    ``table[f, t, j, l]``, t = sigma.e mod k at cell e, for the (b, s, table)
+    ``pack`` of :func:`_packing`.
 
     c1 * Frobenius^t(c2) is F_p-bilinear in the digits of c1 and c2, so
     output digit i is (sum_l H_il * G_l) mod p: G_l is g's digit-l grid, H_il
-    the grid of ``left(i, l)`` and * an n-dimensional convolution, done by
-    real FFTs in float64.  Every exact cell sum is at most
-    k*(p-1)^2*min(|f|, |g|) (48*min in F_125), far below 2^53; a rounding
-    residue of 1/4 or more raises OreKexError.
+    the grid of ``twist_digits[f, t, i, l]`` and * an n-dimensional
+    convolution, done by real FFTs in float64.  Every exact cell sum r_i is
+    at most k*(p-1)^2*min(|f|, |g|) < B (48*min in F_125), so one inverse
+    transform gives s digits at once as sum_j B^j r_(i0+j) < B^s <=
+    2^PACKED_BITS, and k/s rounded up transforms give all k.  The bound
+    holds cell by cell, also for a cyclic product whose wrapped cells sum
+    two ranges of pairs, so no cell carries into another.  Above a packed
+    cell's 40 bits float64 keeps 13 for the rounding error, whose largest
+    measured residue is 7.3e-4 (see ``PACKED_BITS``); a residue of 1/4 or
+    more raises OreKexError.
     """
     p, kf = tab.spec.p, tab.spec.k
+    b, s, _ = pack
+    base = 2.0 ** b
     axes = tuple(range(len(size)))
     g_hat = [np.fft.rfftn(g // p ** l % p, size, axes) for l in range(kf)]
     term = np.empty_like(g_hat[0])
     out = np.zeros(crop, dtype=tab.dtype)
     cut = tuple(slice(c) for c in crop)
-    for i in range(kf):
-        acc = left(i, 0) * g_hat[0]
+    for j, i0 in enumerate(range(0, kf, s)):
+        acc = left(j, 0) * g_hat[0]
         for l in range(1, kf):
-            acc += np.multiply(left(i, l), g_hat[l], out=term)
+            acc += np.multiply(left(j, l), g_hat[l], out=term)
         v = np.fft.irfftn(acc, size, axes)[cut]
         del acc
         r = np.rint(v)
         if np.abs(np.subtract(v, r, out=v), out=v).max() >= 0.25:
             raise OreKexError("skew product lost exactness in floating point")
-        # r is an integer in [0, 2^53): r/p rounds to no integer above its floor
-        r -= p * np.floor(r / p)
-        out += (r * p ** i).astype(tab.dtype)
-        del v, r  # few transforms alive at once, none while the caller decodes
+        del v  # few transforms alive at once, none while the caller decodes
+        last = min(i0 + s, kf) - 1
+        for i in range(i0, last + 1):
+            # r is an integer below 2^PACKED_BITS: r/B is exact, B being a
+            # power of two, and r/p rounds to no integer above its floor
+            d = r
+            if i < last:
+                r = np.floor(r / base)
+                d -= base * r
+            d -= p * np.floor(d / p)
+            out += (d * p ** i).astype(tab.dtype)
     return out
 
 
 def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray:
     """The skew product f*g of two coefficient-index grids, cut to ``crop``
-    (default: the whole product), by :func:`_product` with f's spectra made
-    one at a time; the padded transform must fit in ``MAX_GRID_CELLS``."""
+    (default: the whole product), by :func:`_product` with f's packed
+    spectra made one at a time; the padded transform must fit in
+    ``MAX_GRID_CELLS``."""
     full = [a + b - 1 for a, b in zip(f.shape, g.shape)]
     crop = full if crop is None else crop
     if not f.size or not g.size:  # an empty half of a one-cell quotient
@@ -167,8 +225,8 @@ def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray
     kf, axes = tab.spec.k, tuple(range(f.ndim))
     twist = sum(np.ix_(*[(np.arange(n) * s % kf).astype(np.uint8)
                          for n, s in zip(f.shape, sigma)])) % kf
-    coeff = tab.twist_digits[f, twist]  # [..., i, l]
-    return _product(tab, lambda i, l: np.fft.rfftn(coeff[..., i, l], size, axes),
+    pack = _packing(tab, min(f.size, g.size))
+    return _product(tab, pack, lambda j, l: np.fft.rfftn(pack[2][f, twist, j, l], size, axes),
                     g, size, crop)
 
 
@@ -209,10 +267,10 @@ def low_corner(ring, f: np.ndarray, g: np.ndarray) -> np.ndarray:
 # twist absorbs the shift of each line to x^0.  A left cofactor is a right
 # one in the opposite ring, which a -> F^-i(a) on x^i maps onto F_q[x; F^-1].
 
-def _spectra(tab, s: int, f: np.ndarray, size: int):
-    """``left`` of :func:`_product` for a line f of F_q[x; F^s], all k^2
+def _spectra(tab, s: int, f: np.ndarray, size: int, pack):
+    """``left`` of :func:`_product` for a line f of F_q[x; F^s], all packed
     spectra made at once, so that many products can share them."""
-    twisted = tab.twist_digits[f, np.arange(len(f)) * s % tab.spec.k]
+    twisted = pack[2][f, np.arange(len(f)) * s % tab.spec.k]
     F = np.fft.rfft(np.moveaxis(twisted, 0, -1), size)
     return lambda i, l: F[i, l]
 
@@ -226,8 +284,9 @@ def _series_inverse(tab, s: int, u: np.ndarray, n: int) -> np.ndarray:
     # u*y = 1 + O(x^len(y)), and y*(1 - u*y) is y times the negated top of
     # u*y, shifted up.  A cyclic u*y of length >= n wraps its top below
     # len(y), where nothing reads it
-    size = _smooth(n)
-    top = tab.neg[_product(tab, _spectra(tab, s, u[:n], size), y, (size,), (n,))[len(y):]]
+    size, pack = _smooth(n), _packing(tab, len(y))
+    top = tab.neg[_product(tab, pack, _spectra(tab, s, u[:n], size, pack), y,
+                           (size,), (n,))[len(y):]]
     return np.concatenate([y, _convolve(tab, (s,), y[:n - len(y)], top, (n - len(y),))])
 
 
@@ -243,14 +302,16 @@ def _right_quotient(tab, s: int, D: np.ndarray, H: np.ndarray, n: int) -> np.nda
     size = _smooth(max(len(D), m) + m - 1)  # D or y times a block, unwrapped
     _check_cells((size,))
     y = _series_inverse(tab, s, D, m)
-    y_hat, d_hat = _spectra(tab, s, y, size), _spectra(tab, s, D, size)
+    pack = _packing(tab, m)  # a block has at most m cells
+    y_hat, d_hat = _spectra(tab, s, y, size, pack), _spectra(tab, s, D, size, pack)
     R, Q = H.copy(), np.zeros(n, dtype=tab.dtype)
     for o in range(0, n, m):
         b = min(m, n - o)
         if R[o:o + b].any():  # else the block of Q is zero
-            Q[o:o + b] = _product(tab, y_hat, R[o:o + b], (size,), (b,))
+            Q[o:o + b] = _product(tab, pack, y_hat, R[o:o + b], (size,), (b,))
             cut = slice(o, o + len(D) + b - 1)
-            R[cut] = tab.sub[R[cut], _product(tab, d_hat, Q[o:o + b], (size,), (cut.stop - o,))]
+            R[cut] = tab.sub[R[cut], _product(tab, pack, d_hat, Q[o:o + b], (size,),
+                                                    (cut.stop - o,))]
     if R.any():
         raise NotDivisibleError("the divisor does not divide exactly")
     return Q

@@ -105,8 +105,9 @@ def _load_params(path: str, keys) -> tuple[PublicParameters, list]:
     ring, nu, public_l, left, right, *values = _load(path, PARAMS_KEYS + keys)
     # Refused before a coefficient is drawn: each exponent's top adds under a
     # product, so f(P) lies in the box of nu times P's tops.  That box is the
-    # last skew Horner product's grid; each of the nu - 1 weyl Horner
-    # products pairs at most its terms with P's, charged one Leibniz step each.
+    # grid of P^nu, the last skew power product; each of the nu - 1 weyl
+    # power products pairs at most its terms with P's, charged one Leibniz
+    # step each.
     shown = serial._quote(str(nu))
     for gen in (left, right):
         box = prod(nu * max(col) + 1 for col in zip(*gen.terms))

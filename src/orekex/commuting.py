@@ -44,14 +44,13 @@ class ConstantPolynomial:
         return len(self.coeffs) - 1
 
     def evaluate_at(self, point: OrePolynomial) -> OrePolynomial:
-        """Horner evaluation f(point); constants are central so the side
-        of the multiplication does not matter."""
+        """f(point) as sum_i f_i * point^i, from the powers that ``point``
+        keeps (:meth:`OrePolynomial.power_sum`): every key drawn from one
+        pool shares them.  Constants are central, so the side of each
+        scaling does not matter."""
         if point.ring.p != self.p:
             raise OreKexError("coefficients do not embed in the ring's constants")
-        acc = point.ring.constant(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * point + point.ring.constant(c)
-        return acc
+        return point.power_sum(self.coeffs)
 
     __call__ = evaluate_at
 

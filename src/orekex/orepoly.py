@@ -20,7 +20,8 @@ and every axis ends at the value's highest exponent on it, so it is
 trimmed.  Products and sums of skew values hold grids only; a value made
 from a dict (the parser, :func:`random_polynomial`, constants) builds its
 grid when a product first needs it, and a grid-held value builds its
-``terms`` when a caller first reads them.  Both are cached.
+``terms`` when a caller first reads them.  Both are cached, and so are the
+powers that :meth:`OrePolynomial.power_sum` makes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .rings import OreRing
 
 
 class OrePolynomial:
-    __slots__ = ("ring", "_terms", "_grid")
+    __slots__ = ("ring", "_terms", "_grid", "_powers")
 
     def __init__(self, ring: OreRing, terms: dict):
         clean = {}
@@ -63,6 +64,7 @@ class OrePolynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_powers", None)
 
     @classmethod
     def _raw(cls, ring: OreRing, terms: dict) -> "OrePolynomial":
@@ -245,6 +247,40 @@ class OrePolynomial:
             n >>= 1
         return acc
 
+    def power_sum(self, coeffs) -> "OrePolynomial":
+        """sum_i c_i * self^i for integers c_i, taken mod p, c_0 the constant
+        term.  The powers are made once, one product each, and kept with the
+        value, so every evaluation at it shares them.  In a skew ring each
+        power's grid is scaled into the box of the highest: the boxes are
+        nested, and the highest power's top slices pass into the sum times
+        its nonzero coefficient, so the sum is trimmed."""
+        ring, p = self.ring, self.ring.p
+        c0, *coeffs = [c % p for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        if not self or not coeffs:
+            return ring.constant(c0)
+        if self._powers is None:
+            object.__setattr__(self, "_powers", [])  # self^2, self^3, ...
+        powers = [self] + self._powers
+        while len(powers) < len(coeffs):
+            powers.append(powers[-1] * self)
+            self._powers.append(powers[-1])
+        pairs = [(c, h) for c, h in zip(coeffs, powers) if c]
+        if ring.is_weyl:
+            out = {(0,) * ring.exp_len: c0}
+            for c, h in pairs:
+                for e, v in h._terms.items():
+                    out[e] = (out.get(e, 0) + c * v) % p
+            return OrePolynomial._raw(ring, {e: v for e, v in out.items() if v})
+        tab = tables_for(ring.field)
+        out = np.zeros(pairs[-1][1].grid.shape, dtype=tab.dtype)
+        out.flat[0] = c0  # a scalar of F_p is its own coefficient index
+        for c, h in pairs:
+            box = tuple(map(slice, h.grid.shape))
+            out[box] = tab.add[out[box], tab.mul[c, h.grid]]
+        return OrePolynomial._of_grid(ring, out if out.any() else None)
+
     def commutes_with(self, other: "OrePolynomial") -> bool:
         other = self._coerce(other)
         self._check(other)
@@ -301,15 +337,31 @@ class OrePolynomial:
 # tests 77,378, in the benchmark 14,984.
 MAX_WEYL_STEPS = 1_000_000
 _INT64_MAX = np.iinfo(np.int64).max
+_DICT_CHUNK = 1 << 16
 
 
 def _weyl_mul(ring: OreRing, f: dict, g: dict) -> dict:
-    """Weyl product of two nonzero term dicts, all pairs of terms at once on
-    int64 arrays, by d^w x^e = sum_k C(w,k) C(e,k) k! x^(e-k) d^(w-k) in each
-    variable.  Mod p that factor is w(w-1)..(w-k+1) e(e-1)..(e-k+1) / k!, zero
-    once k passes w mod p or e mod p, so a pair expands into k = 0..min(w mod
-    p, e mod p), all < p, with running products as factors.  OreKexError when
-    the steps pass ``MAX_WEYL_STEPS``, or an exponent or key passes int64."""
+    """Weyl product of two nonzero term dicts (see :func:`_weyl_sums`), built
+    in chunks: the Python lists of one chunk are all it holds besides the
+    dict's own entries, and the expansion's arrays are gone by then."""
+    key, coef, box, lo = _weyl_sums(ring, f, g)
+    out = {}
+    for at in range(0, len(key), _DICT_CHUNK):
+        exps = np.unravel_index(key[at:at + _DICT_CHUNK], box)
+        out.update(zip(zip(*((col + l).tolist() for col, l in zip(exps, lo))),
+                       coef[at:at + _DICT_CHUNK].tolist()))
+    return out
+
+
+def _weyl_sums(ring: OreRing, f: dict, g: dict):
+    """The Weyl product of two nonzero term dicts as (keys, coefficients, box,
+    lo): its nonzero terms at flat indices of the output box, counted from
+    lo.  All pairs of terms are taken at once on int64 arrays, by d^w x^e =
+    sum_k C(w,k) C(e,k) k! x^(e-k) d^(w-k) in each variable.  Mod p that
+    factor is w(w-1)..(w-k+1) e(e-1)..(e-k+1) / k!, zero once k passes w mod
+    p or e mod p, so a pair expands into k = 0..min(w mod p, e mod p), all
+    < p, with running products as factors.  OreKexError when the steps pass
+    ``MAX_WEYL_STEPS``, or an exponent or key passes int64."""
     p, n = ring.p, ring.n
     (ef, cf), (eg, cg) = backend.terms_to_coo(f, np.int64), backend.terms_to_coo(g, np.int64)
     # pair (a, b) takes prod_i (min(w_i, e_i) + 1) >= 1 steps, so the pair
@@ -355,9 +407,7 @@ def _weyl_mul(ring: OreRing, f: dict, g: dict) -> dict:
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     sums = np.add.reduceat(coef, first) % p
     keep = sums != 0
-    exps = np.unravel_index(key[first[keep]], box)
-    return dict(zip(zip(*((col + l).tolist() for col, l in zip(exps, lo))),
-                    sums[keep].tolist()))
+    return key[first[keep]], sums[keep], box, lo
 
 
 def _random_composition(total: int, slots: int, rng) -> tuple[int, ...]:
@@ -365,6 +415,12 @@ def _random_composition(total: int, slots: int, rng) -> tuple[int, ...]:
         return (total,)
     if total == 0:
         return (0,) * slots
+    if slots == 2:
+        # the same draw as below: choice(n, size=1, replace=False) runs one
+        # step of Floyd's loop, a bounded draw on [0, n - 1], and shuffling
+        # one element draws nothing
+        c = int(rng.integers(0, total + 1))
+        return (c, total - c)
     cuts = sorted(int(c) for c in rng.choice(total + slots - 1, size=slots - 1, replace=False))
     exps = []
     prev = -1

@@ -210,7 +210,8 @@ def degree_profile(h: OrePolynomial) -> DegreeProfile:
 
 def skew_mul_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
     """Skew product via FieldElement arithmetic and one-automorphism-at-a-time
-    twisting; a separate route from the table kernels."""
+    twisting; a separate route from the table kernels.  Frobenius^k is the
+    identity on F_{p^k}, so d_i^e twists by e mod k steps of sigma_i."""
     ring = f.ring
     spec = ring.field
     out = {}
@@ -220,7 +221,7 @@ def skew_mul_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
             val = spec.from_index(c2)
             for i, times in enumerate(e1):
                 phi = spec.frobenius(ring.sigma_powers[i])
-                for _ in range(times):
+                for _ in range(times % spec.k):
                     val = phi(val)
             key = tuple(a + b for a, b in zip(e1, e2))
             out[key] = out.get(key, spec.zero()) + fe1 * val

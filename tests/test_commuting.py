@@ -52,6 +52,24 @@ def test_horner_matches_naive_power_sum():
             assert f(P) == naive
 
 
+def test_pool_evaluations_share_their_powers(full_products):
+    # P's powers are made once, one product each, and every later key drawn
+    # at P reuses them
+    rng = np.random.default_rng(4)
+    P = random_polynomial(SKEW, 3, 6, rng)
+    keys = [random_constant_polynomial(SKEW.p, 10, rng) for _ in range(3)]
+    values = [f(P) for f in keys]
+    assert len(full_products) == 9
+    for f, value in zip(keys, values):
+        naive = SKEW.zero()
+        for i, c in enumerate(f.coeffs):
+            naive = naive + SKEW.constant(c) * P ** i
+        assert value == naive
+    # at a constant point the sum can vanish, and must then be the zero value
+    for ring in (SKEW, WEYL):
+        assert ConstantPolynomial(ring.p, (1, 1))(ring.constant(ring.p - 1)) == ring.zero()
+
+
 def test_pool_elements_commute_pairwise():
     rng = np.random.default_rng(3)
     for ring in (SKEW, WEYL):

@@ -212,6 +212,46 @@ def test_division_across_zero_blocks(ring, lines):
     assert all(n >= 3 * len_d for len_d, n in lines)
 
 
+@pytest.mark.parametrize("ring", [
+    pytest.param(skew_ring(f125_spec(), (1, 1)), id="F125"),
+    pytest.param(skew_ring(FieldSpec(13, 2, (11, 0, 1)), (1, 1)), id="F169"),
+    pytest.param(skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1)), id="F4"),
+    pytest.param(skew_ring(f125_spec(), (1, 2, 1)), id="three-variable"),
+])
+def test_division_with_packed_newton_and_block_products(ring, monkeypatch):
+    # Newton levels and blocks of at most 170 cells pack 3 digits a transform
+    # in F_125, larger ones 2: a short divisor makes only the first kind, a
+    # longer one both; the fields with k = 2 pack both of their digits
+    slots = set()
+    real = backend._packing
+
+    def spy(tab, cells):
+        pack = real(tab, cells)
+        slots.add(pack[1])
+        return pack
+
+    monkeypatch.setattr(backend, "_packing", spy)
+    rng = np.random.default_rng(30)
+    for short in (4, 12):
+        d = random_polynomial(ring, short, 15 * (short // 4), rng)
+        c = random_polynomial(ring, 30, 60, rng)
+        for right in (True, False):
+            h = skew_mul_oracle(d, c) if right else skew_mul_oracle(c, d)
+            divide, other = (right_cofactor, left_cofactor) if right else (left_cofactor, right_cofactor)
+            assert divide(h, d) == c and other(h, c) == d
+            # a new coefficient on the term in the middle of the line
+            pos = _line_positions(h)
+            e = sorted(h.terms, key=pos.get)[len(h) // 2]
+            bad = dict(h.terms)
+            bad[e] = bad[e] % (ring.n_coeff_values - 1) + 1
+            bad = ring.poly(bad)
+            with pytest.raises(NotDivisibleError):
+                divide(bad, d)
+            with pytest.raises(NotDivisibleError):
+                other(bad, c)
+    assert slots == ({2, 3} if ring.field.k == 3 else {2})
+
+
 def test_short_divisor_costs_about_root_n_blocks(monkeypatch):
     # (d1 + 1) divides d1^N + 1 for odd N, and the cofactor is dense; blocks no
     # shorter than sqrt(n) keep the products near 2 sqrt(n), not n

@@ -1,5 +1,5 @@
 import tracemalloc
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import pytest
 from orekex import (FieldSpec, OreKexError, OrePolynomial, RingMismatchError,
                     backend, orepoly, f125_spec, left_cofactor, random_polynomial, right_cofactor,
                     ring_by_name, skew_ring, weyl_ring)
+from orekex.fields import tables_for
 from orekex.monomials import grevlex_key
 
 from helpers import degree_profile, skew_add_oracle, skew_mul_oracle, weyl_mul_oracle
@@ -137,6 +138,70 @@ def test_product_at_the_top_of_the_exactness_bound(spec):
         if not cell.is_zero():
             want[(t, 0)] = cell.index
     assert f * g == ring.poly(want)
+
+
+def _all_max_product(ring, f_shape, g_shape) -> np.ndarray:
+    """The grid of f*g for f and g filling the boxes ``f_shape`` and
+    ``g_shape`` with q - 1, whose digits are all p - 1.  Cell t sums
+    c * F^(sigma.a)(c) over the cells a of f's box with t - a in g's, and
+    F^(sigma.a) depends on sigma.a mod k only: cell t is sum_r N_r(t) *
+    c F^r(c), N_r(t) counting those a with sigma.a = r (mod k).  The oracle
+    gives the k values c F^r(c); the counts come per axis, in closed form."""
+    spec, n = ring.field, ring.n
+    p, k, c = spec.p, spec.k, spec.q - 1
+    assert ring.sigma_powers[0] == 1  # d1^r twists by F^r
+    mono = [ring.poly({(r,) + (0,) * (n - 1): c}) for r in range(k)]
+    term = [skew_mul_oracle(mono[r], mono[0]).terms[(r,) + (0,) * (n - 1)] for r in range(k)]
+    term_digits = np.array([[t // p ** i % p for i in range(k)] for t in term])  # [r, i]
+    counts = np.eye(k, dtype=np.int64)[0]  # the empty sum: one way, residue 0
+    m = np.arange(k)
+    for a, b, s in zip(f_shape, g_shape, ring.sigma_powers):
+        t = np.arange(a + b - 1)[:, None]
+        lo, hi = np.maximum(0, t - b + 1), np.minimum(t, a - 1)
+        per_axis = (hi - m) // k - (lo - 1 - m) // k  # [t, m]: a_i in [lo, hi], = m mod k
+        shift = (m[None, :, None] + s * m[:, None, None]) % k == m  # [m, r, r']
+        counts = np.einsum("...r,tm,mrs->...ts", counts, per_axis, shift)
+    digits = (counts % p) @ term_digits % p
+    return digits @ p ** np.arange(k)
+
+
+def _full(ring, shape):
+    # a grid-held value built directly: a 600,000-term dict takes seconds
+    return OrePolynomial._of_grid(
+        ring, np.full(shape, ring.field.q - 1, dtype=tables_for(ring.field).dtype))
+
+
+_F125 = skew_ring(f125_spec(), (1, 1))
+_F125_3 = skew_ring(f125_spec(), (1, 2, 1))
+_F169 = skew_ring(FieldSpec(13, 2, (11, 0, 1)), (1, 1))
+_F4 = skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1))
+
+
+@pytest.mark.parametrize("ring, f_shape, g_shape, slots", [
+    # s digits share a transform while B^s <= 2^40, B = 2^bitlen(k(p-1)^2 *
+    # the smaller operand's cells): in F_125 48*170 < 2^13 <= 48*171 and
+    # 48*21845 < 2^20 <= 48*21846
+    pytest.param(_F125, (5000, 1), (170, 1), 3, id="F125-3"),
+    pytest.param(_F125, (5000, 1), (171, 1), 2, id="F125-2-low"),
+    pytest.param(_F125, (30000, 1), (21845, 1), 2, id="F125-2-high"),
+    pytest.param(_F125, (30000, 1), (21846, 1), 1, id="F125-1"),
+    # 288*3640 < 2^20 <= 288*3641
+    pytest.param(_F169, (5000, 1), (3640, 1), 2, id="F169-2"),
+    pytest.param(_F169, (5000, 1), (3641, 1), 1, id="F169-1"),
+    # 2*524287 < 2^20 <= 2*524288
+    pytest.param(_F4, (600000, 1), (524287, 1), 2, id="F4-2"),
+    pytest.param(_F4, (600000, 1), (524288, 1), 1, id="F4-1"),
+    pytest.param(_F125_3, (9, 10, 11), (2, 5, 17), 3, id="three-variable-3"),
+    pytest.param(_F125_3, (9, 10, 11), (3, 3, 19), 2, id="three-variable-2-low"),
+    pytest.param(_F125_3, (6, 18, 260), (5, 17, 257), 2, id="three-variable-2-high"),
+    pytest.param(_F125_3, (6, 18, 260), (6, 11, 331), 1, id="three-variable-1"),
+])
+def test_packed_products_at_the_slot_thresholds(ring, f_shape, g_shape, slots):
+    # maximal-digit operands on both sides of each threshold, both orders
+    assert backend._packing(tables_for(ring.field), prod(g_shape))[1] == slots
+    f, g = _full(ring, f_shape), _full(ring, g_shape)
+    assert np.array_equal((f * g).grid, _all_max_product(ring, f_shape, g_shape))
+    assert np.array_equal((g * f).grid, _all_max_product(ring, g_shape, f_shape))
 
 
 @pytest.mark.parametrize("make", [

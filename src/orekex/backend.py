@@ -1,45 +1,33 @@
 """Hot kernels for skew rings over the field-index encoding: the product
 of two polynomials and exact one-sided division, both in any number of
-Ore variables.
+Ore variables, on one exact numpy FFT convolution over F_p digits
+(:func:`_product`) and nothing else.  The product (:func:`skew2_mul`) is
+one convolution of the operands' grids.  Division
+(:func:`skew2_right_cofactor`, :func:`skew2_left_cofactor`) maps both
+operands onto one line by a Kronecker substitution and finds the cofactor
+there from the bottom, in blocks, against spectra of the divisor and of
+its Newton inverse made once; the exact remainder must end at zero.
 
-Both rest on one exact numpy FFT convolution over F_p digits
-(:func:`_product`).  The product (:func:`skew2_mul`) is one convolution
-of the operands' grids.  Division (:func:`skew2_right_cofactor`,
-:func:`skew2_left_cofactor`) maps both operands onto one line by a
-Kronecker substitution and finds the cofactor there from the bottom, in
-blocks: the divisor's power-series inverse (by Newton iteration) and the
-divisor are transformed once, each block costs two products against those
-cached spectra, and the exact remainder must be zero at the end.  There is
-no other implementation.
+The convolution packs output digits: every exact digit sum of a product
+is below B = 2^b, b set by the field and the smaller operand's cells, so
+s digits share one float64 plane as sum_j B^j r_j with B^s at most
+2^``PACKED_BITS`` (:func:`_packing`).  In F_125 a product takes 7 real
+FFTs for small operands (s = 3) and 11 at the protocols' sizes (s = 2)
+instead of 15.
 
-The convolution packs output digits.  Every exact digit sum of a product
-is below B = 2^b, b set by the field and the smaller operand's cell count,
-so s digits share one float64 plane as sum_j B^j r_j with B^s at most
-2^``PACKED_BITS`` (:func:`_packing`).  A product in F_{p^k} then takes k
-forward transforms of its right operand, k * ceil(k/s) of its left one
-(made once when cached) and ceil(k/s) inverse ones: in F_125, 7 for small
-operands (s = 3) and 11 at the protocols' sizes (s = 2) instead of 15.
-
-A skew value's grid is the array these kernels convolve: cell e holds the
-coefficient index of d^e, the origin is d^0 and every axis ends at the
-value's highest exponent on it (see :class:`orekex.orepoly.OrePolynomial`).
-The kernels take values and read their grids, so a product's grid goes
-straight into the next product; a ``{exponents: coeff_index}`` dict is
-built only when a caller asks for a value's terms.  Division reads its
-operands' nonzero cells and returns its cofactor as such a dict.
-
-Both kernels work on dense arrays, whose size follows the operands'
-exponents rather than their term counts: the product's grid is the
-output's bounding box, division's line about sigma_n times the cells of
-the dividend's exponent box.  An array over ``MAX_GRID_CELLS`` cells
-raises :class:`OreKexError` before anything is allocated, so a few bytes
-of ``d1^N`` in an input file cannot buy unbounded time or memory.
+A skew value is a pair (lo, grid): its lowest exponent on each axis and
+the trimmed coefficient-index array above it (see
+:class:`orekex.orepoly.OrePolynomial`).  The kernels read and return such
+pairs, and a product's offsets add.  Every dense array follows an exponent
+box, not a term count, so one over ``MAX_GRID_CELLS`` raises
+:class:`OreKexError` before it is allocated, where its value is made: a few
+bytes of ``d1^N`` in an input file cannot buy unbounded time or memory.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from math import isqrt, prod
 from operator import mul
 
@@ -71,61 +59,54 @@ PACKED_BITS = 40
 def _check_cells(shape) -> None:
     if prod(shape) > MAX_GRID_CELLS:
         dims = "x".join(map(str, shape))
-        raise OreKexError(f"operands need a {dims} grid, over the "
-                          f"{MAX_GRID_CELLS}-cell limit of the skew kernels")
+        raise OreKexError(f"a {dims} grid is over the {MAX_GRID_CELLS}-cell limit "
+                          f"of the skew kernels")
 
 
-# -- dict <-> array interchange ----------------------------------------------
+# -- values as (lo, grid) pairs ----------------------------------------------
 
 def terms_to_coo(terms: dict, coeff_dtype):
     """(exponents, coefficients): an int64 (n, terms) array and a vector."""
-    n = len(next(iter(terms)))
-    try:
-        flat = np.fromiter(chain.from_iterable(terms), np.int64, n * len(terms))
-    except OverflowError:
-        raise OreKexError("exponent too large for the int64 kernels") from None
+    n = len(next(iter(terms)))  # a value's exponents fit int64
+    flat = np.fromiter(chain.from_iterable(terms), np.int64, n * len(terms))
     return flat.reshape(-1, n).T.copy(), np.fromiter(terms.values(), coeff_dtype, len(terms))
 
 
-def _to_grid(exps: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    grid = np.zeros(exps.max(1) + 1, dtype=coeffs.dtype)
-    grid[tuple(exps)] = coeffs
-    return grid
+def coo_to_grid(exps: np.ndarray, coeffs: np.ndarray):
+    """(lo, grid) of distinct exponent vectors (an int64 (n, terms) array)
+    and their nonzero coefficients; the box must fit ``MAX_GRID_CELLS``."""
+    low = exps.min(1)
+    lo = low.tolist()
+    shape = [h - l + 1 for h, l in zip(exps.max(1).tolist(), lo)]
+    _check_cells(shape)
+    grid = np.zeros(shape, dtype=coeffs.dtype)
+    grid[tuple(exps - low[:, None])] = coeffs
+    return tuple(lo), grid
 
 
-def terms_to_grid(terms: dict, coeff_dtype) -> np.ndarray:
-    """The grid of a nonzero term dict; its box must fit ``MAX_GRID_CELLS``."""
-    exps, coeffs = terms_to_coo(terms, coeff_dtype)
-    _check_cells((exps.max(1) + 1).tolist())
-    return _to_grid(exps, coeffs)
+def _trim(lo, grid: np.ndarray):
+    """(lo, grid) cut to the box of its nonzero cells; (None, None) when it
+    has none."""
+    axes = range(grid.ndim)
+    used = [np.flatnonzero(grid.any(axis=tuple(j for j in axes if j != i))) for i in axes]
+    if not used[0].size:
+        return None, None
+    return (tuple(l + int(u[0]) for l, u in zip(lo, used)),
+            grid[tuple(slice(u[0], u[-1] + 1) for u in used)])
 
 
-def grid_to_terms(grid: np.ndarray) -> dict:
-    # row by row: short lists keep the transient memory of a large dict small
-    terms = {}
-    for a, row in enumerate(grid):
-        idx = np.nonzero(row)
-        terms.update(zip(zip(repeat(a), *(i.tolist() for i in idx)), row[idx].tolist()))
-    return terms
-
-
-def grid_sum(tab, f: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """f + g over their union box, trimmed; None when the sum is zero.  Both
-    grids are trimmed, so only an axis where they end together can shrink:
-    on any other the longer one's top slice passes into the sum unchanged."""
-    shape = [max(a, b) for a, b in zip(f.shape, g.shape)]
+def scaled_sum(tab, parts):
+    """(lo, grid) of sum c*v over pairs of a scalar of F_p and a nonzero value,
+    trimmed; (None, None) when zero.  The union box must fit the cell limit."""
+    ends = [[a + s for a, s in zip(v.lo, v.grid.shape)] for _, v in parts]
+    lo = [min(col) for col in zip(*(v.lo for _, v in parts))]
+    shape = [max(col) - a for col, a in zip(zip(*ends), lo)]
+    _check_cells(shape)
     out = np.zeros(shape, dtype=tab.dtype)
-    out[tuple(map(slice, f.shape))] = f
-    cut = tuple(map(slice, g.shape))
-    out[cut] = tab.add[out[cut], g]
-    axes = range(out.ndim)
-    for i in axes:
-        if f.shape[i] == g.shape[i]:
-            top = np.flatnonzero(out.any(axis=tuple(j for j in axes if j != i)))
-            if not top.size:
-                return None
-            shape[i] = top[-1] + 1
-    return out[tuple(map(slice, shape))]
+    for c, v in parts:
+        cut = tuple(slice(a - b, a - b + s) for a, b, s in zip(v.lo, lo, v.grid.shape))
+        out[cut] = tab.add[out[cut], tab.mul[c, v.grid]]
+    return _trim(lo, out)
 
 
 # -- the convolution core ----------------------------------------------------------
@@ -209,10 +190,11 @@ def _product(tab, pack, left, g: np.ndarray, size, crop) -> np.ndarray:
     return out
 
 
-def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray:
+def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None, t0: int = 0) -> np.ndarray:
     """The skew product f*g of two coefficient-index grids, cut to ``crop``
     (default: the whole product), by :func:`_product` with f's packed
-    spectra made one at a time; the padded transform must fit in
+    spectra made one at a time; ``t0`` is the twist of f's cell 0, so cell
+    e twists by t0 + sigma.e.  The padded transform must fit in
     ``MAX_GRID_CELLS``."""
     full = [a + b - 1 for a, b in zip(f.shape, g.shape)]
     crop = full if crop is None else crop
@@ -223,8 +205,8 @@ def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray
     size = [_smooth(n) for n in size]
     _check_cells(size)
     kf, axes = tab.spec.k, tuple(range(f.ndim))
-    twist = sum(np.ix_(*[(np.arange(n) * s % kf).astype(np.uint8)
-                         for n, s in zip(f.shape, sigma)])) % kf
+    twist = (sum(np.ix_(*[(np.arange(n) * s % kf).astype(np.uint8)
+                          for n, s in zip(f.shape, sigma)])) + t0) % kf
     pack = _packing(tab, min(f.size, g.size))
     return _product(tab, pack, lambda j, l: np.fft.rfftn(pack[2][f, twist, j, l], size, axes),
                     g, size, crop)
@@ -232,28 +214,39 @@ def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None) -> np.ndarray
 
 # -- multiplication ------------------------------------------------------------
 
+def _twist(ring, lo) -> int:
+    """Frobenius power that moving d^lo past a coefficient applies."""
+    return sum(map(mul, ring.sigma_powers, lo)) % ring.field.k
+
+
 def skew2_mul(ring, f, g):
     """Product f*g of two nonzero values of a skew ring with any number of
     Ore variables; moving d^e of f past a coefficient of g applies
     Frobenius^t, t = sigma_powers.e mod k.  One call of the convolution core
-    on the operands' grids; the output grid must fit in ``MAX_GRID_CELLS``.
-    Each axis's top exponents add in a domain, so the product of two
-    trimmed grids is trimmed."""
-    tab = tables_for(ring.field)
-    return type(f)._of_grid(ring, _convolve(tab, ring.sigma_powers, f.grid, g.grid))
+    on the operands' grids, whose offsets add; the output grid must fit in
+    ``MAX_GRID_CELLS`` and its top exponents in int64.  Each axis's lowest
+    and highest exponents add in a domain, so the product of two trimmed
+    grids is trimmed."""
+    lo = [a + b for a, b in zip(f.lo, g.lo)]
+    if max(a + s + t - 2 for a, s, t in zip(lo, f.grid.shape, g.grid.shape)) >= 1 << 63:
+        raise OreKexError("exponent too large for the int64 kernels")
+    grid = _convolve(tables_for(ring.field), ring.sigma_powers, f.grid, g.grid,
+                     t0=_twist(ring, f.lo))
+    return type(f)._of(ring, grid=grid, lo=tuple(lo))
 
 
 # Side of the low corner of f*g and g*f that commutation is decided on first.
 CORNER = 8
 
 
-def low_corner(ring, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Cells below CORNER on every axis of the product of grids f and g.
-    Cell e of a skew product reads only operand cells <= e, so the corner
-    comes from the operands cut to it."""
-    cut = (slice(CORNER),) * f.ndim
-    return _convolve(tables_for(ring.field), ring.sigma_powers, f[cut], g[cut],
-                     (CORNER,) * f.ndim)
+def low_corner(ring, f, g) -> np.ndarray:
+    """Cells below CORNER on every axis of the grid of f*g, for nonzero
+    values f and g.  Cell e of a skew product reads only operand cells <= e,
+    so the corner comes from the operands cut to it; f*g and g*f share
+    their offset."""
+    cut = (slice(CORNER),) * f.grid.ndim
+    return _convolve(tables_for(ring.field), ring.sigma_powers, f.grid[cut], g.grid[cut],
+                     (CORNER,) * f.grid.ndim, _twist(ring, f.lo))
 
 
 # -- exact division ------------------------------------------------------------
@@ -317,20 +310,15 @@ def _right_quotient(tab, s: int, D: np.ndarray, H: np.ndarray, n: int) -> np.nda
     return Q
 
 
-def _line(exps: np.ndarray, coeffs: np.ndarray, w, lo):
-    """Terms at x^(w.(e - lo)) shifted down to start at x^0, and the shift."""
-    pos = np.array(w) @ (exps - np.array(lo)[:, None])
+def _line(grid: np.ndarray, w):
+    """A grid's nonzero cells at x^(w.e), shifted down to start at x^0, and
+    the shift."""
+    idx = np.nonzero(grid)
+    pos = np.array(w, dtype=np.int64) @ np.array(idx, dtype=np.int64)
     low = int(pos.min())
-    return _to_grid(pos[None] - low, coeffs), low
-
-
-def _coo(poly, coeff_dtype):
-    """(exponents, coefficients) of a nonzero value, read from its grid when
-    it holds one, so dividing a product builds no dict."""
-    if poly._grid is None:
-        return terms_to_coo(poly.terms, coeff_dtype)
-    idx = np.nonzero(poly._grid)
-    return np.array(idx, dtype=np.int64), poly._grid[idx]
+    line = np.zeros(int(pos.max()) - low + 1, dtype=grid.dtype)
+    line[pos - low] = grid[idx]
+    return line, low
 
 
 def _weights(sigma, kf: int, span) -> list[int]:
@@ -346,35 +334,31 @@ def _weights(sigma, kf: int, span) -> list[int]:
     return w
 
 
-def _divide(ring, h, d, right: bool) -> dict:
+def _divide(ring, h, d, right: bool):
+    """(q_lo, grid) of the cofactor q with h = d*q (right) or h = q*d."""
     tab = tables_for(ring.field)
     kf = ring.field.k
-    he, hc = _coo(h, tab.dtype)
-    de, dc = _coo(d, tab.dtype)
-    h_lo, h_hi = he.min(1).tolist(), he.max(1).tolist()
-    d_lo, d_hi = de.min(1).tolist(), de.max(1).tolist()
-    q_lo = [a - b for a, b in zip(h_lo, d_lo)]
-    q_span = [a - b - c for a, b, c in zip(h_hi, d_hi, q_lo)]
+    q_lo = [a - b for a, b in zip(h.lo, d.lo)]
+    q_span = [a - b for a, b in zip(h.grid.shape, d.grid.shape)]
     if min(q_lo) < 0 or min(q_span) < 0:
         raise NotDivisibleError("no cofactor fits the operands' exponent ranges")
-    h_span = [a - b for a, b in zip(h_hi, h_lo)]
+    h_span = [a - 1 for a in h.grid.shape]
     w = _weights(ring.sigma_powers, kf, h_span)
     # every array and transform below is at most one line long
     _check_cells((sum(map(mul, w, h_span)) + 1,))
-    H, h_low = _line(he, hc, w, h_lo)
-    D, d_low = _line(de, dc, w, d_lo)
-    del he, hc, de, dc
+    H, h_low = _line(h.grid, w)
+    D, d_low = _line(d.grid, w)
     n = len(H) - len(D) + 1  # the cofactor's length on the line
     shift = h_low - d_low  # its lowest position, counted from q_lo
     if n < 1 or shift < 0:
         raise NotDivisibleError("no cofactor fits the operands' line positions")
     if right:
         # D * F^e(Q) = H, e the divisor's lowest line position
-        e = (sum(map(mul, w, d_lo)) + d_low) % kf
+        e = (_twist(ring, d.lo) + d_low) % kf
         Q = tab.frob[-e % kf, _right_quotient(tab, 1, D, H, n)]
     else:
         # Q * F^e(D) = H, e the cofactor's lowest line position
-        e = (sum(map(mul, w, q_lo)) + shift) % kf
+        e = (_twist(ring, q_lo) + shift) % kf
         i = np.arange(len(H))
         Q = _right_quotient(tab, kf - 1, tab.frob[(e - i[:len(D)]) % kf, D],
                             tab.frob[-i % kf, H], n)
@@ -385,19 +369,21 @@ def _divide(ring, h, d, right: bool) -> dict:
         a, rest = np.divmod(rest, wi)
         if a.max() > span:
             raise NotDivisibleError("the cofactor does not decode into its exponent box")
-        exps.append((a + lo).tolist())
+        exps.append(a + lo)
     if rest.any():
         raise NotDivisibleError("the cofactor does not decode into its exponent box")
-    return dict(zip(zip(*exps), Q[idx].tolist()))
+    return coo_to_grid(np.array(exps), Q[idx])
 
 
-def skew2_right_cofactor(ring, h, p) -> dict:
-    """The terms of q with h = p * q, for nonzero values h and p; raises
+def skew2_right_cofactor(ring, h, p):
+    """q with h = p * q, for nonzero values h and p; raises
     NotDivisibleError."""
-    return _divide(ring, h, p, right=True)
+    q_lo, grid = _divide(ring, h, p, right=True)
+    return type(h)._of(ring, grid=grid, lo=q_lo)
 
 
-def skew2_left_cofactor(ring, h, q) -> dict:
-    """The terms of p with h = p * q, for nonzero values h and q; raises
+def skew2_left_cofactor(ring, h, q):
+    """p with h = p * q, for nonzero values h and q; raises
     NotDivisibleError."""
-    return _divide(ring, h, q, right=False)
+    p_lo, grid = _divide(ring, h, q, right=False)
+    return type(h)._of(ring, grid=grid, lo=p_lo)

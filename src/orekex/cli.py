@@ -12,6 +12,7 @@ Every file is written by ``_render`` and read by ``_load``, which checks it.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from math import prod
@@ -103,11 +104,9 @@ def _params_entries(params: PublicParameters) -> list:
 def _load_params(path: str, keys) -> tuple[PublicParameters, list]:
     """The public parameters in the file at ``path`` and the values of ``keys``."""
     ring, nu, public_l, left, right, *values = _load(path, PARAMS_KEYS + keys)
-    # Refused before a coefficient is drawn: each exponent's top adds under a
-    # product, so f(P) lies in the box of nu times P's tops.  That box is the
-    # grid of P^nu, the last skew power product; each of the nu - 1 weyl
-    # power products pairs at most its terms with P's, charged one Leibniz
-    # step each.
+    # Refused before a coefficient is drawn: f(P) has a constant term, so its
+    # box runs from the origin to nu times P's tops, and each of the nu - 1
+    # weyl power products pairs at most its terms with P's, one step each.
     shown = serial._quote(str(nu))
     for gen in (left, right):
         box = prod(nu * max(col) + 1 for col in zip(*gen.terms))
@@ -370,7 +369,11 @@ def cmd_challenge(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Subcommand ``x-y`` runs
+    ``cmd_x_y``, looked up by name at each call, so the cached parser holds
+    no function that a caller may since have replaced or wrapped."""
     parser = argparse.ArgumentParser(
         prog="ore-kex",
         description="Key exchange and companion protocols over multivariate "
@@ -398,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_tuple(p)
     p.add_argument("--da", type=int, default=3, help="degree of the signing pair")
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("exchange", help="run one full key-exchange session")
     add_ring(p)
@@ -406,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_tuple(p)
     p.add_argument("--out", default=None, help="transcript file (default stdout)")
     p.add_argument("--key-out", default=None, help="private/answer file")
-    p.set_defaults(func=cmd_exchange)
 
     p = sub.add_parser("three-pass", help="send a private element under two-sided locks")
     add_ring(p)
@@ -414,20 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_tuple(p)
     p.add_argument("--out", default=None)
     p.add_argument("--answer-out", default=None)
-    p.set_defaults(func=cmd_three_pass)
 
     p = sub.add_parser("encrypt", help="encrypt a byte file under a public key")
     add_seed(p)
     p.add_argument("--pub", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_encrypt)
 
     p = sub.add_parser("decrypt", help="decrypt a ciphertext file")
     p.add_argument("--sec", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_decrypt)
 
     p = sub.add_parser("sign", help="sign a byte file")
     add_seed(p)
@@ -436,12 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--hash", action="store_true",
                    help="sign the sha256 digest instead of the raw bytes")
-    p.set_defaults(func=cmd_sign)
 
     p = sub.add_parser("verify", help="verify a signature file")
     p.add_argument("--pub", required=True)
     p.add_argument("--sig", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("zkp", help="prove knowledge of a factorization, interactively")
     add_ring(p)
@@ -451,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dl2", type=int, default=3)
     p.add_argument("--blind-degree", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_zkp)
 
     p = sub.add_parser("check-weak", help="screen a weyl-ring key for weakness")
     add_ring(p, default=None)
@@ -460,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     key.add_argument("--key-text", default=None)
     p.add_argument("--public", default=None)
     p.add_argument("--public-text", default=None)
-    p.set_defaults(func=cmd_check_weak)
 
     p = sub.add_parser("estimate", help="step-count cost model")
     add_tuple(p, (None, None, None))
@@ -468,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=costs.OMEGA_DEFAULT)
     p.add_argument("--table", action="store_true",
                    help="recompute the whole reference table with a match column")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("challenge", help="emit a public challenge plus withheld answer")
     add_ring(p)
@@ -476,16 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("exchange", "three-pass"), default="exchange")
     add_tuple(p)
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_challenge)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NotDivisibleError, EncodingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

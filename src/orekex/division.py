@@ -41,7 +41,7 @@ def right_cofactor(h: OrePolynomial, p: OrePolynomial) -> OrePolynomial:
     if h.is_zero():
         return ring.zero()
     if ring.is_skew:
-        return OrePolynomial._raw(ring, backend.skew2_right_cofactor(ring, h, p))
+        return backend.skew2_right_cofactor(ring, h, p)
     return _peel(h, p, side="right")
 
 
@@ -52,7 +52,7 @@ def left_cofactor(h: OrePolynomial, q: OrePolynomial) -> OrePolynomial:
     if h.is_zero():
         return ring.zero()
     if ring.is_skew:
-        return OrePolynomial._raw(ring, backend.skew2_left_cofactor(ring, h, q))
+        return backend.skew2_left_cofactor(ring, h, q)
     return _peel(h, q, side="left")
 
 
@@ -75,7 +75,7 @@ def _peel(h: OrePolynomial, divisor: OrePolynomial, side: str) -> OrePolynomial:
         if min(mu) < 0:
             raise NotDivisibleError("leading monomial is not a multiple of the divisor's")
         c = cofactor[mu] = remainder[lm_head] * inv_lc % p
-        term = OrePolynomial._raw(ring, {mu: c})
+        term = OrePolynomial._of(ring, {mu: c})
         step = divisor * term if side == "right" else term * divisor
         for e, v in step.terms.items():
             if e not in remainder:
@@ -85,4 +85,4 @@ def _peel(h: OrePolynomial, divisor: OrePolynomial, side: str) -> OrePolynomial:
                 remainder[e] = (old - v) % p
         if lm_head in remainder:
             raise OreKexError("a reduction step failed to cancel the leading term")
-    return OrePolynomial._raw(ring, cofactor)
+    return OrePolynomial._of(ring, cofactor)

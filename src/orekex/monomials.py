@@ -11,14 +11,22 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 
 def grevlex_key(exps: tuple[int, ...]):
     """Sort key: ascending order of keys is ascending grevlex."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def sorted_descending(exponents):
-    return sorted(exponents, key=grevlex_key, reverse=True)
+def grevlex_descending(exps: np.ndarray) -> np.ndarray:
+    """Order of the columns of an int64 (n, terms) exponent array, greatest
+    first: the degree (summed in 32-bit halves, exact for any int64)
+    descending, then the last exponent, the one before it, ... ascending."""
+    high, low = np.divmod(exps, 1 << 32)
+    low = low.sum(0)
+    high = high.sum(0) + (low >> 32)
+    return np.lexsort((*exps, -(low & 0xFFFFFFFF), -high))
 
 
 def compositions(total: int, slots: int):

@@ -13,15 +13,13 @@ x_i*d_i + 1 (weyl).  Every skew product, whatever the number of variables,
 is delegated to the FFT kernel in :mod:`orekex.backend`; every weyl product
 is one numpy kernel over all pairs of terms (:func:`_weyl_mul`).
 
-A weyl value holds a term dict.  A skew value holds a term dict, a grid
-or both.  The grid is the dense coefficient-index array the product
-kernel convolves: cell e holds the coefficient of d^e, it starts at d^0
-and every axis ends at the value's highest exponent on it, so it is
-trimmed.  Products and sums of skew values hold grids only; a value made
-from a dict (the parser, :func:`random_polynomial`, constants) builds its
-grid when a product first needs it, and a grid-held value builds its
-``terms`` when a caller first reads them.  Both are cached, and so are the
-powers that :meth:`OrePolynomial.power_sum` makes.
+A weyl value holds a term dict.  A skew value is a pair (lo, grid): lo
+its lowest exponent on each axis and grid the coefficient-index array the
+product kernel convolves, cell e holding the coefficient of d^(lo + e),
+trimmed so that every face of its box holds a nonzero cell.  Every way of
+making a skew value makes this pair and refuses one whose box is over
+``backend.MAX_GRID_CELLS``.  ``terms`` is a read-only view built on first
+use; the powers :meth:`OrePolynomial.power_sum` makes are kept too.
 """
 
 from __future__ import annotations
@@ -34,55 +32,48 @@ import numpy as np
 from . import backend
 from .errors import OreKexError, RingMismatchError
 from .fields import FieldElement, tables_for
-from .monomials import grevlex_key, sorted_descending
+from .monomials import grevlex_descending, grevlex_key
 from .rings import OreRing
 
 
 class OrePolynomial:
-    __slots__ = ("ring", "_terms", "_grid", "_powers")
+    __slots__ = ("ring", "_lo", "_grid", "_terms", "_powers")
 
     def __init__(self, ring: OreRing, terms: dict):
-        clean = {}
-        limit = ring.n_coeff_values
+        clean, limit = {}, ring.n_coeff_values
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps, c = tuple(int(e) for e in exps), int(c)
             if len(exps) != ring.exp_len:
                 raise OreKexError("exponent vector has wrong length for this ring")
-            if any(e < 0 for e in exps):
+            if min(exps) < 0:
                 raise OreKexError("negative exponent")
-            c = int(c)
-            if ring.is_skew:
-                if not 0 <= c < limit:
-                    raise OreKexError(f"coefficient index {c} out of range [0,{limit})")
-            else:
-                c %= limit
-            if c:
-                clean[exps] = c
-        self._set(ring, clean, None)
+            if max(exps) > _INT64_MAX:
+                raise OreKexError("exponent too large for the int64 kernels")
+            if ring.is_skew and not 0 <= c < limit:
+                raise OreKexError(f"coefficient index {c} out of range [0,{limit})")
+            if c % limit:
+                clean[exps] = c % limit
+        self._set(ring, clean)
 
-    def _set(self, ring, terms, grid):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_powers", None)
-
-    @classmethod
-    def _raw(cls, ring: OreRing, terms: dict) -> "OrePolynomial":
-        # trusted path for internally produced, already-canonical term dicts
-        self = object.__new__(cls)
-        self._set(ring, terms, None)
-        return self
-
-    @classmethod
-    def _of_grid(cls, ring: OreRing, grid) -> "OrePolynomial":
-        # trusted path for a kernel's trimmed grid, which the value takes
-        # over; None is the zero value
-        self = object.__new__(cls)
-        if grid is None:
-            self._set(ring, {}, None)
-        else:
+    def _set(self, ring, terms=None, grid=None, lo=None):
+        # a weyl value takes over a canonical term dict, a skew value a trimmed
+        # grid at offset lo (default the origin) or is made from such a dict
+        if ring.is_skew and terms:
+            lo, grid = backend.coo_to_grid(*backend.terms_to_coo(terms, tables_for(ring.field).dtype))
+        if grid is not None:
             grid.flags.writeable = False
-            self._set(ring, None, grid)
+            lo, terms = lo or (0,) * grid.ndim, None
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_terms", {} if grid is None and terms is None else terms)
+        object.__setattr__(self, "_powers", [])  # self^2, self^3, ... once made
+
+    @classmethod
+    def _of(cls, ring: OreRing, terms=None, grid=None, lo=None) -> "OrePolynomial":
+        # trusted path for the arguments of _set
+        self = object.__new__(cls)
+        self._set(ring, terms, grid, lo)
         return self
 
     def __setattr__(self, *a):  # immutable value
@@ -92,42 +83,47 @@ class OrePolynomial:
 
     @property
     def terms(self):
-        """Read-only ``{exponents: coefficient}`` view, built from the grid on
-        first use."""
+        """Read-only ``{exponents: coefficient}`` view, built from a skew
+        value's grid on first use."""
         if self._terms is None:
-            object.__setattr__(self, "_terms", backend.grid_to_terms(self._grid))
+            exps, coeffs = self._coo()
+            object.__setattr__(self, "_terms", dict(zip(zip(*exps.tolist()), coeffs.tolist())))
         return MappingProxyType(self._terms)
+
+    def _coo(self):
+        """(exponents, coefficients) of a nonzero value: an int64
+        (exp_len, terms) array and a vector."""
+        if self.ring.is_weyl:
+            return backend.terms_to_coo(self._terms, np.int64)
+        idx = np.nonzero(self._grid)
+        return np.array(idx, np.int64) + np.array(self._lo, np.int64)[:, None], self._grid[idx]
 
     @property
     def grid(self) -> np.ndarray:
-        """Read-only coefficient-index grid of a nonzero skew value (see the
-        module docstring), built from the terms on first use; OreKexError
-        when its box is over ``backend.MAX_GRID_CELLS``."""
+        """Read-only coefficient-index grid of a nonzero skew value: cell e
+        holds the coefficient of d^(lo + e) (see the module docstring)."""
         if self._grid is None:
-            if not self.ring.is_skew or not self._terms:
-                raise OreKexError("only nonzero skew polynomials have a grid")
-            grid = backend.terms_to_grid(self._terms, tables_for(self.ring.field).dtype)
-            grid.flags.writeable = False
-            object.__setattr__(self, "_grid", grid)
+            raise OreKexError("only nonzero skew polynomials have a grid")
         return self._grid
 
-    def _tops(self) -> list[int]:
-        """Highest exponent on each axis of a nonzero value."""
-        if self._grid is not None:
-            return [a - 1 for a in self._grid.shape]
-        return [max(col) for col in zip(*self._terms)]
+    @property
+    def lo(self) -> tuple[int, ...]:
+        """Lowest exponent on each axis of a nonzero skew value."""
+        if self._grid is None:
+            raise OreKexError("only nonzero skew polynomials have a grid")
+        return self._lo
 
     def is_zero(self) -> bool:
         return not self
 
     def __bool__(self):
-        # a held grid is trimmed, so it has a nonzero cell
-        return self._grid is not None or bool(self._terms)
+        # a grid is trimmed, so it has a nonzero cell
+        return self._grid is not None if self.ring.is_skew else bool(self._terms)
 
     def __len__(self):
-        if self._terms is None:
-            return int(np.count_nonzero(self._grid))
-        return len(self._terms)
+        if self.ring.is_weyl:
+            return len(self._terms)
+        return 0 if self._grid is None else int(np.count_nonzero(self._grid))
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Greatest term in the global grevlex order: (exponents, coeff index)."""
@@ -137,9 +133,7 @@ class OrePolynomial:
         return lead, self.terms[lead]
 
     def total_degree(self) -> int | None:
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=None)
 
     def d_degree(self, i: int) -> int:
         """Degree in the Ore variable d_i (1-based); -1 for the zero polynomial."""
@@ -147,14 +141,12 @@ class OrePolynomial:
             raise OreKexError(f"Ore variable index {i} out of range")
         if not self:
             return -1
-        off = 0 if self.ring.is_skew else self.ring.n
-        return self._tops()[off + i - 1]
+        if self.ring.is_skew:
+            return self._lo[i - 1] + self._grid.shape[i - 1] - 1
+        return max(e[self.ring.n + i - 1] for e in self._terms)
 
     def d_degrees(self) -> tuple[int, ...]:
         return tuple(self.d_degree(i) for i in range(1, self.ring.n + 1))
-
-    def coefficient(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
 
     # -- ring operations -------------------------------------------------------
 
@@ -172,48 +164,31 @@ class OrePolynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        ring = self.ring
-        if not other:
-            return self
-        if not self:
-            return other
-        if ring.is_weyl:
-            p = ring.p
-            out = dict(self._terms)
-            for e, c in other._terms.items():
-                v = (out.get(e, 0) + c) % p
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-            return OrePolynomial._raw(ring, out)
-        tab = tables_for(ring.field)
-        # on grids unless the union box is over the kernels' limit, as
-        # f + d1^3000*d2^3000 is: that sum stays a dict
-        if prod(max(a, b) + 1 for a, b in zip(self._tops(), other._tops())) \
-                <= backend.MAX_GRID_CELLS:
-            return OrePolynomial._of_grid(ring, backend.grid_sum(tab, self.grid, other.grid))
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = int(tab.add[out.get(e, 0), c])
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return OrePolynomial._raw(ring, out)
+        return self._sum([(1, self), (1, other)])
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return self + (-other)
+        self._check(other)
+        return self._sum([(1, self), (self.ring.p - 1, other)])
 
     def __neg__(self):
-        if self.ring.is_weyl:
-            p = self.ring.p
-            return OrePolynomial._raw(self.ring, {e: (-c) % p for e, c in self._terms.items()})
-        tab = tables_for(self.ring.field)
-        if self._grid is not None:
-            return OrePolynomial._of_grid(self.ring, tab.neg[self._grid])
-        return OrePolynomial._raw(self.ring, {e: int(tab.neg[c]) for e, c in self._terms.items()})
+        return self._sum([(self.ring.p - 1, self)])
+
+    def _sum(self, parts) -> "OrePolynomial":
+        """sum c*h over pairs (c, h) of a scalar of F_p and a value of the
+        ring; a skew sum is made in one array (``backend.scaled_sum``)."""
+        ring = self.ring
+        parts = [(c, h) for c, h in parts if c and h]
+        if not parts:
+            return ring.zero()
+        if ring.is_skew:
+            lo, grid = backend.scaled_sum(tables_for(ring.field), parts)
+            return OrePolynomial._of(ring, grid=grid, lo=lo)
+        out = {}
+        for c, h in parts:
+            for e, v in h._terms.items():
+                out[e] = (out.get(e, 0) + c * v) % ring.p
+        return OrePolynomial._of(ring, {e: v for e, v in out.items() if v})
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -223,7 +198,7 @@ class OrePolynomial:
             return ring.zero()
         if ring.is_skew:
             return backend.skew2_mul(ring, self, other)
-        return OrePolynomial._raw(ring, _weyl_mul(ring, self._terms, other._terms))
+        return OrePolynomial._of(ring, _weyl_mul(ring, self._terms, other._terms))
 
     def __radd__(self, other):
         return self + other
@@ -250,36 +225,18 @@ class OrePolynomial:
     def power_sum(self, coeffs) -> "OrePolynomial":
         """sum_i c_i * self^i for integers c_i, taken mod p, c_0 the constant
         term.  The powers are made once, one product each, and kept with the
-        value, so every evaluation at it shares them.  In a skew ring each
-        power's grid is scaled into the box of the highest: the boxes are
-        nested, and the highest power's top slices pass into the sum times
-        its nonzero coefficient, so the sum is trimmed."""
+        value, so every evaluation at it shares them."""
         ring, p = self.ring, self.ring.p
         c0, *coeffs = [c % p for c in coeffs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         if not self or not coeffs:
             return ring.constant(c0)
-        if self._powers is None:
-            object.__setattr__(self, "_powers", [])  # self^2, self^3, ...
         powers = [self] + self._powers
         while len(powers) < len(coeffs):
             powers.append(powers[-1] * self)
             self._powers.append(powers[-1])
-        pairs = [(c, h) for c, h in zip(coeffs, powers) if c]
-        if ring.is_weyl:
-            out = {(0,) * ring.exp_len: c0}
-            for c, h in pairs:
-                for e, v in h._terms.items():
-                    out[e] = (out.get(e, 0) + c * v) % p
-            return OrePolynomial._raw(ring, {e: v for e, v in out.items() if v})
-        tab = tables_for(ring.field)
-        out = np.zeros(pairs[-1][1].grid.shape, dtype=tab.dtype)
-        out.flat[0] = c0  # a scalar of F_p is its own coefficient index
-        for c, h in pairs:
-            box = tuple(map(slice, h.grid.shape))
-            out[box] = tab.add[out[box], tab.mul[c, h.grid]]
-        return OrePolynomial._of_grid(ring, out if out.any() else None)
+        return self._sum([(c0, ring.one())] + list(zip(coeffs, powers)))
 
     def commutes_with(self, other: "OrePolynomial") -> bool:
         other = self._coerce(other)
@@ -288,8 +245,8 @@ class OrePolynomial:
         if ring.is_skew and self and other:
             # the low corners of f*g and g*f are exact: one that differs
             # settles the question without the full products
-            f, g = self.grid, other.grid
-            if not np.array_equal(backend.low_corner(ring, f, g), backend.low_corner(ring, g, f)):
+            if not np.array_equal(backend.low_corner(ring, self, other),
+                                  backend.low_corner(ring, other, self)):
                 return False
         return self * other == other * self
 
@@ -298,9 +255,10 @@ class OrePolynomial:
             return NotImplemented
         if self.ring != other.ring:
             return False
-        if self._grid is not None and other._grid is not None:
-            return np.array_equal(self._grid, other._grid)
-        return self.terms == other.terms
+        if self.ring.is_weyl:
+            return self._terms == other._terms
+        return self._lo == other._lo and (self._grid is None
+                                          or np.array_equal(self._grid, other._grid))
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
@@ -309,16 +267,19 @@ class OrePolynomial:
 
     def to_text(self) -> str:
         """The terms in descending grevlex order, each filled into the ring's
-        :meth:`OreRing.term_format`, joined by `` + ``; ``0`` when zero."""
+        :meth:`OreRing.term_format`, joined by `` + ``; ``0`` when zero.  The
+        terms are ordered by one ``np.lexsort`` and filled by one
+        ``str.format`` call."""
         if not self:
             return "0"
-        ring, terms = self.ring, self.terms
-        fmt = ring.term_format().format
-        # the template's coefficient fields of each index: its digits, or
-        # in a weyl ring (no tables, p up to 2^31) the scalar itself
-        digits = (tables_for(ring.field).digits.tolist() if ring.is_skew
-                  else {c: (c,) for c in terms.values()})
-        return " + ".join(fmt(*digits[terms[e]], *e) for e in sorted_descending(terms))
+        ring = self.ring
+        exps, coeffs = self._coo()
+        # the template's coefficient fields: the digits of each index, or in
+        # a weyl ring (no tables, p up to 2^31) the scalar itself
+        fields = tables_for(ring.field).digits[coeffs] if ring.is_skew else coeffs[:, None]
+        order = grevlex_descending(exps)
+        table = np.concatenate([fields[order].astype(np.int64), exps.T[order]], axis=1)
+        return " + ".join([ring.term_format()] * len(order)).format(*table.ravel().tolist())
 
     def __str__(self):
         return self.to_text()
@@ -447,4 +408,4 @@ def random_polynomial(ring: OreRing, total_degree: int, n_terms: int, rng) -> Or
     for _ in range(n_terms - 1):
         d = int(rng.integers(0, total_degree + 1))
         terms[_random_composition(d, s, rng)] = int(rng.integers(1, hi))
-    return OrePolynomial(ring, terms)
+    return OrePolynomial._of(ring, terms)

@@ -80,55 +80,44 @@ class OreRing:
 
     # -- element builders (thin wrappers around OrePolynomial) ---------------
 
-    def zero(self):
+    def poly(self, terms: dict):
         from .orepoly import OrePolynomial
 
-        return OrePolynomial(self, {})
+        return OrePolynomial(self, terms)
+
+    def zero(self):
+        return self.poly({})
 
     def one(self):
         return self.constant(1)
 
     def constant(self, c):
         from .fields import FieldElement
-        from .orepoly import OrePolynomial
 
         if isinstance(c, FieldElement):
             if self.kind != SKEW:
                 raise OreKexError("field-element constants only exist in skew rings")
             if c.spec != self.field:
                 raise OreKexError("constant from a different field")
-            idx = c.index
-        else:
-            idx = int(c) % self.p
-        return OrePolynomial(self, {(0,) * self.exp_len: idx} if idx else {})
+            return self.poly({(0,) * self.exp_len: c.index})
+        return self.poly({(0,) * self.exp_len: int(c) % self.p})
 
     def d(self, i: int):
         """The Ore variable d_i, 1-based."""
-        from .orepoly import OrePolynomial
-
         if not 1 <= i <= self.n:
             raise OreKexError(f"Ore variable index {i} out of range")
-        exps = [0] * self.exp_len
-        offset = 0 if self.kind == SKEW else self.n
-        exps[offset + i - 1] = 1
-        return OrePolynomial(self, {tuple(exps): 1})
+        return self._unit(i - 1 + (0 if self.kind == SKEW else self.n))
 
     def x(self, i: int):
         """The commutative variable x_i of a weyl ring, 1-based."""
-        from .orepoly import OrePolynomial
-
         if self.kind != WEYL:
             raise OreKexError("x variables only exist in weyl rings")
         if not 1 <= i <= self.n:
             raise OreKexError(f"variable index {i} out of range")
-        exps = [0] * self.exp_len
-        exps[i - 1] = 1
-        return OrePolynomial(self, {tuple(exps): 1})
+        return self._unit(i - 1)
 
-    def poly(self, terms: dict):
-        from .orepoly import OrePolynomial
-
-        return OrePolynomial(self, terms)
+    def _unit(self, axis: int):
+        return self.poly({tuple(int(j == axis) for j in range(self.exp_len)): 1})
 
     def term_format(self) -> str:
         """One term's text as a ``str.format`` template: a ``{}`` per coefficient

@@ -21,18 +21,28 @@ A polynomial is ``0`` or terms joined by `` + ``::
 so ``[a0,a1,a2]*d1^e1*d2^e2`` in f125-skew2 (base-p digits of the
 coefficient, lowest first) and ``c*x1^e1*x2^e2*d1^f1*d2^f2`` in a weyl2
 ring.  Output terms are grevlex-descending; input terms come in any
-order.  A digit or weyl coefficient must be below p and a monomial may
-not repeat; a zero coefficient drops its term.
+order.  A digit or weyl coefficient must be below p, an exponent below
+2^63, and a monomial may not repeat; a zero coefficient drops its term.
+A skew value whose exponent box is over ``backend.MAX_GRID_CELLS`` is
+refused where it is parsed.
+
+A line is checked and decoded in slabs of at most ``SLAB`` characters,
+cut at `` + ``: one pattern match per slab, its integer fields read by
+numpy from its bytes, then one check for repeats and one scatter for the
+whole line.
 """
 
 from __future__ import annotations
 
 import re
-from operator import mul
+from functools import lru_cache
 
+import numpy as np
+
+from . import backend
 from .commuting import ConstantPolynomial
 from .errors import ParseError
-from .fields import MAX_CHARACTERISTIC, MAX_FIELD_ORDER, FieldSpec
+from .fields import MAX_CHARACTERISTIC, MAX_FIELD_ORDER, FieldSpec, tables_for
 from .orepoly import OrePolynomial
 from .rings import OreRing, skew_ring, weyl_ring
 
@@ -104,31 +114,83 @@ def poly_to_text(poly: OrePolynomial) -> str:
     return poly.to_text()
 
 
+# Characters of a line one pattern match and decode take at a time: the
+# match keeps about 35 bytes of backtracking state per character.
+SLAB = 1 << 14
+
+
+@lru_cache(maxsize=32)
+def _grammar(template: str):
+    """The patterns of one term and of a slab of terms, the positions of the
+    fields among a term's digit runs (``d1`` has one of its own), and the
+    number of those runs."""
+    term = re.escape(template).replace(r"\{\}", INT.replace("(", "(?:", 1))
+    own = [len(re.findall("[0-9]+", piece)) for piece in template.split("{}")]
+    return (re.compile(term), re.compile(f"{term}(?: \\+ {term})*"),
+            np.cumsum(own[:-1]) + np.arange(len(own) - 1), sum(own) + len(own) - 1)
+
+
+def _slabs(text: str):
+    """Whole terms of ``text``, SLAB characters at most unless a term is longer."""
+    start = 0
+    while len(text) - start > SLAB:
+        cut = text.rfind(" + ", start, start + SLAB)
+        if cut < 0 and (cut := text.find(" + ", start)) < 0:
+            break
+        yield text[start:cut]
+        start = cut + 3
+    yield text[start:]
+
+
+def _digit_runs(slab: str) -> np.ndarray:
+    """Every run of digits in an ASCII slab as uint64, by Horner's rule: one
+    array operation across all runs per digit position."""
+    b = np.frombuffer(slab.encode("ascii"), np.uint8) - np.uint8(48)
+    start, stop = np.flatnonzero(np.diff(b < 10, prepend=False, append=False)).reshape(-1, 2).T
+    width = stop - start
+    if width.max() > 19:  # 19 digits stay below 2^64
+        raise ParseError(f"integer too large in {_quote(slab)}")
+    val = np.zeros(len(start), np.uint64)
+    for j in range(width.max()):
+        val = np.where(width > j, val * np.uint64(10) + b[np.minimum(start + j, stop - 1)], val)
+    return val
+
+
 def poly_from_text(ring: OreRing, text: str) -> OrePolynomial:
     """The polynomial of a line in the grammar of the module docstring;
-    ParseError for any other line."""
+    ParseError for any other line, OreKexError for a skew value whose box is
+    over the cell limit."""
     text = text.strip()
     if text == "0":
         return ring.zero()
-    term = re.compile(re.escape(ring.term_format()).replace(r"\{\}", INT))
+    template = ring.term_format()
+    term, terms, fields, runs = _grammar(template)
+    parts = []
+    for slab in _slabs(text):
+        if terms.fullmatch(slab) is None:
+            bad = next((t for t in slab.split(" + ") if term.fullmatch(t) is None), slab)
+            raise ParseError(f"bad term {_quote(bad)}")
+        parts.append(_digit_runs(slab).reshape(-1, runs)[:, fields])
+    values = np.concatenate(parts)  # a row of fields per term
     n, p = ring.exp_len, ring.p
-    weights = [p ** j for j in range(term.groups - n)]
-    terms = {}
-    for chunk in text.split(" + "):
-        m = term.fullmatch(chunk)
-        if m is None:
-            raise ParseError(f"bad term {_quote(chunk)}")
-        try:
-            fields = list(map(int, m.groups()))
-        except ValueError:  # past the interpreter's limit on digits per int
-            raise ParseError(f"integer too long in term {_quote(chunk)}") from None
-        digits, exps = fields[:-n], tuple(fields[-n:])
-        if max(digits) >= p:
-            raise ParseError(f"coefficient digit not below p={p} in {_quote(chunk)}")
-        if exps in terms:
-            raise ParseError(f"duplicate monomial {_quote(chunk)}")
-        terms[exps] = sum(map(mul, digits, weights))
-    return OrePolynomial._raw(ring, {e: c for e, c in terms.items() if c})
+    coeffs, exps = values[:, :-n], values[:, -n:]
+    order = np.lexsort(exps.T)
+    same = np.zeros(len(values), bool)
+    same[order[1:]] = (exps[order[1:]] == exps[order[:-1]]).all(1)
+    for bad, what in (((coeffs >= p).any(1), f"coefficient digit not below p={p}"),
+                      (exps.max(1) >= np.uint64(1 << 63), "exponent too large (past 2^63 - 1)"),
+                      (same, "duplicate monomial")):
+        if bad.any():  # a term's text from its fields: an integer has one text
+            raise ParseError(f"{what} in {_quote(template.format(*values[bad.argmax()].tolist()))}")
+    coeffs = coeffs.astype(np.int64) @ p ** np.arange(coeffs.shape[1], dtype=np.int64)
+    exps = exps[coeffs != 0].astype(np.int64).T
+    coeffs = coeffs[coeffs != 0]
+    if ring.is_weyl:
+        return OrePolynomial._of(ring, dict(zip(zip(*exps.tolist()), coeffs.tolist())))
+    if not len(coeffs):
+        return ring.zero()
+    lo, grid = backend.coo_to_grid(exps, coeffs.astype(tables_for(ring.field).dtype))
+    return OrePolynomial._of(ring, grid=grid, lo=lo)
 
 
 def _quote(text: str) -> str:

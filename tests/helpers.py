@@ -1,10 +1,58 @@
 """Test-local oracles, kept independent of the library code paths they check."""
 
+import re
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
 from orekex import OreKexError, OrePolynomial, RingMismatchError
-from orekex.monomials import sorted_descending
+from orekex.errors import ParseError
+from orekex.fields import tables_for
+from orekex.monomials import grevlex_key
+from orekex.serial import INT, _quote
+
+
+def sorted_descending(exponents):
+    return sorted(exponents, key=grevlex_key, reverse=True)
+
+
+def poly_from_text_oracle(ring, text: str) -> OrePolynomial:
+    """The term-by-term parser the library used before it decoded lines with
+    numpy: one regular-expression match and one dict entry per term."""
+    text = text.strip()
+    if text == "0":
+        return ring.zero()
+    term = re.compile(re.escape(ring.term_format()).replace(r"\{\}", INT))
+    n, p = ring.exp_len, ring.p
+    weights = [p ** j for j in range(term.groups - n)]
+    terms = {}
+    for chunk in text.split(" + "):
+        m = term.fullmatch(chunk)
+        if m is None:
+            raise ParseError(f"bad term {_quote(chunk)}")
+        try:
+            fields = list(map(int, m.groups()))
+        except ValueError:  # past the interpreter's limit on digits per int
+            raise ParseError(f"integer too long in term {_quote(chunk)}") from None
+        digits, exps = fields[:-n], tuple(fields[-n:])
+        if max(digits) >= p:
+            raise ParseError(f"coefficient digit not below p={p} in {_quote(chunk)}")
+        if exps in terms:
+            raise ParseError(f"duplicate monomial {_quote(chunk)}")
+        terms[exps] = sum(map(mul, digits, weights))
+    return OrePolynomial(ring, {e: c for e, c in terms.items() if c})
+
+
+def to_text_oracle(poly: OrePolynomial) -> str:
+    """The renderer the library used before it ordered terms with numpy: a
+    ``sorted`` by grevlex key and one ``str.format`` per term."""
+    if not poly:
+        return "0"
+    ring, terms = poly.ring, poly.terms
+    fmt = ring.term_format().format
+    digits = (tables_for(ring.field).digits.tolist() if ring.is_skew
+              else {c: (c,) for c in terms.values()})
+    return " + ".join(fmt(*digits[terms[e]], *e) for e in sorted_descending(terms))
 
 
 def naive_remainder(a, modulus, p):

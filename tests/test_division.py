@@ -117,21 +117,27 @@ def test_division_far_from_the_origin():
 
 
 def test_sparse_division_in_three_variables_builds_no_grid():
-    # p*q spans a 3001 x 8 x 3006 box, over the product kernel's cell limit,
-    # and its Kronecker line needs 81,264,140 cells: division refuses it as
-    # the product does, before any array of the line's size exists
+    # p*q spans a 3001 x 8 x 3006 box, over the cell limit: the product, and
+    # the value of its terms, are refused where they are made
     ring3 = skew_ring(f125_spec(), (1, 2, 1))
     p = ring3.poly({(3000, 0, 0): 7, (0, 7, 5): 3})
     q = ring3.poly({(0, 0, 3000): 11, (1, 1, 0): 2})
-    h = skew_mul_oracle(p, q)
-    with pytest.raises(OreKexError, match="limit"):
-        p * q
+    # this p*q spans 2002 x 1508 x 1 cells, inside the limit, but its
+    # Kronecker line needs 6,038,031 (weights 3016, 2, 1): division refuses
+    # it as the product does, before any array of the line's size exists
+    p2 = ring3.poly({(2000, 0, 0): 7, (0, 7, 0): 3})
+    q2 = ring3.poly({(0, 1500, 0): 11, (1, 1, 0): 2})
+    h2 = skew_mul_oracle(p2, q2)
     tracemalloc.start()
     try:
         with pytest.raises(OreKexError, match="limit"):
-            right_cofactor(h, p)
+            p * q
         with pytest.raises(OreKexError, match="limit"):
-            left_cofactor(h, q)
+            skew_mul_oracle(p, q)
+        with pytest.raises(OreKexError, match="limit"):
+            right_cofactor(h2, p2)
+        with pytest.raises(OreKexError, match="limit"):
+            left_cofactor(h2, q2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

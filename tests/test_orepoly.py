@@ -167,8 +167,8 @@ def _all_max_product(ring, f_shape, g_shape) -> np.ndarray:
 
 def _full(ring, shape):
     # a grid-held value built directly: a 600,000-term dict takes seconds
-    return OrePolynomial._of_grid(
-        ring, np.full(shape, ring.field.q - 1, dtype=tables_for(ring.field).dtype))
+    return OrePolynomial._of(
+        ring, grid=np.full(shape, ring.field.q - 1, dtype=tables_for(ring.field).dtype))
 
 
 _F125 = skew_ring(f125_spec(), (1, 1))
@@ -209,11 +209,15 @@ def test_packed_products_at_the_slot_thresholds(ring, f_shape, g_shape, slots):
     pytest.param(lambda: SKEW4.poly({(100, 0, 0, 0): 1, (0, 100, 0, 0): 2})
                  * SKEW4.poly({(0, 0, 100, 0): 3, (0, 0, 0, 100): 4}), id="mul4"),
     pytest.param(lambda: SKEW.poly({(2 ** 70, 0): 1}) * SKEW.d(1), id="mul-huge-exponent"),
-    # exponents inside int64: refused before any padding to a transform length
-    pytest.param(lambda: SKEW.poly({(10 ** 12, 0): 1}) * SKEW.d(1), id="mul-int64-exponent"),
-    pytest.param(lambda: SKEW4.poly({(2 ** 62, 0, 0, 0): 1}) * SKEW4.d(3), id="mul4-int64-exponent"),
-    # d1 + d2 fits the exponent ranges of d1^3000 + d2^3000, whose Kronecker
-    # line needs 3002*3000 + 3000 + 1 cells
+    # exponents inside int64: a value spanning d^0..d1^(10^12) is refused
+    # where it is made, before any padding to a transform length; one
+    # product of far one-cell values whose exponent passes int64
+    pytest.param(lambda: SKEW.poly({(10 ** 12, 0): 1, (0, 1): 1}) * SKEW.d(1),
+                 id="mul-int64-exponent"),
+    pytest.param(lambda: SKEW4.poly({(2 ** 62, 0, 0, 0): 1}) * SKEW4.poly({(2 ** 62, 0, 1, 0): 1}),
+                 id="mul4-int64-exponent"),
+    # d1^3000 + d2^3000 spans a 3001^2 box: refused where it is made, before
+    # division by d1 + d2, whose exponent ranges it fits
     pytest.param(lambda: right_cofactor(SKEW.poly({(3000, 0): 1, (0, 3000): 1}),
                                         SKEW.d(1) + SKEW.d(2)), id="rdiv"),
     pytest.param(lambda: left_cofactor(SKEW.poly({(3000, 0): 1, (0, 3000): 1}),
@@ -441,16 +445,18 @@ def test_grids_and_terms_are_read_only():
 def test_wide_sparse_sum_builds_no_grid():
     rng = np.random.default_rng(23)
     h = random_polynomial(SKEW, 10, 40, rng) * random_polynomial(SKEW, 10, 40, rng)
-    far = SKEW.poly({(3000, 3000): 1})
+    far = SKEW.poly({(3000, 3000): 1})  # one cell at its offset
+    assert far.grid.shape == (1, 1) and far.lo == (3000, 3000)
     tracemalloc.start()
     try:
-        s = h + far  # a 3001 x 3001 box: over MAX_GRID_CELLS
+        with pytest.raises(OreKexError, match="cell limit"):
+            h + far  # a 3001 x 3001 box: over MAX_GRID_CELLS, refused where made
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
-    assert s._grid is None and len(s) == len(h) + 1 and s.terms[(3000, 3000)] == 1
-    assert s - far == h
+    assert far * h == skew_mul_oracle(far, h)
+    assert (far * h).lo == tuple(a + 3000 for a in h.lo)
 
 
 # -- the weyl product kernel ---------------------------------------------------------

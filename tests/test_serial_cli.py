@@ -1,16 +1,22 @@
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from orekex import ParseError, random_polynomial, ring_by_name
-from orekex.cli import main
+from orekex import OreKexError, ParseError, random_polynomial, ring_by_name
+import orekex
+from orekex.cli import build_parser, main
 from orekex.rings import RING_ALIASES
 from orekex.serial import parse_file, poly_from_text, poly_to_text, render_file, ring_from_text
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl3-f71")
+SRC = str(Path(orekex.__file__).resolve().parents[1])
 
 
 def test_ring_round_trip():
@@ -247,6 +253,40 @@ def test_cli_challenge_replay(tmp_path):
     assert replay.read_text() == public.replace("seed withheld", f"seed {seed}")
 
 
+def test_parser_built_once_writes_what_separate_runs_write(tmp_path, capsys):
+    """Successive main calls in one process share one parser; their files,
+    output and exit codes equal those of each call in a process of its own."""
+    calls = [
+        ["exchange", "--ring", "f125-skew2", "--dL", "6", "--dPQ", "2", "--nu", "2",
+         "--seed", "7", "--out", "{}/exchange.txt"],
+        ["estimate", "--dL", "30", "--dPQ", "5", "--nu", "10"],
+        ["three-pass", "--ring", "f125-skew2", "--dL", "6", "--dPQ", "2", "--nu", "2",
+         "--seed", "8", "--out", "{}/three-pass.txt"],
+    ]
+
+    def outputs(run, where):
+        where.mkdir()
+        seen = []
+        for argv in calls:
+            code, out = run([a.format(where) for a in argv])
+            seen.append((code, out))
+        return seen + sorted((f.name, f.read_bytes()) for f in where.iterdir())
+
+    def in_process(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def own_process(argv):
+        done = subprocess.run([sys.executable, "-m", "orekex.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC}, check=False)
+        return done.returncode, done.stdout
+
+    build_parser.cache_clear()
+    shared = outputs(in_process, tmp_path / "shared")
+    assert build_parser.cache_info().misses == 1 and build_parser.cache_info().hits == 2
+    assert shared == outputs(own_process, tmp_path / "separate")
+
+
 def test_cli_usage_errors(tmp_path):
     assert _run("decrypt", "--sec", str(tmp_path / "missing"), "--in",
                 str(tmp_path / "nope"), "--out", str(tmp_path / "x")) == 2
@@ -272,7 +312,8 @@ SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
     # m * L needs a 101^4-cell grid: refused by the kernel's cell limit
     (SKEW4_LINE, "seed 1", "[1,0,0]*d1^100*d2^0*d3^0*d4^0 + [2,0,0]*d1^0*d2^100*d3^0*d4^0",
      "[1,0,0]*d1^0*d2^0*d3^100*d4^0 + [2,0,0]*d1^0*d2^0*d3^0*d4^100"),
-    # m * L is d1^(10^12 + 1): refused before padding to a transform length
+    # m * L is d1^(10^12 + 1), a one-cell grid at its offset: cheap, and the
+    # signature is rejected (exit 1), not refused
     (SKEW_LINE, "seed 1", "[1,0,0]*d1^999999999999*d2^0", "[1,0,0]*d1^1*d2^0"),
     # a field of order about 10^18: the tables would need q^2 cells
     ("ring skew p=1000000007 k=2 m=[5,0,1] sigma=[1,1]", "seed 1", "0", "0"),
@@ -285,7 +326,7 @@ SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
     (SKEW_LINE, "seed 1", "[" + "1" * 10**6, "0"),
     (SKEW_LINE, "seed 1", "[1,0,0]*d1^" + "9" * 10**6 + "*d2^0", "0"),
     (SKEW_LINE, "seed 1", " + ".join(["[1,0,0]*d1^1*d2^0"] * 50_000), "0"),
-    # parses, then m * L is refused by the cell limit: m spans a 50000^2 box
+    # m spans a 50000^2 box: refused by the cell limit where it is parsed
     (SKEW_LINE, "seed 1", "[1,0,0]*d1^1*d2^0", DIAGONAL_TERMS),
 ], ids=["empty-digit", "blank-coefficient", "seed-x", "ring-k-x", "skew4-grid",
         "int64-exponent", "skew-field-order", "weyl-characteristic", "reducible-modulus",
@@ -299,22 +340,50 @@ def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, s
     sig = tmp_path / "sig.txt"
     sig.write_text(head + f"m {m}\n" + "".join(f"{k} 0\n" for k in SIGNATURE_KEYS[1:]))
     t0 = time.perf_counter()
-    assert _run("verify", "--pub", str(pub), "--sig", str(sig)) == 2
+    code = _run("verify", "--pub", str(pub), "--sig", str(sig))
     assert time.perf_counter() - t0 < 1.0
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    if public_l == "[1,0,0]*d1^999999999999*d2^0":
+        assert code == 1 and out == "reject\n" and not err
+        return
+    assert code == 2
     assert err.startswith("error: ") and len(err) < 300 and "Traceback" not in err
 
 
-def test_many_distinct_terms_parse():
+@pytest.mark.parametrize("public_l, m", [
+    # 2^63 and a 20-digit exponent: past int64, refused where they are parsed
+    ("[1,0,0]*d1^9223372036854775808*d2^0", "[1,0,0]*d1^1*d2^0"),
+    ("[1,0,0]*d1^1*d2^0", "[1,0,0]*d1^0*d2^18446744073709551616"),
+    # 2^63 - 1 parses, and m * L passes int64 in the product
+    ("[1,0,0]*d1^9223372036854775807*d2^0", "[1,0,0]*d1^1*d2^0"),
+], ids=["2-63", "2-64", "product-past-2-63"])
+def test_cli_skew_exponent_past_int64_exits_2(tmp_path, capsys, public_l, m):
+    head = f"# ore-kex v1\n{SKEW_LINE}\nseed 1\nrng numpy-pcg64\n"
+    pub, sig = tmp_path / "pub.txt", tmp_path / "sig.txt"
+    pub.write_text(head + f"L {public_l}\nP_Alice 0\n")
+    sig.write_text(head + f"m {m}\n" + "".join(f"{k} 0\n" for k in SIGNATURE_KEYS[1:]))
     t0 = time.perf_counter()
-    assert len(poly_from_text(SKEW, DIAGONAL_TERMS)) == 50_000
+    assert _run("verify", "--pub", str(pub), "--sig", str(sig)) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "too large" in err and len(err) < 300
+
+
+def test_many_distinct_terms_parse():
+    # 50,000 terms in a 250 x 200 box parse; on the diagonal their box is
+    # 50,000^2 cells, refused by the cell limit where the value is parsed
+    square = " + ".join(f"[1,0,0]*d1^{i % 250}*d2^{i // 250}" for i in range(50_000))
+    t0 = time.perf_counter()
+    assert len(poly_from_text(SKEW, square)) == 50_000
+    with pytest.raises(OreKexError, match="cell limit"):
+        poly_from_text(SKEW, DIAGONAL_TERMS)
     assert time.perf_counter() - t0 < 1.0
 
 
 WEYL2_LINE = ring_by_name("weyl2-f71").to_text()
 
 
-@pytest.mark.parametrize("ring_line, bad, good", [
+GRAMMAR_CASES = [
     (SKEW_LINE, "[5,0,0]*d1^1*d2^0", "[4,0,0]*d1^1*d2^0"),
     (SKEW_LINE, "[6,0,0]*d1^1*d2^0", "[1,0,0]*d1^1*d2^0"),
     (SKEW_LINE, "[ 1 , 0,0 ]*d1^1*d2^0", "[1,0,0]*d1^1*d2^0"),
@@ -331,7 +400,10 @@ WEYL2_LINE = ring_by_name("weyl2-f71").to_text()
     (SKEW_LINE, "[01,0,0]*d1^1*d2^0", "[1,0,0]*d1^1*d2^0"),
     (SKEW_LINE, "[1,0,0]*d1^01*d2^0", "[1,0,0]*d1^1*d2^0"),
     (WEYL2_LINE, "01*x1^1*x2^0*d1^0*d2^0", "1*x1^1*x2^0*d1^0*d2^0"),
-], ids=["digit-p", "digit-over-p", "spaces-in-term", "non-ascii-digit", "double-space",
+]
+
+
+@pytest.mark.parametrize("ring_line, bad, good", GRAMMAR_CASES, ids=["digit-p", "digit-over-p", "spaces-in-term", "non-ascii-digit", "double-space",
         "short-coefficient", "d2-before-d1", "extra-variable",
         "weyl-minus", "weyl-plus", "weyl-coefficient-over-p",
         "digit-leading-zero", "exponent-leading-zero", "weyl-coefficient-leading-zero"])
@@ -358,8 +430,7 @@ def test_cli_oversized_division_exits_2(tmp_path, capsys):
     ct, out = tmp_path / "ct.txt", tmp_path / "out.bin"
 
     def decrypt(m_e):
-        ct.write_text(render_file(SKEW, 4, [f"m_e {poly_to_text(m_e)}",
-                                            f"P_Bob {poly_to_text(p_bob)}"]))
+        ct.write_text(render_file(SKEW, 4, [f"m_e {m_e}", f"P_Bob {poly_to_text(p_bob)}"]))
         capsys.readouterr()
         t0 = time.perf_counter()
         code = _run("decrypt", "--sec", f"{prefix}.sec", "--in", str(ct), "--out", str(out))
@@ -370,8 +441,8 @@ def test_cli_oversized_division_exits_2(tmp_path, capsys):
     code, seconds, _ = decrypt(SKEW.poly({(20000, 0): 1}))
     assert code == 3 and seconds < 1.0
     # P_final plus d1^3000*d2^3000 fits the exponent ranges of a multiple of
-    # P_final, but its Kronecker line needs about 3000^2 cells
-    code, seconds, err = decrypt(p_final + SKEW.poly({(3000, 3000): 1}))
+    # P_final, but it spans about 3000^2 cells: refused where it is parsed
+    code, seconds, err = decrypt(f"{poly_to_text(p_final)} + [1,0,0]*d1^3000*d2^3000")
     assert code == 2 and "cell limit" in err and seconds < 1.0
     assert not out.exists()
 

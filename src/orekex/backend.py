@@ -37,7 +37,7 @@ from .errors import NotDivisibleError, OreKexError
 from .fields import tables_for
 
 # Largest dense array either kernel allocates, counted after transform
-# padding: the product d1^2047 * d2^2047 is exactly this size.  Division
+# padding: (d1^2047 + 1) * (d2^2047 + 1) is exactly this size.  Division
 # allocates nothing longer than its Kronecker line, about sigma_n times the
 # cells of the dividend's exponent box.  A three-pass at the paper's largest
 # tuple (50, 5, 50) needs 1.04M cells (a product) and a 0.99M-cell line; the

@@ -59,7 +59,8 @@ class OrePolynomial:
         # a weyl value takes over a canonical term dict, a skew value a trimmed
         # grid at offset lo (default the origin) or is made from such a dict
         if ring.is_skew and terms:
-            lo, grid = backend.coo_to_grid(*backend.terms_to_coo(terms, tables_for(ring.field).dtype))
+            exps, coeffs = backend.terms_to_coo(terms, tables_for(ring.field).dtype)
+            lo, grid = backend.coo_to_grid(exps, coeffs)
         if grid is not None:
             grid.flags.writeable = False
             lo, terms = lo or (0,) * grid.ndim, None

@@ -181,7 +181,8 @@ def poly_from_text(ring: OreRing, text: str) -> OrePolynomial:
                       (exps.max(1) >= np.uint64(1 << 63), "exponent too large (past 2^63 - 1)"),
                       (same, "duplicate monomial")):
         if bad.any():  # a term's text from its fields: an integer has one text
-            raise ParseError(f"{what} in {_quote(template.format(*values[bad.argmax()].tolist()))}")
+            shown = _quote(template.format(*values[bad.argmax()].tolist()))
+            raise ParseError(f"{what} in {shown}")
     coeffs = coeffs.astype(np.int64) @ p ** np.arange(coeffs.shape[1], dtype=np.int64)
     exps = exps[coeffs != 0].astype(np.int64).T
     coeffs = coeffs[coeffs != 0]

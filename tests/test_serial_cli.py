@@ -403,7 +403,8 @@ GRAMMAR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("ring_line, bad, good", GRAMMAR_CASES, ids=["digit-p", "digit-over-p", "spaces-in-term", "non-ascii-digit", "double-space",
+@pytest.mark.parametrize("ring_line, bad, good", GRAMMAR_CASES, ids=[
+        "digit-p", "digit-over-p", "spaces-in-term", "non-ascii-digit", "double-space",
         "short-coefficient", "d2-before-d1", "extra-variable",
         "weyl-minus", "weyl-plus", "weyl-coefficient-over-p",
         "digit-leading-zero", "exponent-leading-zero", "weyl-coefficient-leading-zero"])

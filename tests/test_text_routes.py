@@ -26,7 +26,8 @@ def _values(ring, rng):
         h = random_polynomial(ring, int(rng.integers(0, 9)), int(rng.integers(1, 30)), rng)
         yield h
         shift = [0] * ring.exp_len
-        shift[int(rng.integers(0, ring.exp_len))] = int(rng.choice([1, 1000, 2 ** 32 - 3, 2 ** 62]))
+        far = int(rng.choice([1, 1000, 2 ** 32 - 3, 2 ** 62]))
+        shift[int(rng.integers(0, ring.exp_len))] = far
         yield ring.poly({tuple(a + b for a, b in zip(e, shift)): c for e, c in h.terms.items()})
 
 

@@ -9,9 +9,8 @@ from .costs import (CostReport, SecurityTuple, brute_force_steps, check_referenc
 from .division import left_cofactor, right_cofactor
 from .encoding import capacity_bytes, decode_bytes, encode_bytes, min_degree_bound
 from .errors import (EncodingError, NotDivisibleError, OreKexError, ParseError,
-                     ProtocolError, RingMismatchError, ResampleExhaustedError,
-                     ZeroInverseError)
-from .fields import Automorphism, FieldElement, FieldSpec
+                     ProtocolError, RingMismatchError, ResampleExhaustedError)
+from .fields import FieldSpec
 from .orepoly import OrePolynomial, random_polynomial
 from .protocols import (CommutingSetup, FactorizationProver, KexResult,
                         PrivateTuple, ProtocolTranscript, PublicParameters,

@@ -108,8 +108,8 @@ def _load_params(path: str, keys) -> tuple[PublicParameters, list]:
     # box runs from the origin to nu times P's tops, and each of the nu - 1
     # weyl power products pairs at most its terms with P's, one step each.
     shown = serial._quote(str(nu))
-    for gen in (left, right):
-        box = prod(nu * max(col) + 1 for col in zip(*gen.terms))
+    for gen in filter(None, (left, right)):
+        box = prod(nu * top + 1 for top in gen.tops())
         if ring.is_skew and box > backend.MAX_GRID_CELLS:
             raise ParseError(f"{path}: nu {shown} puts pool elements over the "
                              f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")

@@ -62,7 +62,7 @@ def _peel(h: OrePolynomial, divisor: OrePolynomial, side: str) -> OrePolynomial:
     lm_div, lc_div = divisor.leading()
     inv_lc = pow(lc_div, -1, p)
     remainder = dict(h.terms)
-    # (-sum(e), reversed e) ascends as monomials.grevlex_key descends; an
+    # (-sum(e), reversed e) ascends as the grevlex order descends; an
     # entry whose term has since cancelled is skipped
     heap = [(-sum(e), e[::-1]) for e in remainder]
     heapify(heap)

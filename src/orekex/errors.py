@@ -9,10 +9,6 @@ class RingMismatchError(OreKexError):
     """Operands belong to different fields or different Ore rings."""
 
 
-class ZeroInverseError(OreKexError):
-    """Multiplicative inverse of zero was requested."""
-
-
 class NotDivisibleError(OreKexError):
     """Exact one-sided division failed: the divisor is not a factor."""
 

@@ -1,24 +1,23 @@
 """Arithmetic in F_p and in the extension F_{p^k} = F_p[x]/<m(x)>.
 
-Elements are dense coefficient vectors over F_p (coefficient of alpha^i at
-index i).  The fields used here are tiny (q up to a few hundred), so the
-fast polynomial kernels index into lookup tables (:class:`FieldTables`)
-instead.  The tables encode an element as the integer
-``a0 + a1*p + ... + a_{k-1}*p^{k-1}`` and are built by array arithmetic on
-these digits, a route separate from :class:`FieldElement` arithmetic.
+An element is a coefficient vector over F_p (coefficient of alpha^i at
+index i), encoded as the integer ``a0 + a1*p + ... + a_{k-1}*p^{k-1}``.
+The fields used here are tiny (q up to a few hundred), so every kernel
+reads lookup tables over this encoding (:class:`FieldTables`), built by
+array arithmetic on the digits.  Only the irreducibility test works on
+coefficient lists, in characteristics up to 2^31.
 
-Automorphisms are restricted to powers of the Frobenius map ``a -> a^(p^j)``,
-which form the full automorphism group of F_{p^k}.
+The powers of the Frobenius map ``a -> a^(p^j)`` form the full
+automorphism group of F_{p^k}; the tables hold each of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .errors import OreKexError, RingMismatchError, ZeroInverseError
+from .errors import OreKexError
 
 
 # Largest field order q = p^k whose lookup tables are built.  The q x q
@@ -84,6 +83,17 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _x_power(e: int, m: list[int], p: int) -> list[int]:
+    """x^e mod the monic m of degree >= 2, by square-and-multiply."""
+    acc, base = [1], [0, 1]
+    while e:
+        if e & 1:
+            acc = _poly_mod(_poly_mul(acc, base, p), m, p)
+        base = _poly_mod(_poly_mul(base, base, p), m, p)
+        e >>= 1
+    return acc
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """F_{p^k} presented as F_p[x] modulo a monic irreducible of degree k.
@@ -111,13 +121,14 @@ class FieldSpec:
             raise OreKexError("modulus must be monic")
         if self.k == 1:
             return  # every monic linear polynomial is irreducible
-        x = self.alpha()
-        if (x ** self.p ** self.k).coeffs != x.coeffs:
+        p, m = self.p, list(self.modulus)
+        if _x_power(p ** self.k, m, p) != [0, 1]:
             raise OreKexError("modulus does not divide x^(p^k) - x: not irreducible")
         for r in range(2, self.k + 1):
             if self.k % r == 0 and is_prime(r):
-                h = x ** self.p ** (self.k // r) - x
-                if _poly_gcd(list(h.coeffs), list(self.modulus), self.p) != [1]:
+                h = _x_power(p ** (self.k // r), m, p) + [0, 0]
+                h[1] = (h[1] - 1) % p
+                if _poly_gcd(h, m, p) != [1]:
                     raise OreKexError(f"modulus has a factor of degree dividing "
                                       f"{self.k // r}: not irreducible")
 
@@ -125,162 +136,9 @@ class FieldSpec:
     def q(self) -> int:
         return self.p ** self.k
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
-
-    def alpha(self) -> "FieldElement":
-        """The residue class of x, a generator of the extension over F_p."""
-        if self.k < 2:
-            raise OreKexError("prime field has no extension generator")
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
-
-    def element(self, coeffs) -> "FieldElement":
-        if isinstance(coeffs, int):
-            return FieldElement(self, (coeffs % self.p,) + (0,) * (self.k - 1))
-        return FieldElement(self, tuple(int(c) % self.p for c in coeffs))
-
-    def from_index(self, idx: int) -> "FieldElement":
-        if not 0 <= idx < self.q:
-            raise OreKexError(f"element index {idx} out of range for q={self.q}")
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(idx % self.p)
-            idx //= self.p
-        return FieldElement(self, tuple(coeffs))
-
-    def elements(self):
-        """Iterate over all q elements (index order)."""
-        for idx in range(self.q):
-            yield self.from_index(idx)
-
-    def frobenius(self, power: int) -> "Automorphism":
-        return Automorphism(self, power % self.k)
-
     def to_text(self) -> str:
         m = ",".join(str(c) for c in self.modulus)
         return f"field p={self.p} k={self.k} m=[{m}]"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.k:
-            raise OreKexError("coefficient vector has wrong length")
-        object.__setattr__(
-            self, "coeffs", tuple(c % self.spec.p for c in self.coeffs)
-        )
-
-    def _check(self, other: "FieldElement"):
-        if other.spec != self.spec:
-            raise RingMismatchError("field elements from different FieldSpecs")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return FieldElement(
-            self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        return FieldElement(
-            self.spec, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return FieldElement(self.spec, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check(other)
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs), self.spec.p)
-        red = _poly_mod(prod, list(self.spec.modulus), self.spec.p)
-        red += [0] * (self.spec.k - len(red))
-        return FieldElement(self.spec, tuple(red))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def inverse(self) -> "FieldElement":
-        """a^(q-2), which is a^-1 for a != 0 because a^(q-1) = 1."""
-        if self.is_zero():
-            raise ZeroInverseError("zero has no multiplicative inverse")
-        return self ** (self.spec.q - 2)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, n: int) -> "FieldElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return self.spec.element(other)
-        if isinstance(other, FieldElement):
-            return other
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    @property
-    def index(self) -> int:
-        """Integer encoding a0 + a1*p + ... used by the lookup tables."""
-        return reduce(lambda acc, c: acc * self.spec.p + c, reversed(self.coeffs), 0)
-
-    def to_text(self) -> str:
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-    def __str__(self):
-        return self.to_text()
-
-
-@dataclass(frozen=True)
-class Automorphism:
-    """Frobenius power j: the map a -> a^(p^j).  j = 0 is the identity."""
-
-    spec: FieldSpec
-    power: int
-
-    def __post_init__(self):
-        if not 0 <= self.power < self.spec.k:
-            raise OreKexError("Frobenius power must lie in [0, k)")
-
-    def __call__(self, a: FieldElement) -> FieldElement:
-        if a.spec != self.spec:
-            raise RingMismatchError("element does not belong to this field")
-        return a ** (self.spec.p ** self.power)
 
 
 class FieldTables:
@@ -294,8 +152,8 @@ class FieldTables:
     frob : (k, q), frob[j][i] = index of element_i ** (p**j)
     twist_digits : (q, k, k, k), [c, t, i, l] = digit i of c * frob^t(alpha^l)
 
-    Every table is built by numpy array arithmetic on the digit vectors,
-    independently of :class:`FieldElement`.  The dtype is the narrowest
+    Every table is built by numpy array arithmetic on the digit vectors.
+    The dtype is the narrowest
     unsigned type that holds an index, so the whole table set stays
     cache-resident for the small fields used here.
     """

@@ -4,19 +4,14 @@ The global order is graded reverse-lexicographic (grevlex) on the full
 exponent vector: higher total degree wins; on equal total degree the
 monomial whose last nonzero entry of the difference is negative wins.
 A graded order keeps leading monomials multiplicative, which the exact
-division routines rely on.
+division routines rely on.  The order is one ``np.lexsort`` over an int64
+exponent array (:func:`grevlex_descending`); leading terms, text and the
+message encoding all read it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
-
-
-def grevlex_key(exps: tuple[int, ...]):
-    """Sort key: ascending order of keys is ascending grevlex."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def grevlex_descending(exps: np.ndarray) -> np.ndarray:
@@ -29,32 +24,14 @@ def grevlex_descending(exps: np.ndarray) -> np.ndarray:
     return np.lexsort((*exps, -(low & 0xFFFFFFFF), -high))
 
 
-def compositions(total: int, slots: int):
-    """All exponent tuples of the given total degree, grevlex-ascending."""
-    if slots == 1:
-        yield (total,)
-        return
-    out = []
-    for cuts in combinations(range(total + slots - 1), slots - 1):
-        prev = -1
-        exps = []
-        for c in cuts:
-            exps.append(c - prev - 1)
-            prev = c
-        exps.append(total + slots - 2 - prev)
-        out.append(tuple(exps))
-    out.sort(key=grevlex_key)
-    yield from out
-
-
-def ascending(slots: int, count: int) -> list[tuple[int, ...]]:
-    """The first ``count`` exponent tuples in ascending grevlex order."""
-    out: list[tuple[int, ...]] = []
-    degree = 0
-    while len(out) < count:
-        for exps in compositions(degree, slots):
-            out.append(exps)
-            if len(out) == count:
-                return out
-        degree += 1
-    return out
+def first_monomials(slots: int, degree: int, count: int) -> np.ndarray:
+    """The first ``count`` exponent vectors in ascending grevlex order, all
+    of total degree at most ``degree``, as an int64 (slots, count) array:
+    every vector up to that degree, then one sort."""
+    exps, room = np.zeros((0, 1), np.int64), np.array([degree])
+    for _ in range(slots):  # each vector takes every entry its room allows
+        run = room + 1
+        src = np.repeat(np.arange(len(room)), run)
+        entry = np.arange(len(src)) - (np.cumsum(run) - run)[src]
+        exps, room = np.vstack([exps[:, src], entry]), room[src] - entry
+    return exps[:, grevlex_descending(exps)[::-1][:count]]

@@ -18,8 +18,14 @@ its lowest exponent on each axis and grid the coefficient-index array the
 product kernel convolves, cell e holding the coefficient of d^(lo + e),
 trimmed so that every face of its box holds a nonzero cell.  Every way of
 making a skew value makes this pair and refuses one whose box is over
-``backend.MAX_GRID_CELLS``.  ``terms`` is a read-only view built on first
-use; the powers :meth:`OrePolynomial.power_sum` makes are kept too.
+``backend.MAX_GRID_CELLS``; values given as exponent and coefficient
+arrays are made in one place, :meth:`OrePolynomial._of_coo`.  Leading
+terms, degrees, text and hashes read those arrays, ordered by one
+``np.lexsort`` (:func:`orekex.monomials.grevlex_descending`).  ``terms``
+is a read-only view built on first use; the powers
+:meth:`OrePolynomial.power_sum` makes are kept too.  Coefficients given as
+numbers are ints of the prime subfield (:meth:`OreRing.constant`); any
+other coefficient is a coefficient index in ``OreRing.poly``.
 """
 
 from __future__ import annotations
@@ -31,15 +37,17 @@ import numpy as np
 
 from . import backend
 from .errors import OreKexError, RingMismatchError
-from .fields import FieldElement, tables_for
-from .monomials import grevlex_descending, grevlex_key
+from .fields import tables_for
+from .monomials import grevlex_descending
 from .rings import OreRing
 
 
 class OrePolynomial:
     __slots__ = ("ring", "_lo", "_grid", "_terms", "_powers")
 
-    def __init__(self, ring: OreRing, terms: dict):
+    def __new__(cls, ring: OreRing, terms: dict):
+        """The value with the given ``{exponents: coefficient}`` terms,
+        each checked; a weyl scalar is taken mod p."""
         clean, limit = {}, ring.n_coeff_values
         for exps, c in terms.items():
             exps, c = tuple(int(e) for e in exps), int(c)
@@ -53,29 +61,39 @@ class OrePolynomial:
                 raise OreKexError(f"coefficient index {c} out of range [0,{limit})")
             if c % limit:
                 clean[exps] = c % limit
-        self._set(ring, clean)
-
-    def _set(self, ring, terms=None, grid=None, lo=None):
-        # a weyl value takes over a canonical term dict, a skew value a trimmed
-        # grid at offset lo (default the origin) or is made from such a dict
-        if ring.is_skew and terms:
-            exps, coeffs = backend.terms_to_coo(terms, tables_for(ring.field).dtype)
-            lo, grid = backend.coo_to_grid(exps, coeffs)
-        if grid is not None:
-            grid.flags.writeable = False
-            lo, terms = lo or (0,) * grid.ndim, None
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_terms", {} if grid is None and terms is None else terms)
-        object.__setattr__(self, "_powers", [])  # self^2, self^3, ... once made
+        if ring.is_weyl or not clean:
+            return cls._of(ring, clean)
+        return cls._of_coo(ring, *backend.terms_to_coo(clean, np.int64))
 
     @classmethod
     def _of(cls, ring: OreRing, terms=None, grid=None, lo=None) -> "OrePolynomial":
-        # trusted path for the arguments of _set
+        # trusted: a weyl value takes over a canonical term dict, a skew value
+        # a trimmed grid at offset lo (default the origin); none makes zero
         self = object.__new__(cls)
-        self._set(ring, terms, grid, lo)
+        if grid is not None:
+            grid.flags.writeable = False
+            lo, terms = lo or (0,) * grid.ndim, None  # the view is built on first read
+        elif terms is None:
+            terms = {}
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_powers", [])  # self^2, self^3, ... once made
         return self
+
+    @classmethod
+    def _of_coo(cls, ring: OreRing, exps: np.ndarray, coeffs: np.ndarray) -> "OrePolynomial":
+        """Trusted inverse of :meth:`_coo`: the value whose terms are the
+        distinct columns of the int64 (exp_len, terms) array ``exps`` with
+        the nonzero coefficients ``coeffs``.  OreKexError for a skew value
+        whose box is over ``backend.MAX_GRID_CELLS``."""
+        if not len(coeffs):
+            return cls._of(ring)
+        if ring.is_weyl:
+            return cls._of(ring, dict(zip(zip(*exps.tolist()), coeffs.tolist())))
+        lo, grid = backend.coo_to_grid(exps, coeffs.astype(tables_for(ring.field).dtype))
+        return cls._of(ring, grid=grid, lo=lo)
 
     def __setattr__(self, *a):  # immutable value
         raise AttributeError("OrePolynomial is immutable")
@@ -128,31 +146,37 @@ class OrePolynomial:
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Greatest term in the global grevlex order: (exponents, coeff index)."""
-        if not self.terms:
+        if not self:
             raise OreKexError("zero polynomial has no leading term")
-        lead = max(self.terms, key=grevlex_key)
-        return lead, self.terms[lead]
+        exps, coeffs = self._coo()
+        top = grevlex_descending(exps)[0]
+        return tuple(exps[:, top].tolist()), int(coeffs[top])
 
     def total_degree(self) -> int | None:
-        return max(map(sum, self.terms), default=None)
+        """That of the leading term, the order being graded; None when zero."""
+        return sum(self.leading()[0]) if self else None
+
+    def tops(self) -> tuple[int, ...]:
+        """Highest exponent on each axis of a nonzero value."""
+        if self.ring.is_skew:
+            return tuple(a + s - 1 for a, s in zip(self.lo, self._grid.shape))
+        return tuple(self._coo()[0].max(1).tolist())
 
     def d_degree(self, i: int) -> int:
         """Degree in the Ore variable d_i (1-based); -1 for the zero polynomial."""
         if not 1 <= i <= self.ring.n:
             raise OreKexError(f"Ore variable index {i} out of range")
-        if not self:
-            return -1
-        if self.ring.is_skew:
-            return self._lo[i - 1] + self._grid.shape[i - 1] - 1
-        return max(e[self.ring.n + i - 1] for e in self._terms)
+        return self.d_degrees()[i - 1]
 
     def d_degrees(self) -> tuple[int, ...]:
-        return tuple(self.d_degree(i) for i in range(1, self.ring.n + 1))
+        if not self:
+            return (-1,) * self.ring.n
+        return self.tops()[-self.ring.n:]
 
     # -- ring operations -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, FieldElement)):
+        if isinstance(other, int):
             return self.ring.constant(other)
         return other
 
@@ -208,7 +232,7 @@ class OrePolynomial:
         return self._coerce(other) - self
 
     def __rmul__(self, other):
-        # ints and FieldElements are central or left factors; order matters
+        # an int is a constant of the prime subfield, which is central
         return self._coerce(other) * self
 
     def __pow__(self, n: int) -> "OrePolynomial":
@@ -262,7 +286,9 @@ class OrePolynomial:
                                           or np.array_equal(self._grid, other._grid))
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        if self._grid is None:  # a weyl value or zero
+            return hash((self.ring, frozenset(self._terms.items())))
+        return hash((self.ring, self._lo, self._grid.shape, self._grid.tobytes()))
 
     # -- text form -------------------------------------------------------------
 
@@ -409,4 +435,4 @@ def random_polynomial(ring: OreRing, total_degree: int, n_terms: int, rng) -> Or
     for _ in range(n_terms - 1):
         d = int(rng.integers(0, total_degree + 1))
         terms[_random_composition(d, s, rng)] = int(rng.integers(1, hi))
-    return OrePolynomial._of(ring, terms)
+    return OrePolynomial._of_coo(ring, *backend.terms_to_coo(terms, np.int64))

@@ -46,7 +46,8 @@ def noncentral_witness(h: OrePolynomial) -> OrePolynomial:
     if ring.is_weyl:
         candidates += [ring.x(i) for i in range(1, ring.n + 1)]
     else:
-        candidates.append(ring.constant(ring.field.alpha()))
+        # alpha, the generator of F_{p^k} over F_p: coefficient index p
+        candidates.append(ring.poly({(0,) * ring.n: ring.p}))
     for w in candidates:
         if not h.commutes_with(w):
             return w

@@ -91,16 +91,10 @@ class OreRing:
     def one(self):
         return self.constant(1)
 
-    def constant(self, c):
-        from .fields import FieldElement
-
-        if isinstance(c, FieldElement):
-            if self.kind != SKEW:
-                raise OreKexError("field-element constants only exist in skew rings")
-            if c.spec != self.field:
-                raise OreKexError("constant from a different field")
-            return self.poly({(0,) * self.exp_len: c.index})
-        return self.poly({(0,) * self.exp_len: int(c) % self.p})
+    def constant(self, c: int):
+        """The integer c mod p, an element of the prime subfield; any other
+        coefficient is ``poly({(0,) * exp_len: index})``."""
+        return self.poly({(0,) * self.exp_len: c % self.p})
 
     def d(self, i: int):
         """The Ore variable d_i, 1-based."""

@@ -39,10 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import backend
 from .commuting import ConstantPolynomial
 from .errors import ParseError
-from .fields import MAX_CHARACTERISTIC, MAX_FIELD_ORDER, FieldSpec, tables_for
+from .fields import MAX_CHARACTERISTIC, MAX_FIELD_ORDER, FieldSpec
 from .orepoly import OrePolynomial
 from .rings import OreRing, skew_ring, weyl_ring
 
@@ -184,14 +183,7 @@ def poly_from_text(ring: OreRing, text: str) -> OrePolynomial:
             shown = _quote(template.format(*values[bad.argmax()].tolist()))
             raise ParseError(f"{what} in {shown}")
     coeffs = coeffs.astype(np.int64) @ p ** np.arange(coeffs.shape[1], dtype=np.int64)
-    exps = exps[coeffs != 0].astype(np.int64).T
-    coeffs = coeffs[coeffs != 0]
-    if ring.is_weyl:
-        return OrePolynomial._of(ring, dict(zip(zip(*exps.tolist()), coeffs.tolist())))
-    if not len(coeffs):
-        return ring.zero()
-    lo, grid = backend.coo_to_grid(exps, coeffs.astype(tables_for(ring.field).dtype))
-    return OrePolynomial._of(ring, grid=grid, lo=lo)
+    return OrePolynomial._of_coo(ring, exps[coeffs != 0].astype(np.int64).T, coeffs[coeffs != 0])
 
 
 def _quote(text: str) -> str:

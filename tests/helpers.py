@@ -2,18 +2,108 @@
 
 import re
 from dataclasses import dataclass, field
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 from operator import mul
 
 from orekex import OreKexError, OrePolynomial, RingMismatchError
-from orekex.errors import ParseError
-from orekex.fields import tables_for
-from orekex.monomials import grevlex_key
+from orekex.encoding import _digits_per_byte, capacity_bytes
+from orekex.errors import EncodingError, ParseError
+from orekex.fields import _poly_gcd, _poly_mod, _poly_mul, is_prime, tables_for
 from orekex.serial import INT, _quote
+
+
+# -- the monomial order by sort keys and enumeration ---------------------------
+#
+# The Python route the library took before one np.lexsort ordered terms.
+
+def grevlex_key(exps: tuple[int, ...]):
+    """Sort key: ascending order of keys is ascending grevlex."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def sorted_descending(exponents):
     return sorted(exponents, key=grevlex_key, reverse=True)
+
+
+def compositions(total: int, slots: int):
+    """All exponent tuples of the given total degree, grevlex-ascending."""
+    if slots == 1:
+        yield (total,)
+        return
+    out = []
+    for cuts in combinations(range(total + slots - 1), slots - 1):
+        prev = -1
+        exps = []
+        for c in cuts:
+            exps.append(c - prev - 1)
+            prev = c
+        exps.append(total + slots - 2 - prev)
+        out.append(tuple(exps))
+    out.sort(key=grevlex_key)
+    yield from out
+
+
+def ascending(slots: int, count: int) -> list[tuple[int, ...]]:
+    """The first ``count`` exponent tuples in ascending grevlex order."""
+    out: list[tuple[int, ...]] = []
+    degree = 0
+    while len(out) < count:
+        for exps in compositions(degree, slots):
+            out.append(exps)
+            if len(out) == count:
+                return out
+        degree += 1
+    return out
+
+
+def encode_bytes_oracle(ring, data: bytes, degree_bound: int | None = None) -> OrePolynomial:
+    """The per-position encoder the library used before array arithmetic."""
+    if not data:
+        raise EncodingError("cannot encode an empty message")
+    base = ring.n_coeff_values - 1
+    w = _digits_per_byte(base)
+    if degree_bound is not None and capacity_bytes(ring, degree_bound) < len(data):
+        raise EncodingError(
+            f"message of {len(data)} bytes exceeds capacity at degree {degree_bound}"
+        )
+    digits: list[int] = []
+    for byte in data:
+        group = []
+        for _ in range(w):
+            group.append(byte % base)
+            byte //= base
+        digits.extend(reversed(group))
+    positions = ascending(ring.exp_len, len(digits))
+    return OrePolynomial(ring, {pos: d + 1 for pos, d in zip(positions, digits)})
+
+
+def decode_bytes_oracle(poly: OrePolynomial) -> bytes:
+    """The per-position decoder the library used before one sort of the terms."""
+    if poly.is_zero():
+        raise EncodingError("empty polynomial decodes to nothing")
+    ring = poly.ring
+    base = ring.n_coeff_values - 1
+    w = _digits_per_byte(base)
+    count = len(poly.terms)
+    if count % w != 0:
+        raise EncodingError("term count is not a whole number of digit groups")
+    positions = ascending(ring.exp_len, count)
+    digits = []
+    for pos in positions:
+        c = poly.terms.get(pos)
+        if c is None:
+            raise EncodingError("gap in the occupied-position prefix")
+        digits.append(c - 1)
+    out = bytearray()
+    for i in range(0, len(digits), w):
+        val = 0
+        for d in digits[i : i + w]:
+            val = val * base + d
+        if val > 255:
+            raise EncodingError("digit group out of byte range")
+        out.append(val)
+    return bytes(out)
 
 
 def poly_from_text_oracle(ring, text: str) -> OrePolynomial:
@@ -94,6 +184,214 @@ def naive_pow(a, n, modulus, p):
     for _ in range(n):
         acc = naive_mulmod(list(acc), list(a), modulus, p)
     return acc
+
+
+# -- field elements by coefficient-vector arithmetic ---------------------------
+#
+# The element route the library kept beside its lookup tables until every
+# kernel read the tables.  ``spec`` is a FieldSpec, or a Presentation whose
+# modulus is not known to be irreducible.
+
+class ZeroInverseError(OreKexError):
+    """Multiplicative inverse of zero was requested."""
+
+
+@dataclass(frozen=True)
+class Presentation:
+    """F_p[x]/<m> for any monic m of degree k, unchecked."""
+
+    p: int
+    k: int
+    modulus: tuple[int, ...]
+
+    @property
+    def q(self) -> int:
+        return self.p ** self.k
+
+
+def field_zero(spec) -> "FieldElement":
+    return FieldElement(spec, (0,) * spec.k)
+
+
+def field_one(spec) -> "FieldElement":
+    return FieldElement(spec, (1,) + (0,) * (spec.k - 1))
+
+
+def alpha(spec) -> "FieldElement":
+    """The residue class of x, a generator of the extension over F_p."""
+    if spec.k < 2:
+        raise OreKexError("prime field has no extension generator")
+    return FieldElement(spec, (0, 1) + (0,) * (spec.k - 2))
+
+
+def element(spec, coeffs) -> "FieldElement":
+    if isinstance(coeffs, int):
+        return FieldElement(spec, (coeffs % spec.p,) + (0,) * (spec.k - 1))
+    return FieldElement(spec, tuple(int(c) % spec.p for c in coeffs))
+
+
+def from_index(spec, idx: int) -> "FieldElement":
+    if not 0 <= idx < spec.q:
+        raise OreKexError(f"element index {idx} out of range for q={spec.q}")
+    coeffs = []
+    for _ in range(spec.k):
+        coeffs.append(idx % spec.p)
+        idx //= spec.p
+    return FieldElement(spec, tuple(coeffs))
+
+
+def elements(spec):
+    """Iterate over all q elements (index order)."""
+    for idx in range(spec.q):
+        yield from_index(spec, idx)
+
+
+def frobenius(spec, power: int) -> "Automorphism":
+    return Automorphism(spec, power % spec.k)
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    spec: object
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.coeffs) != self.spec.k:
+            raise OreKexError("coefficient vector has wrong length")
+        object.__setattr__(
+            self, "coeffs", tuple(c % self.spec.p for c in self.coeffs)
+        )
+
+    def _check(self, other: "FieldElement"):
+        if other.spec != self.spec:
+            raise RingMismatchError("field elements from different FieldSpecs")
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        return FieldElement(
+            self.spec, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        return FieldElement(
+            self.spec, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
+
+    def __neg__(self):
+        return FieldElement(self.spec, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._check(other)
+        prod = _poly_mul(list(self.coeffs), list(other.coeffs), self.spec.p)
+        red = _poly_mod(prod, list(self.spec.modulus), self.spec.p)
+        red += [0] * (self.spec.k - len(red))
+        return FieldElement(self.spec, tuple(red))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
+
+    def inverse(self) -> "FieldElement":
+        """a^(q-2), which is a^-1 for a != 0 because a^(q-1) = 1."""
+        if self.is_zero():
+            raise ZeroInverseError("zero has no multiplicative inverse")
+        return self ** (self.spec.q - 2)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __pow__(self, n: int) -> "FieldElement":
+        if n < 0:
+            return self.inverse() ** (-n)
+        acc = field_one(self.spec)
+        base = self
+        while n:
+            if n & 1:
+                acc = acc * base
+            base = base * base
+            n >>= 1
+        return acc
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return element(self.spec, other)
+        if isinstance(other, FieldElement):
+            return other
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    @property
+    def index(self) -> int:
+        """Integer encoding a0 + a1*p + ... used by the lookup tables."""
+        return reduce(lambda acc, c: acc * self.spec.p + c, reversed(self.coeffs), 0)
+
+    def to_text(self) -> str:
+        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+
+    def __str__(self):
+        return self.to_text()
+
+
+@dataclass(frozen=True)
+class Automorphism:
+    """Frobenius power j: the map a -> a^(p^j).  j = 0 is the identity."""
+
+    spec: object
+    power: int
+
+    def __post_init__(self):
+        if not 0 <= self.power < self.spec.k:
+            raise OreKexError("Frobenius power must lie in [0, k)")
+
+    def __call__(self, a: FieldElement) -> FieldElement:
+        if a.spec != self.spec:
+            raise RingMismatchError("element does not belong to this field")
+        return a ** (self.spec.p ** self.power)
+
+
+def rabin_is_irreducible(p: int, k: int, modulus) -> bool:
+    """Rabin's test by FieldElement powers of x, the route FieldSpec took
+    before it worked on coefficient lists."""
+    if k == 1:
+        return True
+    x = alpha(Presentation(p, k, tuple(c % p for c in modulus)))
+    if (x ** p ** k).coeffs != x.coeffs:
+        return False
+    for r in range(2, k + 1):
+        if k % r == 0 and is_prime(r):
+            h = x ** p ** (k // r) - x
+            if _poly_gcd(list(h.coeffs), list(x.spec.modulus), p) != [1]:
+                return False
+    return True
+
+
+def field_constant(ring, c: FieldElement) -> OrePolynomial:
+    """The constant c of a skew ring, whose coefficient index it has."""
+    if ring.kind != "skew":
+        raise OreKexError("field-element constants only exist in skew rings")
+    if c.spec != ring.field:
+        raise OreKexError("constant from a different field")
+    return ring.poly({(0,) * ring.exp_len: c.index})
 
 
 @dataclass(frozen=True)
@@ -264,22 +562,22 @@ def skew_mul_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
     spec = ring.field
     out = {}
     for e1, c1 in f.terms.items():
-        fe1 = spec.from_index(c1)
+        fe1 = from_index(spec, c1)
         for e2, c2 in g.terms.items():
-            val = spec.from_index(c2)
+            val = from_index(spec, c2)
             for i, times in enumerate(e1):
-                phi = spec.frobenius(ring.sigma_powers[i])
+                phi = frobenius(spec, ring.sigma_powers[i])
                 for _ in range(times % spec.k):
                     val = phi(val)
             key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, spec.zero()) + fe1 * val
+            out[key] = out.get(key, field_zero(spec)) + fe1 * val
     return OrePolynomial(ring, {k: v.index for k, v in out.items() if not v.is_zero()})
 
 
 def skew_add_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
     """Skew sum by FieldElement addition over the union of the term dicts."""
     spec = f.ring.field
-    out = {e: spec.from_index(f.terms.get(e, 0)) + spec.from_index(g.terms.get(e, 0))
+    out = {e: from_index(spec, f.terms.get(e, 0)) + from_index(spec, g.terms.get(e, 0))
            for e in set(f.terms) | set(g.terms)}
     return OrePolynomial(f.ring, {e: v.index for e, v in out.items() if not v.is_zero()})
 

@@ -18,8 +18,9 @@ from orekex import (ConstantPolynomial, EncodingError, FactorizationProver,
                     signature_sides, three_pass_exchange, verify_signature,
                     weyl_ring, CommutingSetup)
 from orekex.cli import main as cli_main
+from orekex.fields import tables_for
 
-from helpers import degree_profile
+from helpers import degree_profile, element, frobenius, from_index
 from test_protocols import ShiftCheater, SplitCheater
 
 SKEW = ring_by_name("f125-skew2")
@@ -48,15 +49,16 @@ def test_01_reference_table_reproduction(capsys):
 def test_02_automorphism_tables_exhaustive():
     t0 = time.perf_counter()
     spec = SKEW.field
-    frob1, frob2 = spec.frobenius(1), spec.frobenius(2)
+    frob1, frob2 = frobenius(spec, 1), frobenius(spec, 2)
+    tab = tables_for(spec)  # what the kernels read
     for idx in range(125):
-        e = spec.from_index(idx)
+        e = from_index(spec, idx)
         a0, a1, a2 = e.coeffs
-        sigma1 = spec.element(((a0 + a1 + a2) % 5, 3 * a2 % 5, (3 * a1 + 4 * a2) % 5))
-        sigma2 = spec.element(((a0 + 4 * a1 + 3 * a2) % 5, (4 * a1 + 2 * a2) % 5,
+        sigma1 = element(spec, ((a0 + a1 + a2) % 5, 3 * a2 % 5, (3 * a1 + 4 * a2) % 5))
+        sigma2 = element(spec, ((a0 + 4 * a1 + 3 * a2) % 5, (4 * a1 + 2 * a2) % 5,
                                2 * a1 % 5))
-        assert frob2(e) == sigma1
-        assert frob1(e) == sigma2
+        assert frob2(e) == sigma1 and int(tab.frob[2, idx]) == sigma1.index
+        assert frob1(e) == sigma2 and int(tab.frob[1, idx]) == sigma2.index
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(2, f"coefficient tables equal Frobenius^2 and Frobenius^1 on all 125 "

@@ -8,7 +8,7 @@ from orekex import (ConstantPolynomial, FieldSpec, OreKexError, ProtocolError,
                     random_polynomial, ring_by_name, sample_private, skew_ring)
 from orekex import commuting
 
-from helpers import degree_profile, skew_mul_oracle
+from helpers import alpha, degree_profile, field_constant, skew_mul_oracle
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
@@ -196,7 +196,7 @@ def test_corner_settles_noncommuting_pairs_without_full_products(full_products):
     # transform about a million cells
     ring = SKEW
     f = ring.d(1)
-    g = ring.constant(ring.field.alpha()) + ring.poly({(1000, 1000): 1})
+    g = field_constant(ring, alpha(ring.field)) + ring.poly({(1000, 1000): 1})
     full_products.clear()
     tracemalloc.start()
     try:

@@ -3,13 +3,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from orekex import FieldSpec, OreKexError, ZeroInverseError, f125_spec
+from orekex import FieldSpec, OreKexError, f125_spec
 from orekex.fields import tables_for
 
-from helpers import naive_is_irreducible, naive_mulmod, naive_pow
+from helpers import (ZeroInverseError, alpha, element, elements, field_one, field_zero,
+                     frobenius, from_index, naive_is_irreducible, naive_mulmod, naive_pow,
+                     rabin_is_irreducible)
 
 F125 = f125_spec()
-ALPHA = F125.alpha()
+ALPHA = alpha(F125)
 
 
 def test_spec_validation():
@@ -44,48 +46,61 @@ def test_irreducibility_matches_trial_division(p, k):
             ok = True
         except OreKexError:
             ok = False
-        assert ok == naive_is_irreducible(modulus, p), modulus
+        assert ok == naive_is_irreducible(modulus, p) == rabin_is_irreducible(p, k, modulus), modulus
         accepted += ok
     assert accepted == IRREDUCIBLE_COUNTS[p, k]
+
+
+def test_irreducibility_at_the_characteristic_bound():
+    # 2^31 - 1 = 3 (mod 4), so -1 is not a square: x^2 + 1 is irreducible,
+    # and x^2 - 1 and x^2 are not; trial division is out of reach here
+    p = (1 << 31) - 1
+    for modulus, ok in (((1, 0, 1), True), ((p - 1, 0, 1), False), ((0, 0, 1), False)):
+        assert rabin_is_irreducible(p, 2, modulus) == ok
+        if ok:
+            FieldSpec(p, 2, modulus)
+        else:
+            with pytest.raises(OreKexError):
+                FieldSpec(p, 2, modulus)
 
 
 def test_mul_examples():
     a2 = ALPHA * ALPHA
     assert (ALPHA * a2).coeffs == (2, 2, 0)  # x^3 = 2x + 2 mod (x^3+3x+3, 5)
     assert (a2 * a2).coeffs == (0, 2, 2)  # alpha^4 = alpha * (2 alpha + 2)
-    beta = F125.element((4, 2, 3))
-    assert F125.one() * beta == beta
+    beta = element(F125, (4, 2, 3))
+    assert field_one(F125) * beta == beta
 
 
 def test_mul_against_naive_oracle():
     rng = np.random.default_rng(11)
     m = list(F125.modulus)
     for _ in range(300):
-        a = F125.from_index(int(rng.integers(0, 125)))
-        b = F125.from_index(int(rng.integers(0, 125)))
+        a = from_index(F125, int(rng.integers(0, 125)))
+        b = from_index(F125, int(rng.integers(0, 125)))
         assert (a * b).coeffs == naive_mulmod(list(a.coeffs), list(b.coeffs), m, 5)
 
 
 def test_inverse():
-    assert F125.one().inverse() == F125.one()
+    assert field_one(F125).inverse() == field_one(F125)
     inv = ALPHA.inverse()
-    assert ALPHA * inv == F125.one()
+    assert ALPHA * inv == field_one(F125)
     assert inv.coeffs == (4, 0, 3)  # alpha * (3 alpha^2 + 4) = 3 (2 alpha + 2) + 4 alpha = 1
     with pytest.raises(ZeroInverseError):
-        F125.zero().inverse()
+        field_zero(F125).inverse()
     for idx in range(1, 125):
-        e = F125.from_index(idx)
-        assert e * e.inverse() == F125.one()
+        e = from_index(F125, idx)
+        assert e * e.inverse() == field_one(F125)
 
 
 def test_frobenius_examples():
-    frob1 = F125.frobenius(1)
-    frob2 = F125.frobenius(2)
+    frob1 = frobenius(F125, 1)
+    frob2 = frobenius(F125, 2)
     assert frob1(ALPHA).coeffs == (4, 4, 2)
     assert frob2(ALPHA).coeffs == (1, 0, 3)
-    ident = F125.frobenius(0)
+    ident = frobenius(F125, 0)
     for idx in range(125):
-        e = F125.from_index(idx)
+        e = from_index(F125, idx)
         assert ident(e) == e
     # independent route: alpha^(5^j) by naive repeated multiplication
     m = list(F125.modulus)
@@ -95,15 +110,15 @@ def test_frobenius_examples():
 
 def test_field_axioms_random_triples():
     rng = np.random.default_rng(5)
-    one = F125.one()
+    one = field_one(F125)
     for _ in range(1000):
-        a, b, c = (F125.from_index(int(rng.integers(0, 125))) for _ in range(3))
+        a, b, c = (from_index(F125, int(rng.integers(0, 125))) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a + b == b + a
         assert a * (b + c) == a * b + a * c
-        assert a + (-a) == F125.zero()
+        assert a + (-a) == field_zero(F125)
         if not a.is_zero():
             assert a * a.inverse() == one
 
@@ -111,24 +126,24 @@ def test_field_axioms_random_triples():
 def test_frobenius_is_ring_homomorphism():
     rng = np.random.default_rng(6)
     for j in range(3):
-        phi = F125.frobenius(j)
+        phi = frobenius(F125, j)
         for _ in range(200):
-            a = F125.from_index(int(rng.integers(0, 125)))
-            b = F125.from_index(int(rng.integers(0, 125)))
+            a = from_index(F125, int(rng.integers(0, 125)))
+            b = from_index(F125, int(rng.integers(0, 125)))
             assert phi(a + b) == phi(a) + phi(b)
             assert phi(a * b) == phi(a) * phi(b)
 
 
 def test_frobenius_order_and_fixed_subfield():
-    for e in F125.elements():
+    for e in elements(F125):
         v = e
         for _ in range(3):
-            v = F125.frobenius(1)(v)
+            v = frobenius(F125, 1)(v)
         assert v == e  # phi^k is the identity
     for c in range(5):
-        e = F125.element(c)
+        e = element(F125, c)
         for j in range(3):
-            assert F125.frobenius(j)(e) == e  # prime subfield pointwise fixed
+            assert frobenius(F125, j)(e) == e  # prime subfield pointwise fixed
 
 
 def _check_tables(spec, pairs):
@@ -138,17 +153,17 @@ def _check_tables(spec, pairs):
     for name in ("add", "sub", "neg", "mul", "inv", "frob", "twist_digits"):
         assert getattr(tab, name).dtype == np.uint8, name
     for i, j in pairs:
-        a, b = spec.from_index(i), spec.from_index(j)
+        a, b = from_index(spec, i), from_index(spec, j)
         assert int(tab.mul[i, j]) == (a * b).index
         assert int(tab.add[i, j]) == (a + b).index
         assert int(tab.sub[i, j]) == (a - b).index
     for i in sorted({i for i, _ in pairs}):
-        a = spec.from_index(i)
+        a = from_index(spec, i)
         assert int(tab.neg[i]) == (-a).index
         if i:
             assert int(tab.inv[i]) == a.inverse().index
         for power in range(spec.k):
-            assert int(tab.frob[power, i]) == spec.frobenius(power)(a).index
+            assert int(tab.frob[power, i]) == frobenius(spec, power)(a).index
 
 
 def test_tables_match_element_arithmetic():
@@ -173,4 +188,4 @@ def test_mismatched_specs_rejected():
     from orekex import RingMismatchError
 
     with pytest.raises(RingMismatchError):
-        ALPHA + other.alpha()
+        ALPHA + alpha(other)

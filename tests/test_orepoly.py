@@ -8,9 +8,14 @@ from orekex import (FieldSpec, OreKexError, OrePolynomial, RingMismatchError,
                     backend, orepoly, f125_spec, left_cofactor, random_polynomial, right_cofactor,
                     ring_by_name, skew_ring, weyl_ring)
 from orekex.fields import tables_for
-from orekex.monomials import grevlex_key
+from orekex.monomials import grevlex_descending
 
-from helpers import degree_profile, skew_add_oracle, skew_mul_oracle, weyl_mul_oracle
+from orekex.rings import RING_ALIASES
+from orekex.serial import poly_from_text
+
+from helpers import (alpha, degree_profile, field_constant, field_zero, frobenius, from_index,
+                     grevlex_key, skew_add_oracle, skew_mul_oracle, to_text_oracle,
+                     weyl_mul_oracle)
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
@@ -43,10 +48,10 @@ def test_skew_twist_exhaustive():
     spec = SKEW.field
     for i, power in enumerate(SKEW.sigma_powers, start=1):
         d = SKEW.d(i)
-        phi = spec.frobenius(power)
+        phi = frobenius(spec, power)
         for idx in range(125):
-            c = SKEW.constant(spec.from_index(idx))
-            assert d * c == SKEW.constant(phi(spec.from_index(idx))) * d
+            c = field_constant(SKEW, from_index(spec, idx))
+            assert d * c == field_constant(SKEW, phi(from_index(spec, idx))) * d
 
 
 def test_skew_monomial_twist_power():
@@ -56,18 +61,18 @@ def test_skew_monomial_twist_power():
     d1 = SKEW.d(1)
     for _ in range(50):
         a, b = int(rng.integers(0, 11)), int(rng.integers(0, 11))
-        c = spec.from_index(int(rng.integers(1, 125)))
-        e = spec.from_index(int(rng.integers(1, 125)))
+        c = from_index(spec, int(rng.integers(1, 125)))
+        e = from_index(spec, int(rng.integers(1, 125)))
         twisted = e
         for _ in range(a * SKEW.sigma_powers[0] % 3):
-            twisted = spec.frobenius(1)(twisted)
-        lhs = (SKEW.constant(c) * d1 ** a) * (SKEW.constant(e) * d1 ** b)
-        rhs = SKEW.constant(c * twisted) * d1 ** (a + b)
+            twisted = frobenius(spec, 1)(twisted)
+        lhs = (field_constant(SKEW, c) * d1 ** a) * (field_constant(SKEW, e) * d1 ** b)
+        rhs = field_constant(SKEW, c * twisted) * d1 ** (a + b)
         assert lhs == rhs
     # d1^2 c = sigma1^2(c) d1^2 spot case
-    c = spec.alpha()
-    assert SKEW.d(1) ** 2 * SKEW.constant(c) == \
-        SKEW.constant(spec.frobenius(2 * SKEW.sigma_powers[0] % 3)(c)) * SKEW.d(1) ** 2
+    c = alpha(spec)
+    assert SKEW.d(1) ** 2 * field_constant(SKEW, c) == \
+        field_constant(SKEW, frobenius(spec, 2 * SKEW.sigma_powers[0] % 3)(c)) * SKEW.d(1) ** 2
 
 
 def test_weyl_relations():
@@ -127,12 +132,12 @@ def test_product_at_the_top_of_the_exactness_bound(spec):
     g = ring.poly({(e, 0): c for e in range(lg)})
     # cell t of f*g sums c * F^e(c) over e in [t - lg + 1, t] within [0, lf),
     # and F^e depends on e mod k only: the oracle gives the k distinct terms
-    term = [spec.from_index(skew_mul_oracle(ring.poly({(r, 0): c}), ring.poly({(0, 0): c})).terms[(r, 0)])
+    term = [from_index(spec, skew_mul_oracle(ring.poly({(r, 0): c}), ring.poly({(0, 0): c})).terms[(r, 0)])
             for r in range(k)]
     want = {}
     for t in range(lf + lg - 1):
         lo, hi = max(0, t - lg + 1), min(t, lf - 1)
-        cell = spec.zero()
+        cell = field_zero(spec)
         for r in range(k):
             cell = cell + term[r] * len(range(lo + (r - lo) % k, hi + 1, k))
         if not cell.is_zero():
@@ -301,8 +306,8 @@ def test_constants_central():
 
 
 def test_noncommutativity_witness():
-    alpha = SKEW.constant(SKEW.field.alpha())
-    assert not SKEW.d(1).commutes_with(alpha)  # sigma_1(alpha) != alpha
+    a = field_constant(SKEW, alpha(SKEW.field))
+    assert not SKEW.d(1).commutes_with(a)  # sigma_1(alpha) != alpha
     assert not WEYL.d(1).commutes_with(WEYL.x(1))
 
 
@@ -348,6 +353,43 @@ def test_grevlex_order_definition():
             last = max(i for i, d in enumerate(diff) if d != 0)
             expected = diff[last] < 0
         assert (grevlex_key(a) > grevlex_key(b)) == expected
+        assert (grevlex_descending(np.array([a, b]).T)[0] == 0) == expected
+
+
+@pytest.mark.parametrize("name", sorted(RING_ALIASES))
+def test_leading_and_total_degree_match_the_sort_key_oracle(name):
+    ring, rng = ring_by_name(name), np.random.default_rng(19)
+    for _ in range(40):
+        h = _rand(ring, rng, degree=9, terms=12) * _rand(ring, rng, degree=3, terms=3)
+        top = max(h.terms, key=grevlex_key)
+        assert h.leading() == (top, h.terms[top])
+        assert h.total_degree() == sum(top) == max(map(sum, h.terms))
+
+
+def test_order_at_the_int64_edge():
+    big = 1 << 62
+    for ring in (SKEW, WEYL):
+        pad = (0,) * (ring.exp_len - 2)  # d1, d2 are the last two axes
+        h = ring.poly({pad + (big, big): 1, pad + (big - 1, big): 2, pad + (big, big - 1): 3})
+        assert h.total_degree() == 1 << 63
+        assert h.leading() == (pad + (big, big), 1)
+        assert h.to_text() == to_text_oracle(h)
+    assert WEYL.poly({(0, 0, big, big): 1, (0, 0, 0, 0): 1}).total_degree() == 1 << 63
+
+
+def test_equal_values_hash_equal():
+    for ring in (SKEW, SKEW4, WEYL):
+        d1, d2 = ring.d(1), ring.d(2)
+        made = d1 ** 3 * (d1 + 2) * (d2 + 3)  # a product away from the origin
+        values = [made, poly_from_text(ring, made.to_text()), ring.poly(dict(made.terms)),
+                  d1 ** 4 * d2 + 3 * d1 ** 4 + 2 * d1 ** 3 * d2 + 6 * d1 ** 3,
+                  right_cofactor(d2 * made, d2)]
+        assert all(v == made for v in values)
+        assert len({hash(v) for v in values}) == 1
+        zeros = [ring.zero(), poly_from_text(ring, "0"), made - made, made * ring.zero(),
+                 ring.poly({(0,) * ring.exp_len: 0})]
+        assert all(z == ring.zero() for z in zeros)
+        assert len({hash(z) for z in zeros}) == 1
 
 
 def test_coefficient_validation():

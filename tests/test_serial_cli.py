@@ -14,6 +14,8 @@ from orekex.cli import build_parser, main
 from orekex.rings import RING_ALIASES
 from orekex.serial import parse_file, poly_from_text, poly_to_text, render_file, ring_from_text
 
+from helpers import alpha, field_constant
+
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl3-f71")
 SRC = str(Path(orekex.__file__).resolve().parents[1])
@@ -58,7 +60,7 @@ def test_poly_text_shape():
     assert SKEW.term_format() == "[{},{},{}]*d1^{}*d2^{}"
     assert ring_by_name("weyl2-f71").term_format() == "{}*x1^{}*x2^{}*d1^{}*d2^{}"
     d1, d2 = SKEW.d(1), SKEW.d(2)
-    h = SKEW.constant(SKEW.field.alpha()) * d1 * d2 + 2
+    h = field_constant(SKEW, alpha(SKEW.field)) * d1 * d2 + 2
     assert poly_to_text(h) == "[0,1,0]*d1^1*d2^1 + [2,0,0]*d1^0*d2^0"
     w = WEYL.x(2) ** 2 * WEYL.d(3)
     assert poly_to_text(w) == "1*x1^0*x2^2*x3^0*d1^0*d2^0*d3^1"

@@ -65,11 +65,10 @@ def _check_cells(shape) -> None:
 
 # -- values as (lo, grid) pairs ----------------------------------------------
 
-def terms_to_coo(terms: dict, coeff_dtype):
-    """(exponents, coefficients): an int64 (n, terms) array and a vector."""
-    n = len(next(iter(terms)))  # a value's exponents fit int64
+def terms_to_coo(terms: dict, n: int):
+    """The int64 (n, terms) exponent array and coefficient vector of terms."""
     flat = np.fromiter(chain.from_iterable(terms), np.int64, n * len(terms))
-    return flat.reshape(-1, n).T.copy(), np.fromiter(terms.values(), coeff_dtype, len(terms))
+    return flat.reshape(-1, n).T.copy(), np.fromiter(terms.values(), np.int64, len(terms))
 
 
 def coo_to_grid(exps: np.ndarray, coeffs: np.ndarray):

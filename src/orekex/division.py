@@ -75,7 +75,7 @@ def _peel(h: OrePolynomial, divisor: OrePolynomial, side: str) -> OrePolynomial:
         if min(mu) < 0:
             raise NotDivisibleError("leading monomial is not a multiple of the divisor's")
         c = cofactor[mu] = remainder[lm_head] * inv_lc % p
-        term = OrePolynomial._of(ring, {mu: c})
+        term = OrePolynomial._of(ring, *backend.terms_to_coo({mu: c}, ring.exp_len))
         step = divisor * term if side == "right" else term * divisor
         for e, v in step.terms.items():
             if e not in remainder:
@@ -85,4 +85,4 @@ def _peel(h: OrePolynomial, divisor: OrePolynomial, side: str) -> OrePolynomial:
                 remainder[e] = (old - v) % p
         if lm_head in remainder:
             raise OreKexError("a reduction step failed to cancel the leading term")
-    return OrePolynomial._of(ring, cofactor)
+    return OrePolynomial._of_coo(ring, *backend.terms_to_coo(cofactor, ring.exp_len))

@@ -18,13 +18,15 @@ from math import comb
 
 import numpy as np
 
-from .errors import EncodingError
+from .errors import EncodingError, OreKexError
 from .monomials import first_monomials, grevlex_descending
 from .orepoly import OrePolynomial
 from .rings import OreRing
 
 
 def _digits_per_byte(base: int) -> int:
+    if base < 2:  # base-1 digits would never span a byte
+        raise OreKexError("a ring with one nonzero coefficient value cannot carry bytes")
     w, span = 1, base
     while span < 256:
         w += 1

@@ -13,16 +13,18 @@ x_i*d_i + 1 (weyl).  Every skew product, whatever the number of variables,
 is delegated to the FFT kernel in :mod:`orekex.backend`; every weyl product
 is one numpy kernel over all pairs of terms (:func:`_weyl_mul`).
 
-A weyl value holds a term dict.  A skew value is a pair (lo, grid): lo
-its lowest exponent on each axis and grid the coefficient-index array the
-product kernel convolves, cell e holding the coefficient of d^(lo + e),
-trimmed so that every face of its box holds a nonzero cell.  Every way of
-making a skew value makes this pair and refuses one whose box is over
-``backend.MAX_GRID_CELLS``; values given as exponent and coefficient
-arrays are made in one place, :meth:`OrePolynomial._of_coo`.  Leading
-terms, degrees, text and hashes read those arrays, ordered by one
-``np.lexsort`` (:func:`orekex.monomials.grevlex_descending`).  ``terms``
-is a read-only view built on first use; the powers
+A nonzero skew value is a pair (lo, grid): lo its lowest exponent on each
+axis and grid the coefficient-index array the product kernel convolves,
+cell e holding the coefficient of d^(lo + e), trimmed so that every face
+of its box holds a nonzero cell; every way of making one refuses a box
+over ``backend.MAX_GRID_CELLS``.  A nonzero weyl value is a pair (exps,
+coeffs): a read-only int64 (2n, terms) array of distinct exponent columns
+in lexicographic order, the order ``np.nonzero`` gives a grid's cells,
+and their coefficients in [1, p).  Values given as exponent and
+coefficient arrays are made in one place, :meth:`OrePolynomial._of_coo`.
+Leading terms, degrees, text, equality and hashes read those arrays,
+ordered by one ``np.lexsort`` (:func:`orekex.monomials.grevlex_descending`).
+``terms`` is a read-only view built on first use; the powers
 :meth:`OrePolynomial.power_sum` makes are kept too.  Coefficients given as
 numbers are ints of the prime subfield (:meth:`OreRing.constant`); any
 other coefficient is a coefficient index in ``OreRing.poly``.
@@ -43,7 +45,7 @@ from .rings import OreRing
 
 
 class OrePolynomial:
-    __slots__ = ("ring", "_lo", "_grid", "_terms", "_powers")
+    __slots__ = ("ring", "_lo", "_grid", "_exps", "_coeffs", "_terms", "_powers")
 
     def __new__(cls, ring: OreRing, terms: dict):
         """The value with the given ``{exponents: coefficient}`` terms,
@@ -61,37 +63,42 @@ class OrePolynomial:
                 raise OreKexError(f"coefficient index {c} out of range [0,{limit})")
             if c % limit:
                 clean[exps] = c % limit
-        if ring.is_weyl or not clean:
-            return cls._of(ring, clean)
-        return cls._of_coo(ring, *backend.terms_to_coo(clean, np.int64))
+        return cls._of_coo(ring, *backend.terms_to_coo(clean, ring.exp_len))
 
     @classmethod
-    def _of(cls, ring: OreRing, terms=None, grid=None, lo=None) -> "OrePolynomial":
-        # trusted: a weyl value takes over a canonical term dict, a skew value
-        # a trimmed grid at offset lo (default the origin); none makes zero
+    def _of(cls, ring: OreRing, exps=None, coeffs=None, grid=None, lo=None) -> "OrePolynomial":
+        # trusted: weyl arrays as _coo() returns them, or a trimmed skew grid
+        # at offset lo (default the origin); no columns and no grid is zero
         self = object.__new__(cls)
+        if coeffs is not None and not len(coeffs):
+            exps = coeffs = None
+        for a in (grid, exps, coeffs):
+            if a is not None:
+                a.flags.writeable = False
         if grid is not None:
-            grid.flags.writeable = False
-            lo, terms = lo or (0,) * grid.ndim, None  # the view is built on first read
-        elif terms is None:
-            terms = {}
+            lo = lo or (0,) * grid.ndim
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_grid", grid)
-        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_exps", exps)
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_terms", None if self else {})  # the view, once read
         object.__setattr__(self, "_powers", [])  # self^2, self^3, ... once made
         return self
 
     @classmethod
     def _of_coo(cls, ring: OreRing, exps: np.ndarray, coeffs: np.ndarray) -> "OrePolynomial":
-        """Trusted inverse of :meth:`_coo`: the value whose terms are the
-        distinct columns of the int64 (exp_len, terms) array ``exps`` with
-        the nonzero coefficients ``coeffs``.  OreKexError for a skew value
-        whose box is over ``backend.MAX_GRID_CELLS``."""
+        """Trusted: the value whose terms are the columns, in any order, of
+        the int64 (exp_len, terms) array ``exps`` with coefficients
+        ``coeffs``: distinct and nonzero in a skew ring, adding mod p in a
+        weyl ring.  OreKexError for a skew box over the cell limit."""
         if not len(coeffs):
             return cls._of(ring)
         if ring.is_weyl:
-            return cls._of(ring, dict(zip(zip(*exps.tolist()), coeffs.tolist())))
+            order = np.lexsort(exps[::-1])  # no flat index: far terms' box can pass int64
+            exps = exps[:, order]
+            first, sums = _run_sums((exps[:, 1:] != exps[:, :-1]).any(0), coeffs[order], ring.p)
+            return cls._of(ring, exps=exps[:, first], coeffs=sums)
         lo, grid = backend.coo_to_grid(exps, coeffs.astype(tables_for(ring.field).dtype))
         return cls._of(ring, grid=grid, lo=lo)
 
@@ -102,18 +109,17 @@ class OrePolynomial:
 
     @property
     def terms(self):
-        """Read-only ``{exponents: coefficient}`` view, built from a skew
-        value's grid on first use."""
+        """Read-only ``{exponents: coefficient}`` view, built on first use."""
         if self._terms is None:
             exps, coeffs = self._coo()
             object.__setattr__(self, "_terms", dict(zip(zip(*exps.tolist()), coeffs.tolist())))
         return MappingProxyType(self._terms)
 
     def _coo(self):
-        """(exponents, coefficients) of a nonzero value: an int64
-        (exp_len, terms) array and a vector."""
+        """(exponents, coefficients) of a nonzero value: an int64 (exp_len,
+        terms) array, columns in lexicographic order, and a vector."""
         if self.ring.is_weyl:
-            return backend.terms_to_coo(self._terms, np.int64)
+            return self._exps, self._coeffs
         idx = np.nonzero(self._grid)
         return np.array(idx, np.int64) + np.array(self._lo, np.int64)[:, None], self._grid[idx]
 
@@ -137,12 +143,12 @@ class OrePolynomial:
 
     def __bool__(self):
         # a grid is trimmed, so it has a nonzero cell
-        return self._grid is not None if self.ring.is_skew else bool(self._terms)
+        return self._grid is not None or self._exps is not None
 
     def __len__(self):
-        if self.ring.is_weyl:
-            return len(self._terms)
-        return 0 if self._grid is None else int(np.count_nonzero(self._grid))
+        if not self:
+            return 0
+        return len(self._coeffs) if self.ring.is_weyl else int(np.count_nonzero(self._grid))
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Greatest term in the global grevlex order: (exponents, coeff index)."""
@@ -160,7 +166,7 @@ class OrePolynomial:
         """Highest exponent on each axis of a nonzero value."""
         if self.ring.is_skew:
             return tuple(a + s - 1 for a, s in zip(self.lo, self._grid.shape))
-        return tuple(self._coo()[0].max(1).tolist())
+        return tuple(self._exps.max(1).tolist())
 
     def d_degree(self, i: int) -> int:
         """Degree in the Ore variable d_i (1-based); -1 for the zero polynomial."""
@@ -201,7 +207,7 @@ class OrePolynomial:
 
     def _sum(self, parts) -> "OrePolynomial":
         """sum c*h over pairs (c, h) of a scalar of F_p and a value of the
-        ring; a skew sum is made in one array (``backend.scaled_sum``)."""
+        ring, made in one array (``backend.scaled_sum``, :meth:`_of_coo`)."""
         ring = self.ring
         parts = [(c, h) for c, h in parts if c and h]
         if not parts:
@@ -209,11 +215,8 @@ class OrePolynomial:
         if ring.is_skew:
             lo, grid = backend.scaled_sum(tables_for(ring.field), parts)
             return OrePolynomial._of(ring, grid=grid, lo=lo)
-        out = {}
-        for c, h in parts:
-            for e, v in h._terms.items():
-                out[e] = (out.get(e, 0) + c * v) % ring.p
-        return OrePolynomial._of(ring, {e: v for e, v in out.items() if v})
+        return OrePolynomial._of_coo(ring, np.concatenate([h._exps for _, h in parts], axis=1),
+                                     np.concatenate([c * h._coeffs % ring.p for c, h in parts]))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -223,7 +226,7 @@ class OrePolynomial:
             return ring.zero()
         if ring.is_skew:
             return backend.skew2_mul(ring, self, other)
-        return OrePolynomial._of(ring, _weyl_mul(ring, self._terms, other._terms))
+        return _weyl_mul(ring, self, other)
 
     def __radd__(self, other):
         return self + other
@@ -278,17 +281,18 @@ class OrePolynomial:
     def __eq__(self, other):
         if not isinstance(other, OrePolynomial):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        if self.ring.is_weyl:
-            return self._terms == other._terms
-        return self._lo == other._lo and (self._grid is None
-                                          or np.array_equal(self._grid, other._grid))
+        return self.ring == other.ring and self._key() == other._key()
 
     def __hash__(self):
-        if self._grid is None:  # a weyl value or zero
-            return hash((self.ring, frozenset(self._terms.items())))
-        return hash((self.ring, self._lo, self._grid.shape, self._grid.tobytes()))
+        return hash((self.ring, self._key()))
+
+    def _key(self) -> tuple:
+        """What fixes a value in its ring: the bytes of its pair of arrays."""
+        if not self:
+            return ()
+        if self.ring.is_skew:
+            return self._lo, self._grid.shape, self._grid.tobytes()
+        return self._exps.tobytes(), self._coeffs.tobytes()
 
     # -- text form -------------------------------------------------------------
 
@@ -319,54 +323,49 @@ class OrePolynomial:
 
 
 # Leibniz steps one Weyl product may take, one per pair of terms and k-tuple
-# of its sum in _weyl_mul; this bounds the kernel's arrays (at the limit about
-# a second and 150 MB besides the product's terms).  d1^999*d2^999 *
-# x1^999*x2^999 takes exactly this many; the largest product below it in the
-# tests 77,378, in the benchmark 14,984.
+# of its sum in _weyl_mul; at the limit a product takes about 0.3 s and 130 MB.
+# d1^999*d2^999 * x1^999*x2^999 takes exactly this many; the largest product
+# below it in the tests 77,378, in the benchmark 14,984.
 MAX_WEYL_STEPS = 1_000_000
 _INT64_MAX = np.iinfo(np.int64).max
-_DICT_CHUNK = 1 << 16
 
 
-def _weyl_mul(ring: OreRing, f: dict, g: dict) -> dict:
-    """Weyl product of two nonzero term dicts (see :func:`_weyl_sums`), built
-    in chunks: the Python lists of one chunk are all it holds besides the
-    dict's own entries, and the expansion's arrays are gone by then."""
-    key, coef, box, lo = _weyl_sums(ring, f, g)
-    out = {}
-    for at in range(0, len(key), _DICT_CHUNK):
-        exps = np.unravel_index(key[at:at + _DICT_CHUNK], box)
-        out.update(zip(zip(*((col + l).tolist() for col, l in zip(exps, lo))),
-                       coef[at:at + _DICT_CHUNK].tolist()))
-    return out
+def _run_sums(new, coef: np.ndarray, p: int):
+    """(first entry, sum mod p) of each run of sorted entries, ``new[j]``
+    marking that entry j + 1 starts one; runs that sum to zero dropped."""
+    first = np.flatnonzero(np.concatenate(([True], new)))
+    sums = np.add.reduceat(coef, first) % p
+    keep = sums != 0
+    return first[keep], sums[keep]
 
 
-def _weyl_sums(ring: OreRing, f: dict, g: dict):
-    """The Weyl product of two nonzero term dicts as (keys, coefficients, box,
-    lo): its nonzero terms at flat indices of the output box, counted from
-    lo.  All pairs of terms are taken at once on int64 arrays, by d^w x^e =
-    sum_k C(w,k) C(e,k) k! x^(e-k) d^(w-k) in each variable.  Mod p that
-    factor is w(w-1)..(w-k+1) e(e-1)..(e-k+1) / k!, zero once k passes w mod
-    p or e mod p, so a pair expands into k = 0..min(w mod p, e mod p), all
-    < p, with running products as factors.  OreKexError when the steps pass
-    ``MAX_WEYL_STEPS``, or an exponent or key passes int64."""
+def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
+    """The Weyl product of two nonzero weyl values, all pairs of terms at
+    once on int64 arrays, by d^w x^e = sum_k C(w,k) C(e,k) k! x^(e-k)
+    d^(w-k) in each variable.  Mod p that factor is w(w-1)..(w-k+1)
+    e(e-1)..(e-k+1) / k!, zero once k passes w mod p or e mod p, so a pair
+    expands into k = 0..min(w mod p, e mod p), all < p, with running
+    products as factors, summed per flat index of the output box after one
+    sort.  OreKexError when the steps pass ``MAX_WEYL_STEPS``, or an
+    exponent or index passes int64."""
     p, n = ring.p, ring.n
-    (ef, cf), (eg, cg) = backend.terms_to_coo(f, np.int64), backend.terms_to_coo(g, np.int64)
+    (ef, cf), (eg, cg) = f._coo(), g._coo()
     # pair (a, b) takes prod_i (min(w_i, e_i) + 1) >= 1 steps, so the pair
     # count goes first; float64 counts steps exactly far past the limit
     if (len(f) * len(g) > MAX_WEYL_STEPS or (np.minimum(ef[n:, :, None], eg[:n, None, :])
                                              + 1.0).prod(0).sum() > MAX_WEYL_STEPS):
         raise OreKexError(f"Weyl product needs over {MAX_WEYL_STEPS} Leibniz steps")
-    # keys count from f's lowest x- and g's lowest d-exponents: no k takes an
-    # output below them
+    # indices count from f's lowest x- and g's lowest d-exponents: no k takes
+    # an output below them
     lo = ef[:n].min(1).tolist() + eg[n:].min(1).tolist()
     hi = [s + t for s, t in zip(ef.max(1).tolist(), eg.max(1).tolist())]
     box = [h - l + 1 for h, l in zip(hi, lo)]
     if max(hi) > _INT64_MAX or prod(box) > _INT64_MAX:
         raise OreKexError("exponent too large for the int64 kernels")
     strides = np.array([prod(box[j + 1:]) for j in range(2 * n)], np.int64)
-    ef[:n] -= np.array(lo[:n])[:, None]
-    eg[n:] -= np.array(lo[n:])[:, None]
+    # copies shifted into the box; the rows the Leibniz factors read stay put
+    ef = ef - np.array(lo[:n] + [0] * n)[:, None]
+    eg = eg - np.array([0] * n + lo[n:])[:, None]
     a, b = np.divmod(np.arange(len(f) * len(g)), len(g))  # pair a * len(g) + b
     key = (strides @ ef)[a] + (strides @ eg)[b]
     coef = cf[a] * cg[b] % p
@@ -392,10 +391,9 @@ def _weyl_sums(ring: OreRing, f: dict, g: dict):
         coef = coef[src] * fac % p
     order = np.argsort(key)
     key, coef = key[order], coef[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    sums = np.add.reduceat(coef, first) % p
-    keep = sums != 0
-    return key[first[keep]], sums[keep], box, lo
+    first, sums = _run_sums(key[1:] != key[:-1], coef, p)
+    exps = np.array(np.unravel_index(key[first], box), np.int64) + np.array(lo)[:, None]
+    return OrePolynomial._of(ring, exps=exps, coeffs=sums)
 
 
 def _random_composition(total: int, slots: int, rng) -> tuple[int, ...]:
@@ -435,4 +433,4 @@ def random_polynomial(ring: OreRing, total_degree: int, n_terms: int, rng) -> Or
     for _ in range(n_terms - 1):
         d = int(rng.integers(0, total_degree + 1))
         terms[_random_composition(d, s, rng)] = int(rng.integers(1, hi))
-    return OrePolynomial._of_coo(ring, *backend.terms_to_coo(terms, np.int64))
+    return OrePolynomial._of_coo(ring, *backend.terms_to_coo(terms, s))

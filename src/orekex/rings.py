@@ -22,6 +22,9 @@ from .fields import FieldSpec, is_prime
 
 SKEW = "skew"
 WEYL = "weyl"
+# Most Ore variables a ring may have: a ring line costs time in n before any
+# value is read (the parser's term pattern has 2n fields); built-in rings have at most 3.
+MAX_VARIABLES = 16
 
 
 @dataclass(frozen=True)
@@ -35,8 +38,8 @@ class OreRing:
     def __post_init__(self):
         if self.kind not in (SKEW, WEYL):
             raise OreKexError(f"unknown ring kind {self.kind!r}")
-        if self.n < 2:
-            raise OreKexError("at least two Ore variables are required")
+        if not 2 <= self.n <= MAX_VARIABLES:
+            raise OreKexError(f"a ring has 2 to {MAX_VARIABLES} Ore variables, not {self.n}")
         if self.kind == SKEW:
             if self.field is None or self.sigma_powers is None:
                 raise OreKexError("skew ring needs a field and automorphism powers")

@@ -582,6 +582,17 @@ def skew_add_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
     return OrePolynomial(f.ring, {e: v.index for e, v in out.items() if not v.is_zero()})
 
 
+def weyl_add_oracle(parts) -> OrePolynomial:
+    """sum c*h over pairs (c, h) of a scalar of F_p and a weyl value, term
+    by term on dicts (the library's sum before weyl values held arrays)."""
+    ring = parts[0][1].ring
+    out = {}
+    for c, h in parts:
+        for e, v in h.terms.items():
+            out[e] = (out.get(e, 0) + c * v) % ring.p
+    return OrePolynomial(ring, {e: v for e, v in out.items() if v})
+
+
 def _operator_of(h: OrePolynomial):
     """Weyl polynomial as {d-exponents: CommPolynomial coefficient}."""
     n, p = h.ring.n, h.ring.p

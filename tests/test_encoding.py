@@ -5,8 +5,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orekex import (EncodingError, FieldSpec, OrePolynomial, capacity_bytes, decode_bytes,
-                    encode_bytes, min_degree_bound, ring_by_name, skew_ring)
+from orekex import (EncodingError, FieldSpec, OreKexError, OrePolynomial, capacity_bytes,
+                    decode_bytes, encode_bytes, min_degree_bound, ring_by_name, skew_ring,
+                    weyl_ring)
 from orekex.encoding import _digits_per_byte
 from orekex.rings import RING_ALIASES
 
@@ -74,3 +75,13 @@ def test_both_routes_refuse_the_same_corrupted_values(name):
             decode_bytes(value)
         with pytest.raises(EncodingError):
             decode_bytes_oracle(value)
+
+
+def test_one_nonzero_coefficient_value_is_refused():
+    """Over F_2 a digit has one value, so no digit count spans a byte: every
+    entry point refuses the ring at once instead of looping."""
+    ring = weyl_ring(2, 2)
+    for call in (lambda: encode_bytes(ring, b"a"), lambda: decode_bytes(ring.x(1)),
+                 lambda: capacity_bytes(ring, 3), lambda: min_degree_bound(ring, 1)):
+        with pytest.raises(OreKexError, match="one nonzero coefficient value"):
+            call()

@@ -1,8 +1,9 @@
-"""No name is imported and then left unused, in the library or the tests.
+"""No name is imported and then left unused, in the library or the tests,
+and no module-level name of the library is left unused everywhere.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library's ``ast``.  ``orekex/__init__.py`` imports to re-export
-and is exempt.
+and is exempt from the import check.
 """
 
 import ast
@@ -13,6 +14,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(p for p in (ROOT / "src" / "orekex").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "orekex").glob("*.py"))
+SEARCHED = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py")) \
+    + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _annotations(tree):
@@ -55,3 +59,54 @@ def test_the_guard_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> list[str]:
+    """The module-level functions, classes and constants of a source."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def used_names(source: str) -> set[str]:
+    """Names a source reads, as a name, an attribute or an import, or as a
+    string that is an identifier (perfbench names the functions it wraps)."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def test_the_guard_finds_dead_names():
+    # planted names no file of the project spells, since a string that
+    # spells a name here counts as a use of it
+    source = ("_CHUNK_X = 1 << 16\nLIMIT_X: int = 3\n"
+              "def _sums_x(f):\n    return f\n"
+              "def _mul_x(f):\n    return LIMIT_X * f\nclass Value_x:\n    pass\n")
+    names = defined_names(source)
+    assert names == ["_CHUNK_X", "LIMIT_X", "_sums_x", "_mul_x", "Value_x"]
+    assert [n for n in names if n not in used_names(source)] == ["_CHUNK_X", "_sums_x",
+                                                                "_mul_x", "Value_x"]
+
+
+def test_every_library_name_is_used():
+    """Each module-level name of ``src/orekex`` is read somewhere in
+    ``src/``, ``tests/`` or ``perfbench/``; ``cmd_*`` are dispatched through
+    ``globals()`` and ``__version__`` is read by packaging."""
+    used = set().union(*(used_names(path.read_text()) for path in SEARCHED))
+    dead = [f"{path.name}:{name}" for path in LIBRARY for name in defined_names(path.read_text())
+            if name not in used and name != "__version__" and not name.startswith("cmd_")]
+    assert dead == []

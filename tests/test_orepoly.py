@@ -15,7 +15,7 @@ from orekex.serial import poly_from_text
 
 from helpers import (alpha, degree_profile, field_constant, field_zero, frobenius, from_index,
                      grevlex_key, skew_add_oracle, skew_mul_oracle, to_text_oracle,
-                     weyl_mul_oracle)
+                     weyl_add_oracle, weyl_mul_oracle)
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
@@ -554,3 +554,72 @@ def test_weyl_mul_refuses_exponents_past_int64():
     # far from the origin but inside int64: the box starts at the lowest exponents
     far = WEYL.poly({(2 ** 40, 0, 0, 3): 2, (2 ** 40 + 1, 0, 0, 0): 1})
     assert far * (x1 + WEYL.x(2) ** 2) == weyl_mul_oracle(far, x1 + WEYL.x(2) ** 2)
+
+
+def test_weyl_product_footprint_at_the_step_limit():
+    """At p = 2^31 - 1 every term of d1^999*d2^999 * x1^999*x2^999 survives:
+    10^6 of them, held in the product's arrays, with no term dict built."""
+    p, top = 2 ** 31 - 1, 999
+    ring = weyl_ring(p, 2)
+    f, g = ring.poly({(0, 0, top, top): 1}), ring.poly({(top, top, 0, 0): 1})
+    tracemalloc.start()
+    try:
+        h = f * g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h._terms is None
+    assert peak < 200 << 20
+    exps, coeffs = h._coo()
+    assert len(h) == (top + 1) ** 2 and h.leading() == ((top,) * 4, 1)
+    # the lowest term takes k = 999 in both variables: (999!)^2
+    assert exps[:, 0].tolist() == [0] * 4 and coeffs[0] == factorial(top) ** 2 % p
+
+
+# -- weyl sums --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ring", WEYL_RINGS, ids=["weyl2-f71", "weyl3-f71", "p2-n2", "p3-n2"])
+def test_weyl_sums_against_the_dict_oracle(ring):
+    p = ring.p
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        a, b = _rand(ring, rng, 6, 8), _rand(ring, rng, 6, 8)
+        assert a + b == weyl_add_oracle([(1, a), (1, b)])
+        assert a - b == weyl_add_oracle([(1, a), (p - 1, b)])
+        assert -a == weyl_add_oracle([(p - 1, a)])
+        assert (a + b) - a == weyl_add_oracle([(1, a + b), (p - 1, a)])
+        c = [int(v) for v in rng.integers(0, p, 4)]
+        assert a.power_sum(c) == weyl_add_oracle(
+            [(c[0], ring.one())] + [(v, a ** i) for i, v in enumerate(c[1:], 1)])
+        for zero in (a - a, a + (-a), -a + a):
+            assert zero == ring.zero() and not zero and len(zero) == 0
+        # one value by the sum, product, parse and constructor routes
+        s = a + b
+        routes = [s, s * ring.one(), ring.one() * s, poly_from_text(ring, s.to_text()),
+                  ring.poly(dict(s.terms)), weyl_add_oracle([(1, a), (1, b)])]
+        assert all(v == s for v in routes)
+        assert len({hash(v) for v in routes}) == 1
+
+
+@pytest.mark.parametrize("ring", WEYL_RINGS, ids=["weyl2-f71", "weyl3-f71", "p2-n2", "p3-n2"])
+def test_weyl_sums_at_far_exponents(ring):
+    """x1^(2^62) + dn^(2^62) spans a box no int64 flat index covers, and
+    d1^(2^63 - 1) is the largest exponent a value may have."""
+    n, p, top = ring.n, ring.p, 2 ** 63 - 1
+
+    def mono(axis, e, c=1):
+        return ring.poly({tuple(e if j == axis else 0 for j in range(2 * n)): c})
+
+    pieces = [mono(0, 2 ** 62), mono(2 * n - 1, 2 ** 62), mono(n, top, p - 1), ring.one()]
+    # the far monomials by the product route as well
+    assert mono(0, 2 ** 61) * mono(0, 2 ** 61) == pieces[0]
+    assert mono(n, top - 1, p - 1) * ring.d(1) == pieces[2]
+    v = pieces[0] + pieces[1] + pieces[2] + pieces[3]
+    want = weyl_add_oracle([(1, h) for h in pieces])
+    routes = [v, want, ring.poly(dict(v.terms)), poly_from_text(ring, v.to_text()),
+              pieces[3] + pieces[2] + pieces[1] + pieces[0]]
+    assert all(h == want for h in routes) and len(v) == 4
+    assert len({hash(h) for h in routes}) == 1
+    assert v - pieces[0] - pieces[1] - pieces[2] == ring.one()
+    assert (v - v).is_zero() and -v == weyl_add_oracle([(p - 1, v)])
+    assert v.leading() == (tuple(top if j == n else 0 for j in range(2 * n)), p - 1)

@@ -11,7 +11,7 @@ import pytest
 from orekex import OreKexError, ParseError, random_polynomial, ring_by_name
 import orekex
 from orekex.cli import build_parser, main
-from orekex.rings import RING_ALIASES
+from orekex.rings import MAX_VARIABLES, RING_ALIASES
 from orekex.serial import parse_file, poly_from_text, poly_to_text, render_file, ring_from_text
 
 from helpers import alpha, field_constant
@@ -330,10 +330,14 @@ SKEW4_LINE = "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1,1,2]"
     (SKEW_LINE, "seed 1", " + ".join(["[1,0,0]*d1^1*d2^0"] * 50_000), "0"),
     # m spans a 50000^2 box: refused by the cell limit where it is parsed
     (SKEW_LINE, "seed 1", "[1,0,0]*d1^1*d2^0", DIAGONAL_TERMS),
+    # more Ore variables than MAX_VARIABLES, in 27 bytes and in a sigma list
+    ("ring weyl p=71 n=100000", "seed 1", "0", "0"),
+    ("ring skew p=5 k=3 m=[3,3,0,1] sigma=[" + ",".join(["1"] * (MAX_VARIABLES + 1)) + "]",
+     "seed 1", "0", "0"),
 ], ids=["empty-digit", "blank-coefficient", "seed-x", "ring-k-x", "skew4-grid",
         "int64-exponent", "skew-field-order", "weyl-characteristic", "reducible-modulus",
         "megabyte-ring-line", "unclosed-digit-run", "million-digit-exponent", "repeated-term",
-        "distinct-terms-over-cell-limit"])
+        "distinct-terms-over-cell-limit", "weyl-variable-count", "skew-variable-count"])
 def test_cli_malformed_or_oversized_input_exits_2(tmp_path, capsys, ring_line, seed_line,
                                                   public_l, m):
     head = f"# ore-kex v1\n{ring_line}\n{seed_line}\nrng numpy-pcg64\n"
@@ -380,6 +384,36 @@ def test_many_distinct_terms_parse():
     with pytest.raises(OreKexError, match="cell limit"):
         poly_from_text(SKEW, DIAGONAL_TERMS)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_rings_at_the_variable_limit_parse():
+    rng = np.random.default_rng(71)
+    sigma = ",".join(["1", "2"] * (MAX_VARIABLES // 2))
+    for line in (f"ring weyl p=71 n={MAX_VARIABLES}",
+                 f"ring skew p=5 k=3 m=[3,3,0,1] sigma=[{sigma}]"):
+        ring = ring_from_text(line)
+        assert ring.n == MAX_VARIABLES
+        h = random_polynomial(ring, 4, 6, rng)
+        assert poly_from_text(ring, poly_to_text(h)) == h
+    with pytest.raises(OreKexError, match="Ore variables"):
+        orekex.weyl_ring(71, MAX_VARIABLES + 1)
+
+
+def test_cli_characteristic_2_weyl_message_exits_2(tmp_path):
+    """A weyl ring over F_2 has one nonzero coefficient value, so no number
+    of base-1 digits spans a byte: encrypt and sign refuse at once."""
+    ring = "ring weyl p=2 n=2"
+    for scheme in ("encrypt", "sign"):
+        assert _run("keygen", "--scheme", scheme, "--ring", ring, "--dL", "3", "--dPQ", "2",
+                    "--nu", "1", "--seed", "1", "--out-prefix", str(tmp_path / scheme)) == 0
+    (tmp_path / "msg").write_bytes(b"a")
+    for argv in (("encrypt", "--pub", "encrypt.pub"), ("sign", "--sec", "sign.sec")):
+        done = subprocess.run([sys.executable, "-m", "orekex.cli", *argv, "--seed", "1",
+                               "--in", "msg", "--out", "out"], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path, timeout=5)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
 
 WEYL2_LINE = ring_by_name("weyl2-f71").to_text()

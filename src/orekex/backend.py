@@ -1,8 +1,11 @@
 """Hot kernels for skew rings over the field-index encoding: the product
 of two polynomials and exact one-sided division, both in any number of
-Ore variables, on one exact numpy FFT convolution over F_p digits
-(:func:`_product`) and nothing else.  The product (:func:`skew2_mul`) is
-one convolution of the operands' grids.  Division
+Ore variables, on one exact numpy convolution over F_p digits and
+nothing else.  The convolution takes one of two routes, chosen by the
+operand-cell pairs |f|*|g| alone: up to ``DIRECT_PAIRS`` (2^15) it sums
+the pairs directly (:func:`_direct`), above it it runs real FFTs
+(:func:`_product`).  The product (:func:`skew2_mul`) is one convolution
+of the operands' grids.  Division
 (:func:`skew2_right_cofactor`, :func:`skew2_left_cofactor`) maps both
 operands onto one line by a Kronecker substitution and finds the cofactor
 there from the bottom, in blocks, against spectra of the divisor and of
@@ -13,7 +16,11 @@ is below B = 2^b, b set by the field and the smaller operand's cells, so
 s digits share one float64 plane as sum_j B^j r_j with B^s at most
 2^``PACKED_BITS`` (:func:`_packing`).  In F_125 a product takes 7 real
 FFTs for small operands (s = 3) and 11 at the protocols' sizes (s = 2)
-instead of 15.
+instead of 15.  The direct route sums the same packed planes: each
+partial sum is an integer below B^s <= 2^40 < 2^53, so float64 is exact
+and it needs no residue check.  It runs no transform and few numpy
+calls, so below the constant, set by a sweep (see ``DIRECT_PAIRS``), it
+beats the transforms' fixed cost.
 
 A skew value is a pair (lo, grid): its lowest exponent on each axis and
 the trimmed coefficient-index array above it (see
@@ -54,6 +61,15 @@ MAX_GRID_CELLS = 1 << 22
 # 2,000,000 x 20,000 cells in F_125 (B = 2^20, 2 digits a cell) and of
 # 4,000,000 x 3,640 in F_169; a kex session's largest was 3.8e-6.
 PACKED_BITS = 40
+
+# Operand-cell pairs |f|*|g| up to which a product is summed directly
+# (_direct), above which it goes through transforms (_product).  Swept in
+# F_125 on a 2-CPU machine, two sweeps of medians of 7 timings: the direct
+# route took 0.04-0.15 ms up to 20,736 pairs against 0.22-0.38 ms, and was
+# ahead at 2^15 pairs on every shape (0.15-0.19 against 0.18-0.21 ms for a
+# Newton level of 256 x 128 cells).  The routes tied between 50,000 and
+# 65,000 pairs; from 90,000 the transforms were 2-18 times faster.
+DIRECT_PAIRS = 1 << 15
 
 
 def _check_cells(shape) -> None:
@@ -189,24 +205,78 @@ def _product(tab, pack, left, g: np.ndarray, size, crop) -> np.ndarray:
     return out
 
 
+def _twists(shape, sigma, t0: int, kf: int) -> np.ndarray:
+    """Frobenius power t0 + sigma.e mod k of each cell e of a grid of
+    ``shape``, as uint8 (t0 < k <= 8, at most 16 axes)."""
+    twist = (sum(np.ix_(*[(np.arange(n) * s % kf).astype(np.uint8)
+                          for n, s in zip(shape, sigma)])) + t0) % kf
+    twist.flags.writeable = False
+    return twist
+
+
+@lru_cache(maxsize=256)
+def _offsets(shape, inner) -> np.ndarray:
+    """Flat index of each cell of a grid of ``shape``, cells in C order, in a
+    box whose axes after the first are ``inner``; the pair (e, e') of a
+    product lands at the sum of their offsets."""
+    strides = [prod(inner[i:]) for i in range(len(shape))]
+    off = sum(np.ix_(*[np.arange(n) * st for n, st in zip(shape, strides)])).ravel()
+    off.flags.writeable = False
+    return off
+
+
+# Direct products read offsets and twists of operands of at most
+# DIRECT_PAIRS cells from these caches; in every benchmark workload their
+# 2 x 256 entries held under 1 MB, with about 70 new shapes an op in cli-files.
+_direct_twists = lru_cache(maxsize=256)(_twists)
+
+
+def _direct(tab, pack, rows: np.ndarray, g: np.ndarray, crop) -> np.ndarray:
+    """The skew product f*g cut to ``crop``, summed pair by pair without
+    transforms: ``rows[e, j, l]`` is ``table[f, t, j, l]`` at f's cell e and
+    twist t, for the (b, s, table) ``pack`` of :func:`_packing`, so row
+    (e, j) times g's digit matrix is the packed plane j of every pair (e, e'),
+    and one bincount over the pairs' output cells sums them.
+
+    Exact in float64: every packed cell, and so every partial sum of one, is
+    an integer below B^s <= 2^PACKED_BITS < 2^53 (see :func:`_product`), and
+    no digit sum carries into the next, so shifts and masks read the digits
+    back."""
+    p, kf = tab.spec.p, tab.spec.k
+    b, s, _ = pack
+    f_shape, groups = rows.shape[:-2], rows.shape[-2]
+    box = tuple(max(a + c - 1, d) for a, c, d in zip(f_shape, g.shape, crop))
+    cells = prod(box)
+    g_digits = tab.digits.T[:, g.ravel()]
+    pairs = np.add.outer(_offsets(f_shape, box[1:]), _offsets(g.shape, box[1:])).ravel()
+    sums = np.array([np.bincount(pairs, (rows[..., j, :].reshape(-1, kf) @ g_digits).ravel(), cells)
+                     for j in range(groups)], np.int64)
+    i = np.arange(kf)
+    digits = (sums[i // s] >> (b * (i % s))[:, None]) & ((1 << b) - 1)
+    out = (p ** i @ (digits % p)).astype(tab.dtype).reshape(box)
+    return out[tuple(slice(c) for c in crop)]
+
+
 def _convolve(tab, sigma, f: np.ndarray, g: np.ndarray, crop=None, t0: int = 0) -> np.ndarray:
     """The skew product f*g of two coefficient-index grids, cut to ``crop``
-    (default: the whole product), by :func:`_product` with f's packed
-    spectra made one at a time; ``t0`` is the twist of f's cell 0, so cell
-    e twists by t0 + sigma.e.  The padded transform must fit in
+    (default: the whole product); ``t0`` is the twist of f's cell 0, so cell
+    e twists by t0 + sigma.e.  Up to ``DIRECT_PAIRS`` operand-cell pairs it
+    is summed directly (:func:`_direct`), above by :func:`_product` with f's
+    packed spectra made one at a time, whose padded transform must fit in
     ``MAX_GRID_CELLS``."""
     full = [a + b - 1 for a, b in zip(f.shape, g.shape)]
     crop = full if crop is None else crop
     if not f.size or not g.size:  # an empty half of a one-cell quotient
         return np.zeros(crop, dtype=tab.dtype)
+    kf, axes = tab.spec.k, tuple(range(f.ndim))
+    pack = _packing(tab, min(f.size, g.size))
+    if f.size * g.size <= DIRECT_PAIRS:
+        return _direct(tab, pack, pack[2][f, _direct_twists(f.shape, sigma, t0 % kf, kf)], g, crop)
     size = [max(a, c) for a, c in zip(full, crop)]
     _check_cells(size)  # before _smooth, which steps one integer at a time
     size = [_smooth(n) for n in size]
     _check_cells(size)
-    kf, axes = tab.spec.k, tuple(range(f.ndim))
-    twist = (sum(np.ix_(*[(np.arange(n) * s % kf).astype(np.uint8)
-                          for n, s in zip(f.shape, sigma)])) + t0) % kf
-    pack = _packing(tab, min(f.size, g.size))
+    twist = _twists(f.shape, sigma, t0 % kf, kf)
     return _product(tab, pack, lambda j, l: np.fft.rfftn(pack[2][f, twist, j, l], size, axes),
                     g, size, crop)
 
@@ -269,16 +339,22 @@ def _spectra(tab, s: int, f: np.ndarray, size: int, pack):
 
 def _series_inverse(tab, s: int, u: np.ndarray, n: int) -> np.ndarray:
     """u^-1 mod x^n in F_q[[x; F^s]] (u[0] != 0) by Newton's y <- y + y(1 - u y),
-    which doubles the precision per step; a division needs it once."""
+    which doubles the precision per step; a division needs it once.  A
+    level whose u*y has at most DIRECT_PAIRS cell pairs, n <= 256 for a
+    long u, sums both its products directly; a larger one makes u*y from
+    u's spectra."""
     if n == 1:
         return tab.inv[u[:1]]
     y = _series_inverse(tab, s, u, (n + 1) // 2)
     # u*y = 1 + O(x^len(y)), and y*(1 - u*y) is y times the negated top of
     # u*y, shifted up.  A cyclic u*y of length >= n wraps its top below
-    # len(y), where nothing reads it
-    size, pack = _smooth(n), _packing(tab, len(y))
-    top = tab.neg[_product(tab, pack, _spectra(tab, s, u[:n], size, pack), y,
-                           (size,), (n,))[len(y):]]
+    # len(y), where nothing reads it; a direct one is cut at n
+    if len(u[:n]) * len(y) <= DIRECT_PAIRS:
+        uy = _convolve(tab, (s,), u[:n], y, (n,))
+    else:
+        size, pack = _smooth(n), _packing(tab, len(y))
+        uy = _product(tab, pack, _spectra(tab, s, u[:n], size, pack), y, (size,), (n,))
+    top = tab.neg[uy[len(y):]]
     return np.concatenate([y, _convolve(tab, (s,), y[:n - len(y)], top, (n - len(y),))])
 
 

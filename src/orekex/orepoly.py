@@ -168,12 +168,6 @@ class OrePolynomial:
             return tuple(a + s - 1 for a, s in zip(self.lo, self._grid.shape))
         return tuple(self._exps.max(1).tolist())
 
-    def d_degree(self, i: int) -> int:
-        """Degree in the Ore variable d_i (1-based); -1 for the zero polynomial."""
-        if not 1 <= i <= self.ring.n:
-            raise OreKexError(f"Ore variable index {i} out of range")
-        return self.d_degrees()[i - 1]
-
     def d_degrees(self) -> tuple[int, ...]:
         if not self:
             return (-1,) * self.ring.n
@@ -246,8 +240,9 @@ class OrePolynomial:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:  # no square after the last bit
+                base = base * base
         return acc
 
     def power_sum(self, coeffs) -> "OrePolynomial":

@@ -446,7 +446,7 @@ class FactorizationProver:
         self.public_l = ell1 * ell2
         self.blind_degree = blind_degree
         self.blind_terms = blind_terms
-        self._used: list[OrePolynomial] = []
+        self._used: set[OrePolynomial] = set()
         self._p1 = None
         self._p2 = None
 
@@ -457,8 +457,8 @@ class FactorizationProver:
         terms = self.blind_terms or _dense_terms(degree, self.ring.exp_len)
         for _ in range(MAX_ATTEMPTS):
             cand = random_polynomial(self.ring, degree, terms, rng)
-            if all(cand != used for used in self._used):
-                self._used.append(cand)
+            if cand not in self._used:
+                self._used.add(cand)
                 return cand
         raise ResampleExhaustedError("ran out of fresh blinding polynomials")
 
@@ -523,10 +523,6 @@ class ZkpResult:
     @property
     def all_accepted(self) -> bool:
         return all(r.accepted for r in self.rounds)
-
-    @property
-    def accepted_count(self) -> int:
-        return sum(r.accepted for r in self.rounds)
 
 
 def run_zkp(public_l: OrePolynomial, prover, n_rounds: int, rng) -> ZkpResult:

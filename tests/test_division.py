@@ -258,6 +258,31 @@ def test_division_with_packed_newton_and_block_products(ring, monkeypatch):
     assert slots == ({2, 3} if ring.field.k == 3 else {2})
 
 
+@pytest.mark.parametrize("cells", [255, 256, 257])
+def test_cofactors_around_the_newton_cutoff(cells, monkeypatch):
+    # divisor and cofactor of `cells` cells on the line (powers of d2, of line
+    # weight 1), so the inverse's top Newton level has cells * ceil(cells / 2)
+    # pairs: the last level summed directly at 256 cells, the only one by
+    # transforms at 257; the blocks' two spectra are made either way
+    spectra = []
+    real = backend._spectra
+    monkeypatch.setattr(backend, "_spectra", lambda *a: spectra.append(1) or real(*a))
+    rng = np.random.default_rng(32)
+    d, c = (SKEW.poly({(0, e): int(rng.integers(1, SKEW.n_coeff_values)) for e in range(cells)})
+            for _ in range(2))
+    h = d * c
+    bad = dict(h.terms)
+    e = sorted(bad)[len(bad) // 2]
+    bad[e] = bad[e] % (SKEW.n_coeff_values - 1) + 1
+    bad = SKEW.poly(bad)
+    for divide, known, want in ((right_cofactor, d, c), (left_cofactor, c, d)):
+        spectra.clear()
+        assert divide(h, known) == want
+        assert len(spectra) == 2 + (cells * ((cells + 1) // 2) > backend.DIRECT_PAIRS)
+        with pytest.raises(NotDivisibleError):
+            divide(bad, known)
+
+
 def test_short_divisor_costs_about_root_n_blocks(monkeypatch):
     # (d1 + 1) divides d1^N + 1 for odd N, and the cofactor is dense; blocks no
     # shorter than sqrt(n) keep the products near 2 sqrt(n), not n

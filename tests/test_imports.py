@@ -1,5 +1,6 @@
 """No name is imported and then left unused, in the library or the tests,
-and no module-level name of the library is left unused everywhere.
+and no module-level name, method or property of the library is left
+unused everywhere.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library's ``ast``.  ``orekex/__init__.py`` imports to re-export
@@ -62,7 +63,9 @@ def test_no_unused_imports(path):
 
 
 def defined_names(source: str) -> list[str]:
-    """The module-level functions, classes and constants of a source."""
+    """The module-level functions, classes and constants of a source, each
+    class followed by its methods and properties; dunders are called by
+    the language, not by name, and are left out."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -71,6 +74,10 @@ def defined_names(source: str) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            names += [f.name for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (f.name.startswith("__") and f.name.endswith("__"))]
     return names
 
 
@@ -102,10 +109,27 @@ def test_the_guard_finds_dead_names():
                                                                 "_mul_x", "Value_x"]
 
 
+def test_the_guard_finds_dead_methods():
+    # a method and a property no one reads are found; one read as an
+    # attribute, a dunder and a method of a nested function are not
+    source = ("class Value_y:\n"
+              "    def __init__(self):\n        self.used_y = 1\n"
+              "    def degree_y(self, i):\n        def inner_y():\n            return i\n"
+              "        return inner_y()\n"
+              "    @property\n    def count_y(self):\n        return 0\n"
+              "    def key_y(self):\n        return ()\n"
+              "    def __hash__(self):\n        return hash(self.key_y())\n")
+    names = defined_names(source)
+    assert names == ["Value_y", "degree_y", "count_y", "key_y"]
+    assert [n for n in names if n not in used_names(source)] == ["Value_y", "degree_y",
+                                                                "count_y"]
+
+
 def test_every_library_name_is_used():
-    """Each module-level name of ``src/orekex`` is read somewhere in
-    ``src/``, ``tests/`` or ``perfbench/``; ``cmd_*`` are dispatched through
-    ``globals()`` and ``__version__`` is read by packaging."""
+    """Each module-level name of ``src/orekex``, and each method and
+    property of its classes, is read somewhere in ``src/``, ``tests/`` or
+    ``perfbench/``; ``cmd_*`` are dispatched through ``globals()`` and
+    ``__version__`` is read by packaging."""
     used = set().union(*(used_names(path.read_text()) for path in SEARCHED))
     dead = [f"{path.name}:{name}" for path in LIBRARY for name in defined_names(path.read_text())
             if name not in used and name != "__version__" and not name.startswith("cmd_")]

@@ -239,6 +239,100 @@ def test_oversized_grids_are_refused_before_allocation(make):
     assert peak < backend.MAX_GRID_CELLS  # far below one byte per refused cell
 
 
+# -- the two product routes: direct up to DIRECT_PAIRS operand-cell pairs, then
+# transforms; forcing each on the same operands must give the oracle's value
+
+ROUTE_RINGS = [pytest.param(SKEW, id="f125-skew2"),
+               pytest.param(skew_ring(f125_spec(), (1, 2)), id="sigma12"),
+               pytest.param(_F4, id="f4"),
+               pytest.param(_F125_3, id="three-variable"),
+               pytest.param(SKEW4, id="four-variable")]
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Runs a call once by each route and once by the pair count, and
+    returns the three results."""
+    def each(call):
+        out = []
+        for limit in (1 << 62, 0, backend.DIRECT_PAIRS):  # all direct, none, the rule
+            monkeypatch.setattr(backend, "DIRECT_PAIRS", limit)
+            out.append(call())
+        return out
+    return each
+
+
+def _shifted(f, offset):
+    return f.ring.poly({tuple(a + b for a, b in zip(e, offset)): c for e, c in f.terms.items()})
+
+
+def _spanning(ring, side, rng, terms=6):
+    """A sparse value whose box is ``side`` cells on every axis."""
+    n = ring.n
+    exps = [tuple(side - 1 if j == i else 0 for j in range(n)) for i in range(n)]
+    exps += [tuple(int(a) for a in rng.integers(0, side, n)) for _ in range(terms)]
+    return ring.poly({e: int(rng.integers(1, ring.n_coeff_values)) for e in exps})
+
+
+@pytest.mark.parametrize("ring", ROUTE_RINGS)
+def test_both_product_routes_match_the_oracle(ring, routes):
+    rng = np.random.default_rng(41)
+    n = ring.n
+    one = ring.poly({(0,) * n: int(rng.integers(1, ring.n_coeff_values))})
+    cases = [(one, one), (_shifted(one, range(3, 3 + n)), _shifted(one, range(1, 1 + n)))]
+    for _ in range(4):
+        f, g = (random_polynomial(ring, 6 if n == 2 else 3, 12, rng) for _ in range(2))
+        # far offsets twist f's cell 0 by t0 = sigma.lo, in every class mod k
+        cases += [(f, g), (_shifted(f, rng.integers(0, 50, n)), _shifted(g, rng.integers(0, 50, n)))]
+    side = {2: 15, 3: 7, 4: 5}[n]  # boxes whose pairs pass the constant
+    cases += [(_spanning(ring, side, rng), _spanning(ring, side, rng)),
+              (_shifted(_spanning(ring, side, rng), range(5, 5 + n)), _spanning(ring, side + 1, rng))]
+    pairs = [f.grid.size * g.grid.size for f, g in cases]
+    assert min(pairs) == 1 and max(pairs) > backend.DIRECT_PAIRS
+    assert sum(c <= backend.DIRECT_PAIRS for c in pairs) >= 8
+    for f, g in cases:
+        want = skew_mul_oracle(f, g)
+        assert routes(lambda: backend.skew2_mul(ring, f, g)) == [want] * 3
+
+
+@pytest.mark.parametrize("ring, f_shape, g_shape", [
+    # all-maximal digits at the constant and one operand cell past it
+    pytest.param(_F125, (16, 16), (8, 16), id="F125-at"),
+    pytest.param(_F125, (16, 16), (129, 1), id="F125-past"),
+    pytest.param(_F169, (64, 32), (16, 1), id="F169-at"),
+    pytest.param(_F169, (64, 32), (17, 1), id="F169-past"),
+    pytest.param(_F4, (1, 128), (256, 1), id="F4-at"),
+    pytest.param(_F4, (1, 128), (257, 1), id="F4-past"),
+    pytest.param(_F125_3, (4, 8, 8), (2, 8, 8), id="three-variable-at"),
+    pytest.param(_F125_3, (4, 8, 8), (1, 1, 129), id="three-variable-past"),
+])
+def test_all_maximal_digits_by_both_routes(ring, f_shape, g_shape, routes):
+    at = prod(f_shape) * prod(g_shape) - backend.DIRECT_PAIRS
+    assert at in (0, prod(f_shape))
+    f, g = _full(ring, f_shape), _full(ring, g_shape)
+    for a, b in ((f, g), (g, f)):
+        want = _all_max_product(ring, a.grid.shape, b.grid.shape)
+        for grid in routes(lambda: (a * b).grid):
+            assert np.array_equal(grid, want)
+
+
+@pytest.mark.parametrize("ring", ROUTE_RINGS[:3])
+def test_low_corners_by_both_routes(ring, routes):
+    # operands past the corner on every axis, and inside it; the corner is
+    # the oracle's product grid cut (or padded) to CORNER cells an axis
+    rng = np.random.default_rng(42)
+    c = backend.CORNER
+    for side in (c + 5, 3):
+        for _ in range(3):
+            f = _shifted(_spanning(ring, side, rng, 10), rng.integers(0, 9, 2))
+            g = _spanning(ring, side, rng, 10)
+            want = np.zeros((c, c), dtype=tables_for(ring.field).dtype)
+            full = skew_mul_oracle(f, g).grid[:c, :c]
+            want[:full.shape[0], :full.shape[1]] = full
+            for corner in routes(lambda: backend.low_corner(ring, f, g)):
+                assert np.array_equal(corner, want)
+
+
 def test_backend_parity():
     rng = np.random.default_rng(14)
     f4 = skew_ring(FieldSpec(2, 2, (1, 1, 1)), (1, 1))
@@ -408,6 +502,20 @@ def test_pow_and_negative_power():
     assert d1 ** 3 == d1 * d1 * d1
     with pytest.raises(OreKexError):
         d1 ** -1
+
+
+@pytest.mark.parametrize("ring", [SKEW, WEYL], ids=["f125-skew2", "weyl2-f71"])
+def test_power_squares_only_while_bits_remain(ring, monkeypatch):
+    # d1^(2^62) is a value; a square past the last bit would need d1^(2^63)
+    half = ring.d(1) ** 2 ** 61
+    assert ring.d(1) ** 2 ** 62 == half * half
+    # x^5 takes two squares and two products with the running power
+    products = []
+    real = OrePolynomial.__mul__
+    monkeypatch.setattr(OrePolynomial, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    f = random_polynomial(ring, 2, 3, np.random.default_rng(43))
+    assert f ** 5 == f * f * f * f * f
+    assert len(products) == 4 + 4
 
 
 # -- skew values held as grids ------------------------------------------------------

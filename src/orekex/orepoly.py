@@ -28,6 +28,17 @@ ordered by one ``np.lexsort`` (:func:`orekex.monomials.grevlex_descending`).
 :meth:`OrePolynomial.power_sum` makes are kept too.  Coefficients given as
 numbers are ints of the prime subfield (:meth:`OreRing.constant`); any
 other coefficient is a coefficient index in ``OreRing.poly``.
+
+:func:`random_polynomial` keeps one stream contract: equal seeds give equal
+values and leave the generator in equal states, as they did when every
+term was drawn by scalar ``Generator.integers`` calls.  In a ring of two
+slots (every skew ring with n = 2) the draws are made on one array of
+numpy's 32-bit words by Lemire's bounded-integer method with its
+rejection, which is what ``integers`` runs for a bound up to 2^32.  The
+contract thus rests on numpy's algorithm, which numpy does not promise
+across versions; the golden CLI digests, recorded under numpy 2.4.6,
+check it.  Rings of more slots draw term by term, their exponents by
+``rng.choice``, whose draws only that route reproduces.
 """
 
 from __future__ import annotations
@@ -391,17 +402,19 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     return OrePolynomial._of(ring, exps=exps, coeffs=sums)
 
 
+# Most total degree random_polynomial draws.  Every degree and composition
+# draw is then a bounded draw on at most 2^32 values, which numpy's
+# Generator.integers makes from 32-bit words, the words _two_slot_draws reads.
+MAX_DRAW_DEGREE = (1 << 32) - 1
+_WORD = 1 << 32
+# Terms one pass of _two_slot_draws reads: about 3 words a term, held in a few
+# int64 arrays, so a draw of MAX_GRID_CELLS terms works in passes of a few MB.
+_DRAW_PASS = 1 << 16
+
+
 def _random_composition(total: int, slots: int, rng) -> tuple[int, ...]:
-    if slots == 1:
-        return (total,)
     if total == 0:
         return (0,) * slots
-    if slots == 2:
-        # the same draw as below: choice(n, size=1, replace=False) runs one
-        # step of Floyd's loop, a bounded draw on [0, n - 1], and shuffling
-        # one element draws nothing
-        c = int(rng.integers(0, total + 1))
-        return (c, total - c)
     cuts = sorted(int(c) for c in rng.choice(total + slots - 1, size=slots - 1, replace=False))
     exps = []
     prev = -1
@@ -412,17 +425,143 @@ def _random_composition(total: int, slots: int, rng) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def _lemire(words: np.ndarray, bound):
+    """(values, accepted) of numpy's bounded draws on [0, bound), 1 < bound
+    <= 2^32, one per 32-bit word x: the value is (x*bound) >> 32, and the
+    word is rejected, the draw moving on to the next word, when (x*bound) mod
+    2^32 < 2^32 mod bound (D. Lemire, ACM TOMACS 29(1), 2019).  ``bound`` is
+    an int or one per word."""
+    b = np.asarray(bound, np.uint64)
+    m = words * b
+    ok = (m & (_WORD - 1)) >= _WORD % b
+    m >>= 32
+    return m.view(np.int64), ok
+
+
+def _accepted_draws(pad: np.ndarray, bound: int):
+    """(value, word) of the draw on [0, bound) that starts at each position
+    of ``pad``: its value and the position of the word it accepts, the last
+    two positions standing past the drawn words.  A bound of 1 reads no word
+    (position start - 1)."""
+    pos = np.arange(len(pad))
+    if bound == 1:
+        return np.zeros(len(pad), np.int64), pos - 1
+    val, ok = _lemire(pad, bound)
+    ok[-2:] = True
+    at = np.minimum.accumulate(np.where(ok, pos, pos[-1])[::-1])[::-1]
+    return val[at], at
+
+
+def _parse_words(words: np.ndarray, total: int, hi: int, want: int, first: bool):
+    """(exps, coeffs, read): the first ``want`` terms that random_polynomial's
+    draws in a two-slot ring take from ``words``, the forced term first when
+    ``first``, fewer when the words run out, and the words they read.
+
+    Python evaluates ``terms[key] = value`` value first, so the forced term
+    draws its coefficient, then its composition; every other term draws its
+    degree d, its coefficient, then its composition (c, d - c), only when d
+    > 0.  Where a term starts thus depends on the terms before it: the draws
+    are made for a term starting at every word, and the chain of starts is
+    followed by pointer doubling, about log2(want) gathers."""
+    end = len(words)
+    top = end + 1  # end and top stand past the words; a term reaching them is cut
+    pad = np.append(words, np.zeros(2, np.uint32))
+    dval, dat = _accepted_draws(pad, total + 1)
+    cval, cat = _accepted_draws(pad, hi - 1)
+    coef_at = np.minimum(dat + 1, top)  # where the coefficient draw of a term at i starts
+    after = np.minimum(cat[coef_at] + 1, top)
+    # composition draws, each with its own bound d + 1; a bound of 1 reads
+    # no word and draws 0, and a rejected word moves its draw on to the next
+    comp, ok = _lemire(pad[after], dval + 1)
+    after += dval > 0
+    redo = np.flatnonzero(~ok & (dval > 0))
+    while redo.size:
+        at = np.minimum(after[redo], top)
+        comp[redo], ok = _lemire(pad[at], dval[redo] + 1)
+        after[redo] = at + 1
+        redo = redo[~ok & (at < end)]
+    nxt = np.where(after <= end, after, top)
+    start = 0
+    if first:
+        c = min(cat[0] + 1, top)  # the forced term's composition draw
+        start = dat[c] + 1
+        if start > end:
+            return np.empty((2, 0), np.int64), np.empty(0, np.int64), 0
+    starts, jump = np.array([start]), nxt
+    while len(starts) < want - first:
+        starts = np.concatenate([starts, jump[starts]])
+        jump = jump[jump]
+    starts = starts[:want - first]
+    starts = starts[nxt[starts] <= end]  # the complete terms, a prefix of the chain
+    read = int(nxt[starts[-1]]) if starts.size else start
+    exps = np.array([comp[starts], dval[starts] - comp[starts]])
+    coeffs = cval[coef_at[starts]] + 1
+    if first:
+        exps = np.concatenate([[[dval[c]], [total - dval[c]]], exps], axis=1)
+        coeffs = np.concatenate([[cval[0] + 1], coeffs])
+    return exps, coeffs, read
+
+
+def _two_slot_draws(total: int, n_terms: int, hi: int, rng):
+    """The exponents (a (2, n_terms) int64 array) and coefficients of the
+    terms random_polynomial's draws make in a two-slot ring, in draw order,
+    read from numpy's 32-bit words (``integers(0, 2**32, dtype=uint32)``
+    returns exactly the words scalar draws read).  The words come in passes
+    of at most ``_DRAW_PASS`` terms, the words a pass leaves unread carried
+    into the next; then the generator's state is reset and exactly the words
+    read are drawn again, so it ends where scalar draws leave it."""
+    state = rng.bit_generator.state
+    parts, read, left = [], 0, n_terms
+    words = np.empty(0, np.uint32)
+    while left:
+        want = min(left, _DRAW_PASS)
+        words = np.append(words, rng.integers(0, _WORD, 3 * want + 64, dtype=np.uint32))
+        exps, coeffs, used = _parse_words(words, total, hi, want, left == n_terms)
+        parts.append((exps, coeffs))
+        left -= len(coeffs)
+        read += used
+        words = words[used:]
+    rng.bit_generator.state = state
+    rng.integers(0, _WORD, read, dtype=np.uint32)
+    return np.concatenate([e for e, _ in parts], axis=1), np.concatenate([c for _, c in parts])
+
+
 def random_polynomial(ring: OreRing, total_degree: int, n_terms: int, rng) -> OrePolynomial:
     """Sample a polynomial with at most ``n_terms`` terms and total degree
     exactly ``total_degree`` (one term of full degree is always forced).
 
     Coefficients are uniform over the nonzero coefficient domain; the
     generator is caller-owned, so equal seeds reproduce equal polynomials.
+    A term draws its degree (``integers(0, total_degree + 1)``), its
+    coefficient, then its exponents, and a later term on an earlier
+    monomial replaces it.  In a two-slot ring (every skew ring with n = 2)
+    the draws are made on arrays of numpy's 32-bit words
+    (:func:`_two_slot_draws`), with the values and the generator state that
+    scalar draws give; a ring with more slots draws term by term, its
+    exponents by ``rng.choice``.  OreKexError, before any draw, when
+    ``n_terms`` is over ``backend.MAX_GRID_CELLS`` or ``total_degree`` over
+    ``MAX_DRAW_DEGREE``.
     """
     if total_degree < 0 or n_terms < 1:
         raise OreKexError("impossible sparsity/degree combination")
+    if n_terms > backend.MAX_GRID_CELLS:
+        raise OreKexError(f"{n_terms} terms are over the {backend.MAX_GRID_CELLS}-term "
+                          f"limit of a draw")
+    if total_degree > MAX_DRAW_DEGREE:
+        raise OreKexError(f"total degree {total_degree} is over {MAX_DRAW_DEGREE}")
     s = ring.exp_len
     hi = ring.n_coeff_values
+    if s == 2:
+        exps, coeffs = _two_slot_draws(total_degree, n_terms, hi, rng)
+        lo = exps.min(1, keepdims=True)
+        box = (exps.max(1) - lo[:, 0] + 1).tolist()
+        if prod(box) <= backend.MAX_GRID_CELLS:  # over it, _of_coo refuses the box
+            # the last draw of each monomial, as a dict keeps it
+            last = np.full(prod(box), -1)
+            np.maximum.at(last, np.ravel_multi_index(exps - lo, box), np.arange(n_terms))
+            last = last[last >= 0]
+            exps, coeffs = exps[:, last], coeffs[last]
+        return OrePolynomial._of_coo(ring, exps, coeffs)
     terms: dict[tuple[int, ...], int] = {}
     terms[_random_composition(total_degree, s, rng)] = int(rng.integers(1, hi))
     for _ in range(n_terms - 1):

@@ -1,3 +1,4 @@
+import resource
 import tracemalloc
 from math import comb, factorial, prod
 
@@ -731,3 +732,19 @@ def test_weyl_sums_at_far_exponents(ring):
     assert v - pieces[0] - pieces[1] - pieces[2] == ring.one()
     assert (v - v).is_zero() and -v == weyl_add_oracle([(p - 1, v)])
     assert v.leading() == (tuple(top if j == n else 0 for j in range(2 * n)), p - 1)
+
+
+@pytest.mark.skipif(backend._mallopt is None, reason="the C library has no mallopt")
+def test_products_reuse_freed_transform_memory():
+    """A product frees several MB of transform buffers.  With the allocator
+    settings backend makes at import, the next product reuses them instead
+    of faulting fresh pages in: 952 minor faults a product at glibc's
+    defaults for these shapes."""
+    rng = np.random.default_rng(5)
+    f, g = (OrePolynomial._of(SKEW, grid=rng.integers(1, 125, shape).astype(np.uint8))
+            for shape in ((171, 201), (41, 51)))
+    f * g
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        f * g
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100

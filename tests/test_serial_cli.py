@@ -416,6 +416,24 @@ def test_cli_characteristic_2_weyl_message_exits_2(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+
+@pytest.mark.parametrize("blind_degree", ["3000", "2000"])
+def test_cli_oversized_blinding_exits_2(tmp_path, blind_degree):
+    """Blinding at degree 3000 asks for 4.5M terms, over the cell limit, and
+    is refused before any draw; at 2000 the two 2M-term draws run on arrays
+    and the first blinded product is refused.  Drawn term by term, the two
+    runs took 33.7 s and 31.6 s before exiting 2."""
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "orekex.cli", "zkp", "--ring", "f125-skew2",
+                           "--seed", "1", "--rounds", "1", "--blind-degree", blind_degree,
+                           "--out", "zkp.txt"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, cwd=tmp_path, timeout=60)
+    assert time.perf_counter() - t0 < 5.0
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and "limit" in done.stderr
+    assert len(done.stderr) < 300 and "Traceback" not in done.stderr
+
+
 WEYL2_LINE = ring_by_name("weyl2-f71").to_text()
 
 

@@ -651,30 +651,26 @@ def all_polynomials(ring, max_total_degree, coeff_values):
 
 # -- random draws term by term ----------------------------------------------------
 #
-# The scalar loop random_polynomial ran in every ring before two-slot rings
-# drew on arrays of words.
-
-def _composition_oracle(total: int, slots: int, rng) -> tuple[int, ...]:
-    if total == 0:
-        return (0,) * slots
-    if slots == 2:
-        # choice(n, size=1, replace=False) runs one step of Floyd's loop, a
-        # bounded draw on [0, n - 1], and shuffling one element draws nothing
-        c = int(rng.integers(0, total + 1))
-        return (c, total - c)
-    cuts = sorted(int(c) for c in rng.choice(total + slots - 1, size=slots - 1, replace=False))
-    bounds = [-1] + cuts + [total + slots - 1]
-    return tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
-
+# The scalar loop random_polynomial ran in two-slot rings before it drew on
+# arrays of words.
 
 def random_polynomial_oracle(ring, total_degree: int, n_terms: int, rng) -> OrePolynomial:
-    """random_polynomial by one scalar draw at a time: the forced term's
-    coefficient, then its exponents; then for every other term its degree,
-    its coefficient and its exponents, a repeated monomial overwriting."""
+    """random_polynomial in a two-slot ring by one scalar draw at a time: the
+    forced term's coefficient, then its exponents; then for every other term
+    its degree, its coefficient and its exponents (c, d - c), c drawn only
+    when d > 0, a repeated monomial overwriting.  ``choice(d + 1, size=1,
+    replace=False)``, the draw of more slots, runs one step of Floyd's loop,
+    the same bounded draw."""
+    assert ring.exp_len == 2
+
+    def composition(d):
+        c = int(rng.integers(0, d + 1)) if d else 0
+        return (c, d - c)
+
     hi = ring.n_coeff_values
     terms = {}
-    terms[_composition_oracle(total_degree, ring.exp_len, rng)] = int(rng.integers(1, hi))
+    terms[composition(total_degree)] = int(rng.integers(1, hi))
     for _ in range(n_terms - 1):
         d = int(rng.integers(0, total_degree + 1))
-        terms[_composition_oracle(d, ring.exp_len, rng)] = int(rng.integers(1, hi))
+        terms[composition(d)] = int(rng.integers(1, hi))
     return ring.poly(terms)

@@ -14,14 +14,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def grevlex_descending(exps: np.ndarray) -> np.ndarray:
-    """Order of the columns of an int64 (n, terms) exponent array, greatest
-    first: the degree (summed in 32-bit halves, exact for any int64)
-    descending, then the last exponent, the one before it, ... ascending."""
+def total_degrees(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) halves of the total degree of each column of an int64
+    (n, terms) exponent array of nonnegative entries, the degree being
+    high * 2^32 + low with low < 2^32: summed in 32-bit halves, exact for
+    any int64 entries, whose plain sum can pass int64."""
     high, low = np.divmod(exps, 1 << 32)
     low = low.sum(0)
-    high = high.sum(0) + (low >> 32)
-    return np.lexsort((*exps, -(low & 0xFFFFFFFF), -high))
+    return high.sum(0) + (low >> 32), low & 0xFFFFFFFF
+
+
+def grevlex_descending(exps: np.ndarray) -> np.ndarray:
+    """Order of the columns of an int64 (n, terms) exponent array, greatest
+    first: the degree (:func:`total_degrees`) descending, then the last
+    exponent, the one before it, ... ascending."""
+    high, low = total_degrees(exps)
+    return np.lexsort((*exps, -low, -high))
 
 
 def first_monomials(slots: int, degree: int, count: int) -> np.ndarray:

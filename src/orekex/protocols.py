@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+from . import backend
 from .commuting import (MAX_ATTEMPTS, ConstantPolynomial, random_constant_polynomial,
                         sample_private)
 from .division import left_cofactor, right_cofactor
@@ -463,8 +464,16 @@ class FactorizationProver:
         raise ResampleExhaustedError("ran out of fresh blinding polynomials")
 
     def commit(self, rng) -> ZkpCommitment:
+        """Draw the blinding pair p1, p2 and commit to p1 * L * p2.  In a
+        skew ring the commitment's box is known from the spans of the three
+        grids (spans add, less one per product): one over
+        ``backend.MAX_GRID_CELLS`` raises OreKexError after the draws and
+        before any product."""
         self._p1 = self._fresh(rng)
         self._p2 = self._fresh(rng)
+        if self.ring.is_skew:
+            backend._check_cells([a + b + c - 2 for a, b, c in zip(
+                self._p1.grid.shape, self.public_l.grid.shape, self._p2.grid.shape)])
         pi = self._p1 * self.public_l * self._p2
         return ZkpCommitment(pi, self._p1.d_degrees(), self._p2.d_degrees())
 

@@ -5,6 +5,12 @@ difference (d-exponent minus x-exponent).  Products of graded elements are
 recoverable by commutative factoring, so graded private keys are rejected.
 The test is one array comparison over the terms.
 
+A key that commutes with the public element is rejected too
+(:meth:`OrePolynomial.commutes_with`).  Most keys are accepted without a
+product, the Poisson bracket of the two top-degree parts being nonzero at
+the all-ones point; a key whose bracket vanishes is settled by the two full
+products, which raise OreKexError past the Weyl step limit.
+
 The test is specific to the Weyl relations and is not applied to skew
 rings.  In characteristic p the Weyl ring also has a large center (p-th
 powers of every variable); whether that induces further weak classes is

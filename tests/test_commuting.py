@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from orekex import (ConstantPolynomial, FieldSpec, OreKexError, ProtocolError,
-                    ResampleExhaustedError, backend, f125_spec, random_constant_polynomial,
-                    random_polynomial, ring_by_name, sample_private, skew_ring)
+                    ResampleExhaustedError, backend, f125_spec, orepoly, random_constant_polynomial,
+                    random_polynomial, ring_by_name, sample_private, skew_ring, weyl_ring)
 from orekex import commuting
 
-from helpers import alpha, degree_profile, field_constant, skew_mul_oracle
+from helpers import alpha, degree_profile, field_constant, skew_mul_oracle, weyl_mul_oracle
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
@@ -206,3 +206,129 @@ def test_corner_settles_noncommuting_pairs_without_full_products(full_products):
         tracemalloc.stop()
     assert answer is False and not full_products
     assert peak < 1 << 20
+
+
+# -- weyl commutation: the top parts' Poisson bracket first, then the full products ---
+
+BRACKET_RINGS = [ring_by_name("weyl2-f71"), ring_by_name("weyl3-f71"), ring_by_name("weyl2-f101"),
+                 weyl_ring(2, 2), weyl_ring(2**31 - 1, 2)]
+BRACKET_IDS = ["weyl2-f71", "weyl3-f71", "weyl2-f101", "weyl2-f2", "weyl2-f2^31-1"]
+INT64_MAX = 2**63 - 1
+
+
+def top_bracket_oracle(f, g) -> int:
+    """sum_i (a_{d_i} b_{x_i} - b_{d_i} a_{x_i}) mod p in Python integers,
+    a_s the sum of e_s c over the terms c x^e d^w of f of greatest total
+    degree, b_s the same for g: the Poisson bracket of the top-degree parts
+    at the all-ones point."""
+    n = f.ring.n
+
+    def gradient(h):
+        top = max(map(sum, h.terms))
+        return [sum(e[s] * c for e, c in h.terms.items() if sum(e) == top) for s in range(2 * n)]
+
+    a, b = gradient(f), gradient(g)
+    return sum(a[n + i] * b[i] - b[n + i] * a[i] for i in range(n)) % f.ring.p
+
+
+def commute_by_oracle(f, g) -> bool:
+    return weyl_mul_oracle(f, g) == weyl_mul_oracle(g, f)
+
+
+@pytest.fixture
+def weyl_products(monkeypatch):
+    """Counts the weyl products (orepoly._weyl_mul calls) made meanwhile."""
+    calls = []
+    mul = orepoly._weyl_mul
+
+    def counted(ring, f, g):
+        calls.append(1)
+        return mul(ring, f, g)
+
+    monkeypatch.setattr(orepoly, "_weyl_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", BRACKET_RINGS, ids=BRACKET_IDS)
+def test_bracket_settles_random_pairs_without_products(ring, weyl_products):
+    rng = np.random.default_rng(11)
+    settled = 0
+    for _ in range(40):
+        f = random_polynomial(ring, int(rng.integers(1, 4)), 5, rng)
+        g = random_polynomial(ring, int(rng.integers(1, 4)), 5, rng)
+        weyl_products.clear()
+        assert f.commutes_with(g) == commute_by_oracle(f, g)
+        bracket = top_bracket_oracle(f, g)
+        assert len(weyl_products) == 2 * (bracket == 0)
+        settled += bracket != 0
+    assert settled
+
+
+@pytest.mark.parametrize("ring", BRACKET_RINGS, ids=BRACKET_IDS)
+def test_pool_pairs_fall_through_to_the_full_products(ring, weyl_products):
+    rng = np.random.default_rng(12)
+    P = random_polynomial(ring, 2, 4, rng)
+    while not P.d_degrees()[0] or not P.tops()[0]:  # P is neither x- nor d-only
+        P = random_polynomial(ring, 2, 4, rng)
+    for _ in range(4):
+        f, g = (random_constant_polynomial(ring.p, 2, rng)(P) for _ in range(2))
+        assert commute_by_oracle(f, g) and top_bracket_oracle(f, g) == 0
+        weyl_products.clear()
+        assert f.commutes_with(g)
+        assert len(weyl_products) == 2
+
+
+@pytest.mark.parametrize("ring", BRACKET_RINGS, ids=BRACKET_IDS)
+def test_central_powers_fall_through_to_the_full_products(ring, weyl_products):
+    # d1^p and x1^p are central in characteristic p; the bracket's factors
+    # (p mod p) vanish
+    x1, d1 = ring.x(1), ring.d(1)
+    for power, other in [(d1 ** ring.p, x1), (x1 ** ring.p, d1)]:
+        for f, g in [(power, other), (other, power)]:
+            weyl_products.clear()
+            assert f.commutes_with(g)
+            assert len(weyl_products) == 2
+            if ring.p < 1000:  # the oracle moves d1 across one step at a time
+                assert commute_by_oracle(f, g)
+
+
+@pytest.mark.parametrize("ring", BRACKET_RINGS, ids=BRACKET_IDS)
+def test_vanishing_bracket_is_not_an_answer(ring, weyl_products):
+    # the top parts x1^2 and x1^3 have bracket 0, but the commutator is
+    # [d1, x1^3] = 3 x1^2, found by the full products
+    x1, d1 = ring.x(1), ring.d(1)
+    f, g = x1 ** 2 + d1, x1 ** 3
+    assert top_bracket_oracle(f, g) == 0 and not commute_by_oracle(f, g)
+    weyl_products.clear()
+    assert f.commutes_with(g) is False
+    assert len(weyl_products) == 2
+
+
+@pytest.mark.parametrize("ring", BRACKET_RINGS, ids=BRACKET_IDS)
+def test_bracket_at_exponents_near_2_63(ring, weyl_products):
+    p = ring.p
+    x1, d1, d2 = ring.x(1), ring.d(1), ring.d(2)
+    # [c x1^E, d1] = -c E x1^(E-1), E mod p != 0 at E = 2^63 - 1 for each
+    # prime here, and c = p - 1: settled, where E c passes int64.  With E a
+    # multiple of p, x1^E is central, and the products, whose output box
+    # holds 2(E + 1) keys, find it so
+    for e, central in [(INT64_MAX, False), (2**62 - 2 - (2**62 - 2) % p, True)]:
+        f = ring.poly({(e,) + (0,) * (2 * ring.n - 1): p - 1})
+        for pair in [(f, d1), (d1, f)]:
+            weyl_products.clear()
+            assert pair[0].commutes_with(pair[1]) == commute_by_oracle(*pair) == central
+            assert len(weyl_products) == 2 * central
+    # a top term whose degree, the sum of its exponents, passes int64, over
+    # x1*d2 of degree 2, whose own bracket with g is 0; the products' output
+    # box passes int64 and is refused, so only the bracket, -E2 mod p, can
+    # answer
+    e1, e2 = 2**62 + 3, 2**62 + 1
+    far = ring.poly({(e1, e2) + (0,) * (2 * ring.n - 2): 1})
+    f, g = far + x1 * d2, x1 + d2
+    assert top_bracket_oracle(x1 * d2, g) == 0
+    assert top_bracket_oracle(f, g) == -e2 % p != 0
+    weyl_products.clear()
+    assert f.commutes_with(g) is False and not weyl_products
+    assert not commute_by_oracle(f, g)
+    with pytest.raises(OreKexError, match="too large"):
+        f * g

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from orekex import (CommutingSetup, EncodingError, FactorizationProver,
-                    NotDivisibleError, OrePolynomial, PrivateTuple, ProtocolError,
+                    NotDivisibleError, OreKexError, OrePolynomial, PrivateTuple, ProtocolError,
                     ProtocolTranscript, PublicParameters, REVEAL_P, REVEAL_PI,
                     decode_bytes, decrypt, encode_bytes, encrypt, encryption_keygen,
                     grading_vector, kex_finalize, kex_message, random_polynomial,
                     ring_by_name, run_key_exchange, run_zkp, sign, signature_keygen,
                     signature_sides, three_pass_exchange, verify_signature,
                     zkp_verify_round)
+from orekex import backend
 from orekex.protocols import ZkpCommitment, noncentral_witness
 
 SKEW = ring_by_name("f125-skew2")
@@ -314,6 +315,29 @@ def test_zkp_fresh_blinding_enforced():
     prover.commit(rng)
     assert len(first) == 2 and len(prover._used) == 4
     assert prover._p1 not in first and prover._p2 not in first
+
+
+def test_zkp_oversized_commitment_refused_before_any_product(monkeypatch):
+    # blinding values of degree 1500 fit the cell limit; p1 * L * p2 spans
+    # about twice as far on each axis, and its box passes the limit
+    rng = np.random.default_rng(62)
+    honest = _prover(SKEW, rng)
+    prover = FactorizationProver(honest.ell1, honest.ell2, blind_degree=1500, blind_terms=40)
+    state = rng.bit_generator.state
+    calls = []
+    monkeypatch.setattr(backend, "skew2_mul", lambda *a: calls.append(a))
+    with pytest.raises(OreKexError, match=f"{backend.MAX_GRID_CELLS}-cell limit"):
+        prover.commit(rng)
+    assert not calls
+    spans = [a + b + c - 2 for a, b, c in zip(
+        prover._p1.grid.shape, prover.public_l.grid.shape, prover._p2.grid.shape)]
+    assert np.prod(spans) > backend.MAX_GRID_CELLS
+    # both draws were made, in order, so the stream is where they leave it
+    again = np.random.default_rng()
+    again.bit_generator.state = state
+    assert [prover._p1, prover._p2] == [random_polynomial(SKEW, 1500, 40, again)
+                                        for _ in range(2)]
+    assert rng.bit_generator.state == again.bit_generator.state
 
 
 class SplitCheater:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orekex import OreKexError, ParseError, random_polynomial, ring_by_name
+from orekex import OreKexError, ParseError, orepoly, random_polynomial, ring_by_name
 import orekex
 from orekex.cli import build_parser, main
 from orekex.rings import MAX_VARIABLES, RING_ALIASES
@@ -421,8 +421,9 @@ def test_cli_characteristic_2_weyl_message_exits_2(tmp_path):
 def test_cli_oversized_blinding_exits_2(tmp_path, blind_degree):
     """Blinding at degree 3000 asks for 4.5M terms, over the cell limit, and
     is refused before any draw; at 2000 the two 2M-term draws run on arrays
-    and the first blinded product is refused.  Drawn term by term, the two
-    runs took 33.7 s and 31.6 s before exiting 2."""
+    and the commitment, whose box follows from the three spans, is refused
+    before any product.  Drawn term by term, the two runs took 33.7 s and
+    31.6 s before exiting 2."""
     t0 = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "orekex.cli", "zkp", "--ring", "f125-skew2",
                            "--seed", "1", "--rounds", "1", "--blind-degree", blind_degree,
@@ -585,15 +586,32 @@ def test_cli_file_missing_or_malformed_entry_exits_2(tmp_path, capsys, name, key
     assert len(err) < 300
 
 
-def test_cli_weyl_product_over_step_limit_exits_2(capsys):
-    # key * public starts with d1^N*d2^N * x1^N*x2^N: (N+1)^2 = 1.6e9 Leibniz steps
-    n = 40000
-    t0 = time.perf_counter()
-    code = _run("check-weak", "--ring", "weyl2-f71",
+def _check_weak_far_pair(n):
+    # key * public starts with d1^N*d2^N * x1^N*x2^N: (N+1)^2 Leibniz steps.
+    # The top parts' Poisson bracket at the all-ones point is 2 (N mod 71)^2
+    return _run("check-weak", "--ring", "weyl2-f71",
                 "--key-text", f"1*x1^0*x2^0*d1^{n}*d2^{n} + 1*x1^1*x2^0*d1^0*d2^0",
                 "--public-text", f"1*x1^{n}*x2^{n}*d1^0*d2^0")
+
+
+def test_cli_weyl_product_over_step_limit_exits_2(capsys):
+    # N = 71 * 563: the bracket vanishes, so the full products are asked
+    # for, and the first one, 1.6e9 steps, is refused
+    t0 = time.perf_counter()
+    code = _check_weak_far_pair(39973)
     assert code == 2 and time.perf_counter() - t0 < 1.0
     assert "Leibniz steps" in capsys.readouterr().err
+
+
+def test_cli_weyl_bracket_settles_far_pair_without_products(capsys, monkeypatch):
+    # N = 40000: the bracket is 2 * 27^2 = 38 (mod 71), so the pair does not
+    # commute and no product is made
+    calls = []
+    monkeypatch.setattr(orepoly, "_weyl_mul", lambda *a: calls.append(a))
+    t0 = time.perf_counter()
+    code = _check_weak_far_pair(40000)
+    assert code == 0 and time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out == "accept\n" and not calls
 
 
 X_ONLY = " + ".join(f"1*x1^{i}*x2^{j}*d1^0*d2^0" for i in range(40) for j in range(40))

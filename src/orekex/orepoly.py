@@ -11,7 +11,11 @@ Values are immutable once constructed; all operations are pure.  Products
 respect the defining relations d*c = sigma(c)*d (skew) and d_i*x_i =
 x_i*d_i + 1 (weyl).  Every skew product, whatever the number of variables,
 is delegated to the FFT kernel in :mod:`orekex.backend`; every weyl product
-is one numpy kernel over all pairs of terms (:func:`_weyl_mul`).
+is one numpy kernel over all pairs of terms (:func:`_weyl_mul`), whose pair
+arrays are outer operations on the operands' columns and whose
+Leibniz entries are summed by one ``np.bincount`` over the output box when
+the box is small beside them (``WEYL_BOX_PER_STEP``, ``WEYL_BOX_CELLS``),
+else after one sort.
 :meth:`OrePolynomial.commutes_with` makes both full products only when a
 necessary condition holds: equal exact low corners in a skew ring, a
 vanishing Poisson bracket of the top-degree parts in a weyl ring.
@@ -339,10 +343,22 @@ class OrePolynomial:
 
 
 # Leibniz steps one Weyl product may take, one per pair of terms and k-tuple
-# of its sum in _weyl_mul; at the limit a product takes about 0.3 s and 130 MB.
-# d1^999*d2^999 * x1^999*x2^999 takes exactly this many; the largest product
-# below it in the tests 77,378, in the benchmark 14,984.
+# of its sum in _weyl_mul.  d1^999*d2^999 * x1^999*x2^999 takes exactly this
+# many, about 0.25 s with a 99 MB traced peak at p = 2^31 - 1; the largest
+# product below it in the tests, d1^999998 * x1^999998, about 1.2 s with
+# 99 MB; in the benchmark 14,984 steps.
 MAX_WEYL_STEPS = 1_000_000
+# _weyl_mul sums its entries by one np.bincount over the output box when the
+# box has at most WEYL_BOX_PER_STEP cells per entry (Leibniz step) and at most
+# WEYL_BOX_CELLS cells, else after one argsort of the entries' flat indices.
+# Swept on a 2-CPU machine over random two-variable products at p = 71 and
+# 2^31 - 1 (whole products, medians of 5-7 timings): the bincount route led
+# or tied up to 3 cells a step at every size, mostly led at 3.5-5.2 (866K
+# steps over 3.4M cells: 144 against 160 ms) and trailed from about 6 (by
+# 1.1-2x at 9-40).  The cap bounds its float64 box at 32 MB; at
+# MAX_WEYL_STEPS the multiple allows 4M cells.
+WEYL_BOX_PER_STEP = 4
+WEYL_BOX_CELLS = 1 << 22
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -360,10 +376,17 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     once on int64 arrays, by d^w x^e = sum_k C(w,k) C(e,k) k! x^(e-k)
     d^(w-k) in each variable.  Mod p that factor is w(w-1)..(w-k+1)
     e(e-1)..(e-k+1) / k!, zero once k passes w mod p or e mod p, so a pair
-    expands into k = 0..min(w mod p, e mod p), all < p, with running
-    products as factors, summed per flat index of the output box after one
-    sort.  OreKexError when the steps pass ``MAX_WEYL_STEPS``, or an
-    exponent or index passes int64."""
+    expands, variable by variable, into k = 0..min(w mod p, e mod p), all
+    < p, with running products by doubling as factors.  A pair's flat index
+    in the output box and its coefficient are an outer sum and product of
+    f's and g's columns, and per variable the min and max of w mod p and e
+    mod p an outer minimum and maximum.  The entries are summed per index
+    on one of two routes: when the box has at most ``WEYL_BOX_PER_STEP``
+    cells per entry and at most ``WEYL_BOX_CELLS`` cells, by one
+    ``np.bincount`` over the box, read in C order; otherwise after one
+    argsort of the indices.  Both give the columns in lexicographic order.
+    OreKexError when the steps pass ``MAX_WEYL_STEPS``, or an exponent or
+    index passes int64."""
     p, n = ring.p, ring.n
     (ef, cf), (eg, cg) = f._coo(), g._coo()
     # pair (a, b) takes prod_i (min(w_i, e_i) + 1) >= 1 steps, so the pair
@@ -376,40 +399,69 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     lo = ef[:n].min(1).tolist() + eg[n:].min(1).tolist()
     hi = [s + t for s, t in zip(ef.max(1).tolist(), eg.max(1).tolist())]
     box = [h - l + 1 for h, l in zip(hi, lo)]
-    if max(hi) > _INT64_MAX or prod(box) > _INT64_MAX:
+    cells = prod(box)
+    if max(hi) > _INT64_MAX or cells > _INT64_MAX:
         raise OreKexError("exponent too large for the int64 kernels")
     strides = np.array([prod(box[j + 1:]) for j in range(2 * n)], np.int64)
     # copies shifted into the box; the rows the Leibniz factors read stay put
     ef = ef - np.array(lo[:n] + [0] * n)[:, None]
     eg = eg - np.array([0] * n + lo[n:])[:, None]
-    a, b = np.divmod(np.arange(len(f) * len(g)), len(g))  # pair a * len(g) + b
-    key = (strides @ ef)[a] + (strides @ eg)[b]
-    coef = cf[a] * cg[b] % p
+    # pair a * len(g) + b; the pair arrays are outer sums and products
+    key = np.add.outer(strides @ ef, strides @ eg).ravel()
+    coef = np.multiply.outer(cf, cg).ravel() % p
     w, e = ef[n:] % p, eg[:n] % p
-    cap = np.minimum(w[:, a], e[:, b])
-    inv = [0, 1]  # 1/j mod p for j < p, by p = (p // j) j + p % j
-    for j in range(2, int(cap.max()) + 1):
-        inv.append(-(p // j) * inv[p % j] % p)
-    inv = np.array(inv)
-    pair = np.arange(len(coef))  # of each entry, as the pairs expand into k
-    for i in np.flatnonzero(cap.any(1)):
-        run = cap[i, pair] + 1
-        src = np.repeat(np.arange(len(run)), run)
-        k = np.arange(len(src)) - (np.cumsum(run) - run)[src]
-        pair = pair[src]
-        fac = (w[i, a[pair]] - k + 1) * (e[i, b[pair]] - k + 1) % p * inv[k] % p
-        fac[k == 0] = 1
-        s = 1  # running products along each run, by doubling
-        while s <= cap[i].max():
-            fac[s:] = np.where(k[s:] >= s, fac[s:] * fac[:-s] % p, fac[s:])
-            s *= 2
-        key = key[src] - k * (strides[i] + strides[n + i])
-        coef = coef[src] * fac % p
-    order = np.argsort(key)
-    key, coef = key[order], coef[order]
-    first, sums = _run_sums(key[1:] != key[:-1], coef, p)
-    exps = np.array(np.unravel_index(key[first], box), np.int64) + np.array(lo)[:, None]
+    live = np.flatnonzero(np.minimum(w.max(1), e.max(1)))  # variables with a k > 0
+    pair = None  # of each entry, once the pairs have expanded
+    for i in live:
+        # a step multiplies by (w - k + 1)(e - k + 1)/k, symmetric in w and e
+        cap, big = np.minimum.outer(w[i], e[i]).ravel(), np.maximum.outer(w[i], e[i]).ravel()
+        if pair is not None:
+            cap, big = cap[pair], big[pair]
+        key, coef = _leibniz_step(key, coef, cap, big, strides[i] + strides[n + i], p)
+        if i != live[-1]:
+            pair = (np.arange(len(cap)) if pair is None else pair).repeat(cap + 1)
+    if cells <= min(WEYL_BOX_PER_STEP * len(key), WEYL_BOX_CELLS):
+        # float64 sums are exact: at most MAX_WEYL_STEPS = 10^6 entries, each
+        # below p <= 2^31, stay below 2^51
+        sums = np.bincount(key, coef, cells)
+        key = sums.nonzero()[0]  # C order: the columns' lexicographic order
+        sums = sums[key].astype(np.int64) % p
+        key, sums = key[sums != 0], sums[sums != 0]
+    else:
+        order = key.argsort()
+        key, coef = key[order], coef[order]
+        first, sums = _run_sums(key[1:] != key[:-1], coef, p)
+        key = key[first]
+    exps = np.array(np.unravel_index(key, box), np.int64)
+    exps += np.array(lo)[:, None]
     return OrePolynomial._of(ring, exps=exps, coeffs=sums)
+
+
+def _leibniz_step(key, coef, cap, big, step: int, p: int):
+    """Entries (key, coef) of a Weyl product expanded by one variable's
+    Leibniz sums: entry j into k = 0..cap[j], each with its key lowered by
+    k * step and its coefficient times the product over t = 1..k of
+    (cap[j] - t + 1)(big[j] - t + 1)/t mod p; a run's entries stay together."""
+    run = cap + 1
+    start = run.cumsum() - run
+    k = np.arange(start[-1] + run[-1]) - start.repeat(run)
+    top = int(cap.max())
+    inv = [0, 1]  # 1/j mod p for j < p, by p = (p // j) j + p % j
+    for j in range(2, top + 1):
+        inv.append(-(p // j) * inv[p % j] % p)
+    at = k.nonzero()[0]  # the entries whose factor is not 1
+    ka = k[at]
+    fac = (run.repeat(cap) - ka) * ((big + 1).repeat(cap) - ka) % p * np.array(inv)[ka] % p
+    # running products along each run, by doubling: the pass of step s
+    # multiplies every entry with k > s by the entry s before it
+    later, s = (ka > 1).nonzero()[0], 1
+    while len(later):
+        fac[later] = fac[later] * fac[later - s] % p
+        s *= 2
+        later = later[ka[later] > s]
+    coef = coef.repeat(run)
+    coef[at] = coef[at] * fac % p
+    return key.repeat(run) - k * step, coef
 
 
 def _top_bracket(f: OrePolynomial, g: OrePolynomial) -> int:

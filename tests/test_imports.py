@@ -1,6 +1,7 @@
 """No name is imported and then left unused, in the library or the tests,
-and no module-level name, method or property of the library is left
-unused everywhere.
+no module-level name, method or property of the library is left unused
+everywhere, and every third-party module the tests import is a declared
+requirement.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard library's ``ast``.  ``orekex/__init__.py`` imports to re-export
@@ -8,6 +9,8 @@ and is exempt from the import check.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +137,48 @@ def test_every_library_name_is_used():
     dead = [f"{path.name}:{name}" for path in LIBRARY for name in defined_names(path.read_text())
             if name not in used and name != "__version__" and not name.startswith("cmd_")]
     assert dead == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports by absolute import,
+    at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def missing_requirements(project: dict, sources, local) -> list[str]:
+    """Modules the sources import that are neither in the standard library,
+    nor ``local``, nor named by the ``[project]`` table's dependencies or
+    its ``test`` extra (every module here is named as it installs)."""
+    wanted = project.get("dependencies", []) + project.get("optional-dependencies", {}).get("test", [])
+    named = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in wanted}
+    imported = set().union(*(imported_modules(source) for source in sources))
+    return sorted(m for m in imported - set(sys.stdlib_module_names) - set(local)
+                  if m.lower() not in named)
+
+
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+LOCAL = {"orekex"} | {path.stem for path in TESTS}
+
+
+def test_the_guard_finds_missing_requirements():
+    # the test extra as it was before hypothesis joined it
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads('[project]\nname = "orekex"\ndependencies = ["numpy>=1.24"]\n'
+                            '[project.optional-dependencies]\ntest = ["pytest"]\n')["project"]
+    assert missing_requirements(project, [path.read_text() for path in TESTS], LOCAL) == ["hypothesis"]
+    planted = "import os.path, numpy as np\nfrom .x import y\nfrom helpers import z\nimport scipy.linalg\n"
+    assert missing_requirements(project, [planted], {"helpers"}) == ["scipy"]
+
+
+def test_test_imports_are_requirements():
+    """``pip install -e .[test]`` gives the tests every third-party module
+    they import."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert missing_requirements(project, [path.read_text() for path in TESTS], LOCAL) == []

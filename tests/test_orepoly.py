@@ -1,5 +1,7 @@
 import resource
+import time
 import tracemalloc
+from itertools import product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -683,6 +685,192 @@ def test_weyl_product_footprint_at_the_step_limit():
     assert len(h) == (top + 1) ** 2 and h.leading() == ((top,) * 4, 1)
     # the lowest term takes k = 999 in both variables: (999!)^2
     assert exps[:, 0].tolist() == [0] * 4 and coeffs[0] == factorial(top) ** 2 % p
+
+
+def test_weyl_mul_factor_cost_at_the_step_limit():
+    """The two products at the step limit, at p = 2^31 - 1, each in under
+    3 s and equal to its closed form: d1^999*d2^999 * x1^999*x2^999, and
+    d1^999998 * x1^999998, one pair whose sum runs over k = 0..999,998.
+    The Leibniz factors are running products by doubling, O(steps log k)
+    work; one numpy pass per k took 25 s on the first product and 28 s at
+    a cap of 50,000."""
+    p, top = 2 ** 31 - 1, 999
+    ring = weyl_ring(p, 2)
+    f, g = ring.poly({(0, 0, top, top): 1}), ring.poly({(top, top, 0, 0): 1})
+    t0 = time.perf_counter()
+    h = f * g
+    assert time.perf_counter() - t0 < 3.0
+    # the variables' sums multiply: column (a, b, a, b) takes k = (top - a, top - b)
+    exps, coeffs = h._coo()
+    a, b = np.divmod(np.arange((top + 1) ** 2), top + 1)
+    c = np.array([comb(top, k) ** 2 * factorial(k) % p for k in range(top, -1, -1)])
+    assert np.array_equal(exps, [a, b, a, b])
+    assert np.array_equal(coeffs, np.multiply.outer(c, c).ravel() % p)
+    top = 999_998
+    f, g = ring.poly({(0, 0, top, 0): 1}), ring.poly({(top, 0, 0, 0): 1})
+    t0 = time.perf_counter()
+    h = f * g
+    assert time.perf_counter() - t0 < 3.0
+    # column m is x1^m d1^m, from k = top - m: C(top,k)^2 k!, which is 1 at
+    # k = 0, and k C(top,k)^2 k! = (top - k + 1)^2 C(top,k-1)^2 (k-1)!
+    exps, c = h._coo()
+    m = np.arange(top + 1)
+    assert np.array_equal(exps, [m, 0 * m, m, 0 * m]) and c[-1] == 1
+    assert np.array_equal((top - m[:-1]) * c[:-1] % p, (m[:-1] + 1) ** 2 % p * c[1:] % p)
+
+
+# -- the two weyl sum routes: one bincount over the output box when it has at
+# most WEYL_BOX_PER_STEP cells per entry and at most WEYL_BOX_CELLS cells, else
+# a sort; forcing each on the same operands must give the oracle's value
+
+WEYL_ROUTE_RINGS = [pytest.param(WEYL, id="weyl2-f71"),
+                    pytest.param(ring_by_name("weyl3-f71"), id="weyl3-f71"),
+                    pytest.param(ring_by_name("weyl2-f101"), id="weyl2-f101"),
+                    pytest.param(weyl_ring(2, 2), id="weyl2-f2"),
+                    pytest.param(weyl_ring(2 ** 31 - 1, 2), id="weyl2-f2^31-1")]
+
+
+@pytest.fixture
+def weyl_routes(monkeypatch):
+    """Makes a product by the bincount route (when its box fits the cell
+    cap), by the sort route and by the rule (with the bounds given, default
+    the module's), and returns the three values and whether the rule took
+    the bincount route."""
+    rule = orepoly.WEYL_BOX_PER_STEP, orepoly.WEYL_BOX_CELLS
+    boxes, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda key, w, cells: boxes.append(cells) or bincount(key, w, cells))
+
+    def each(f, g, bounds=rule):
+        out, took = [], []
+        for per_step, cells in ((1 << 62, rule[1]), (0, 0), bounds):
+            monkeypatch.setattr(orepoly, "WEYL_BOX_PER_STEP", per_step)
+            monkeypatch.setattr(orepoly, "WEYL_BOX_CELLS", cells)
+            ran = len(boxes)
+            out.append(f * g)
+            took.append(len(boxes) > ran)
+        assert took[:2] == [_entries_and_cells(f, g)[1] <= rule[1], False]
+        return out, took[2]
+    return each
+
+
+def _leibniz_exact(f, g):
+    """f*g by the Leibniz sum with exact binomials, pair of terms by pair of
+    terms: for operands whose sums min(w_i, e_i) are short, whatever the
+    size of their exponents (weyl_mul_oracle moves one d at a time)."""
+    n, p = f.ring.n, f.ring.p
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            w, e = ea[n:], eb[:n]
+            for ks in product(*(range(min(a, b) + 1) for a, b in zip(w, e))):
+                c = ca * cb * prod(comb(a, k) * comb(b, k) * factorial(k) for a, b, k in zip(w, e, ks))
+                at = tuple(ea[i] + eb[i] - ks[i % n] for i in range(2 * n))
+                out[at] = (out.get(at, 0) + c) % p
+    return f.ring.poly(out)
+
+
+def _entries_and_cells(f, g):
+    """Leibniz steps of f*g (caps taken mod p) and cells of its output box."""
+    n, p = f.ring.n, f.ring.p
+    steps = sum(prod(min(a[n + i] % p, b[i] % p) + 1 for i in range(n)) for a in f.terms for b in g.terms)
+    (ef, _), (eg, _) = f._coo(), g._coo()
+    box = [int(ef[j].max() + eg[j].max() - (ef[j].min() if j < n else eg[j].min()) + 1)
+           for j in range(2 * n)]
+    return steps, prod(box)
+
+
+def _assert_weyl_layout(h):
+    """int64 (2n, terms) exponents in strictly increasing lexicographic
+    order, and int64 coefficients in [1, p)."""
+    exps, coeffs = h._coo()
+    assert exps.dtype == coeffs.dtype == np.int64 and exps.shape == (2 * h.ring.n, len(coeffs))
+    assert 1 <= coeffs.min() and coeffs.max() < h.ring.p
+    columns = list(zip(*exps.tolist()))
+    assert columns == sorted(set(columns))
+
+
+@pytest.mark.parametrize("ring", WEYL_ROUTE_RINGS)
+def test_weyl_sum_routes_match_the_oracle(ring, weyl_routes):
+    p, n = ring.p, ring.n
+    rng = np.random.default_rng(42)
+    d1, x1, dn, xn = ring.d(1), ring.x(1), ring.d(n), ring.x(n)
+    c, mono = ring.constant(p - 1), ring.poly({tuple(int(v) for v in rng.integers(0, 4, 2 * n)): 3})
+    cases = [(c, c), (mono, mono), (d1, x1), (x1, d1)]
+    for _ in range(6):
+        f, g = _rand(ring, rng, 6, 8), _rand(ring, rng, 6, 8)
+        cases += [(f, g), (c, f), (f, mono), (mono, g)]
+    # entries that cancel in whole cells: exactly, and mod 2 in (d1 + x1)^2
+    cases += [(d1 + x1, d1 - x1), (d1 + x1, d1 + x1), (d1 * dn + xn, x1 * xn - dn)]
+    if p < 200:  # exponents at and past p
+        cases += [(d1 ** a * dn ** b, x1 ** b * xn ** a) for a in (p - 1, p, p + 1) for b in (1, p)]
+    else:
+        cases += [(d1 ** (p + 1), x1 ** 3 + xn ** 2), (x1 ** p * d1 ** 2, x1 ** (p - 1) + dn ** 3),
+                  (d1 ** p + x1 ** (p + 1), x1 ** 2 + 1), (dn ** (p + 2) * d1, x1 * xn ** 3)]
+    took = []
+    for f, g in cases:
+        want = weyl_mul_oracle(f, g) if p < 200 else _leibniz_exact(f, g)
+        values, dense = weyl_routes(f, g)
+        took.append(dense)
+        for h in values:
+            _assert_weyl_layout(h)
+            assert h._key() == want._key()
+    assert (d1 + x1) * (d1 - x1) == d1 ** 2 - x1 ** 2 - 1
+    assert ((d1 + x1) * (d1 + x1) == d1 ** 2 + x1 ** 2 + 1) == (p == 2)
+    assert 0 < sum(took) < len(took)  # the rule takes both routes
+
+
+def test_weyl_sum_route_bounds(weyl_routes):
+    """Boxes one cell inside and one cell outside each bound of the
+    bincount route take the route the rule says, with the same value."""
+    m = orepoly.WEYL_BOX_PER_STEP
+    rng = np.random.default_rng(43)
+    # one entry over m cells of x1, then m + 1; then two products with
+    # Leibniz steps, picked for m = 4, with 4 cells a step and one past it
+    cases = [(WEYL.constant(3), WEYL.x(1) ** (m - 1), True), (WEYL.constant(3), WEYL.x(1) ** m, False),
+             (WEYL.poly({(3, 4, 0, 3): 5}), WEYL.poly({(0, 2, 0, 4): 7}), True),
+             (WEYL.poly({(2, 2, 4, 0): 1}), WEYL.poly({(1, 0, 2, 1): 2, (2, 0, 0, 1): 3}), False)]
+    for f, g, inside in cases:
+        steps, cells = _entries_and_cells(f, g)
+        assert cells - m * steps == (0 if inside else 1) and steps > 0
+        values, dense = weyl_routes(f, g)
+        assert dense == inside and values == [weyl_mul_oracle(f, g)] * 3
+    # the cell cap, one cell inside and outside, on products it alone decides
+    for ring in [WEYL, ring_by_name("weyl3-f71"), weyl_ring(2 ** 31 - 1, 2)]:
+        for _ in range(3):
+            f, g = _rand(ring, rng, 5, 6), _rand(ring, rng, 5, 6)
+            steps, cells = _entries_and_cells(f, g)
+            for cap, inside in ((cells, True), (cells - 1, False)):
+                values, dense = weyl_routes(f, g, (cells, cap))
+                assert dense == inside and len({h._key() for h in values}) == 1
+
+
+def test_weyl_product_footprint_on_the_bincount_route(monkeypatch):
+    """The bincount route's largest box: 10^6 steps over 4 * 10^6 cells,
+    x1^(2a) and x1^1999 against d1^(2b) and d1^1999, each pair its own
+    cell, summed under the same 200 MB as the step-limit product."""
+    p, side = 2 ** 31 - 1, 2000
+    ring = weyl_ring(p, 2)
+    rng = np.random.default_rng(44)
+    xs = list(range(0, side - 2, 2)) + [side - 1]
+    cf, cg = rng.integers(1, p, len(xs)), rng.integers(1, p, len(xs))
+    f = ring.poly({(e, 0, 0, 0): int(c) for e, c in zip(xs, cf)})
+    g = ring.poly({(0, 0, e, 0): int(c) for e, c in zip(xs, cg)})
+    cells = side ** 2
+    assert len(f) * len(g) == orepoly.MAX_WEYL_STEPS  # no pair has a k > 0
+    assert cells == orepoly.WEYL_BOX_PER_STEP * orepoly.MAX_WEYL_STEPS <= orepoly.WEYL_BOX_CELLS
+    boxes, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda key, w, n: boxes.append(n) or bincount(key, w, n))
+    tracemalloc.start()
+    try:
+        h = f * g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert boxes == [cells] and peak < 200 << 20
+    exps, coeffs = h._coo()
+    assert np.array_equal(exps[0], np.repeat(xs, len(xs))) and np.array_equal(exps[2], np.tile(xs, len(xs)))
+    assert not exps[1].any() and not exps[3].any()
+    assert np.array_equal(coeffs, np.multiply.outer(cf, cg).ravel() % p)
 
 
 # -- weyl sums --------------------------------------------------------------------------

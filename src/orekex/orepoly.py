@@ -12,10 +12,10 @@ respect the defining relations d*c = sigma(c)*d (skew) and d_i*x_i =
 x_i*d_i + 1 (weyl).  Every skew product, whatever the number of variables,
 is delegated to the FFT kernel in :mod:`orekex.backend`; every weyl product
 is one numpy kernel over all pairs of terms (:func:`_weyl_mul`), whose pair
-arrays are outer operations on the operands' columns and whose
-Leibniz entries are summed by one ``np.bincount`` over the output box when
-the box is small beside them (``WEYL_BOX_PER_STEP``, ``WEYL_BOX_CELLS``),
-else after one sort.
+arrays are outer operations on the operands' columns and whose Leibniz
+entries are summed by one ``np.bincount`` over the output box when the box
+is small beside them (``WEYL_BOX_PER_STEP``, ``WEYL_BOX_CELLS``), else
+after one sort.
 :meth:`OrePolynomial.commutes_with` makes both full products only when a
 necessary condition holds: equal exact low corners in a skew ring, a
 vanishing Poisson bracket of the top-degree parts in a weyl ring.
@@ -353,10 +353,11 @@ MAX_WEYL_STEPS = 1_000_000
 # WEYL_BOX_CELLS cells, else after one argsort of the entries' flat indices.
 # Swept on a 2-CPU machine over random two-variable products at p = 71 and
 # 2^31 - 1 (whole products, medians of 5-7 timings): the bincount route led
-# or tied up to 3 cells a step at every size, mostly led at 3.5-5.2 (866K
-# steps over 3.4M cells: 144 against 160 ms) and trailed from about 6 (by
-# 1.1-2x at 9-40).  The cap bounds its float64 box at 32 MB; at
-# MAX_WEYL_STEPS the multiple allows 4M cells.
+# on 31 of 34 products of 600 steps or more up to 3 cells a step (trailing by
+# at most 9%), on 11 of 13 from 3 to 5.2 and on 1 of 32 above (by up to 2x
+# behind at 9-40).  From 3.4M cells it was level or behind (10^6 steps over
+# 5M cells: 178-188 against 159-162 ms), hence 4, and a cap of 2^22 cells,
+# a 32 MB float64 box.
 WEYL_BOX_PER_STEP = 4
 WEYL_BOX_CELLS = 1 << 22
 _INT64_MAX = np.iinfo(np.int64).max
@@ -449,7 +450,7 @@ def _leibniz_step(key, coef, cap, big, step: int, p: int):
     inv = [0, 1]  # 1/j mod p for j < p, by p = (p // j) j + p % j
     for j in range(2, top + 1):
         inv.append(-(p // j) * inv[p % j] % p)
-    at = k.nonzero()[0]  # the entries whose factor is not 1
+    at = k.nonzero()[0]  # the entries with k >= 1; the others keep their coefficient
     ka = k[at]
     fac = (run.repeat(cap) - ka) * ((big + 1).repeat(cap) - ka) % p * np.array(inv)[ka] % p
     # running products along each run, by doubling: the pass of step s

@@ -14,8 +14,7 @@ is delegated to the FFT kernel in :mod:`orekex.backend`; every weyl product
 is one numpy kernel over all pairs of terms (:func:`_weyl_mul`), whose pair
 arrays are outer operations on the operands' columns and whose Leibniz
 entries are summed by one ``np.bincount`` over the output box when the box
-is small beside them (``WEYL_BOX_PER_STEP``, ``WEYL_BOX_CELLS``), else
-after one sort.
+is small beside them (``WEYL_BOX_PER_STEP``), else after one sort.
 :meth:`OrePolynomial.commutes_with` makes both full products only when a
 necessary condition holds: equal exact low corners in a skew ring, a
 vanishing Poisson bracket of the top-degree parts in a weyl ring.
@@ -349,17 +348,15 @@ class OrePolynomial:
 # 99 MB; in the benchmark 14,984 steps.
 MAX_WEYL_STEPS = 1_000_000
 # _weyl_mul sums its entries by one np.bincount over the output box when the
-# box has at most WEYL_BOX_PER_STEP cells per entry (Leibniz step) and at most
-# WEYL_BOX_CELLS cells, else after one argsort of the entries' flat indices.
-# Swept on a 2-CPU machine over random two-variable products at p = 71 and
-# 2^31 - 1 (whole products, medians of 5-7 timings): the bincount route led
-# on 31 of 34 products of 600 steps or more up to 3 cells a step (trailing by
-# at most 9%), on 11 of 13 from 3 to 5.2 and on 1 of 32 above (by up to 2x
-# behind at 9-40).  From 3.4M cells it was level or behind (10^6 steps over
-# 5M cells: 178-188 against 159-162 ms), hence 4, and a cap of 2^22 cells,
-# a 32 MB float64 box.
+# box has at most WEYL_BOX_PER_STEP cells per entry (Leibniz step), else after
+# one argsort of the entries' flat indices.  MAX_WEYL_STEPS thus bounds the
+# box at 4M cells, a 32 MB float64 array.  Swept on a 2-CPU machine over
+# random two-variable products at p = 71 and 2^31 - 1 (whole products,
+# medians of 5-7 timings): the bincount route led on 31 of 34 products of 600
+# steps or more up to 3 cells a step (trailing by at most 9%), on 11 of 13
+# from 3 to 5.2 and on 1 of 32 above (by up to 2x behind at 9-40), hence 4;
+# at 3.4M-4M cells it was about level.
 WEYL_BOX_PER_STEP = 4
-WEYL_BOX_CELLS = 1 << 22
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -383,9 +380,9 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     f's and g's columns, and per variable the min and max of w mod p and e
     mod p an outer minimum and maximum.  The entries are summed per index
     on one of two routes: when the box has at most ``WEYL_BOX_PER_STEP``
-    cells per entry and at most ``WEYL_BOX_CELLS`` cells, by one
-    ``np.bincount`` over the box, read in C order; otherwise after one
-    argsort of the indices.  Both give the columns in lexicographic order.
+    cells per entry, by one ``np.bincount`` over the box, read in C order;
+    otherwise after one argsort of the indices.  Both give the columns in
+    lexicographic order.
     OreKexError when the steps pass ``MAX_WEYL_STEPS``, or an exponent or
     index passes int64."""
     p, n = ring.p, ring.n
@@ -411,17 +408,22 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     key = np.add.outer(strides @ ef, strides @ eg).ravel()
     coef = np.multiply.outer(cf, cg).ravel() % p
     w, e = ef[n:] % p, eg[:n] % p
-    live = np.flatnonzero(np.minimum(w.max(1), e.max(1)))  # variables with a k > 0
+    tops = np.minimum(w.max(1), e.max(1))  # each variable's largest cap
+    live = np.flatnonzero(tops)  # variables with a k > 0
+    inv = [0, 1]  # 1/j mod p for j < p, by p = (p // j) j + p % j
+    for j in range(2, int(tops.max()) + 1):
+        inv.append(-(p // j) * inv[p % j] % p)
+    inv = np.array(inv)
     pair = None  # of each entry, once the pairs have expanded
     for i in live:
         # a step multiplies by (w - k + 1)(e - k + 1)/k, symmetric in w and e
         cap, big = np.minimum.outer(w[i], e[i]).ravel(), np.maximum.outer(w[i], e[i]).ravel()
         if pair is not None:
             cap, big = cap[pair], big[pair]
-        key, coef = _leibniz_step(key, coef, cap, big, strides[i] + strides[n + i], p)
+        key, coef = _leibniz_step(key, coef, cap, big, strides[i] + strides[n + i], inv, p)
         if i != live[-1]:
             pair = (np.arange(len(cap)) if pair is None else pair).repeat(cap + 1)
-    if cells <= min(WEYL_BOX_PER_STEP * len(key), WEYL_BOX_CELLS):
+    if cells <= WEYL_BOX_PER_STEP * len(key):
         # float64 sums are exact: at most MAX_WEYL_STEPS = 10^6 entries, each
         # below p <= 2^31, stay below 2^51
         sums = np.bincount(key, coef, cells)
@@ -438,21 +440,18 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     return OrePolynomial._of(ring, exps=exps, coeffs=sums)
 
 
-def _leibniz_step(key, coef, cap, big, step: int, p: int):
+def _leibniz_step(key, coef, cap, big, step: int, inv: np.ndarray, p: int):
     """Entries (key, coef) of a Weyl product expanded by one variable's
     Leibniz sums: entry j into k = 0..cap[j], each with its key lowered by
     k * step and its coefficient times the product over t = 1..k of
-    (cap[j] - t + 1)(big[j] - t + 1)/t mod p; a run's entries stay together."""
+    (cap[j] - t + 1)(big[j] - t + 1)/t mod p, ``inv[t]`` being 1/t mod p; a
+    run's entries stay together."""
     run = cap + 1
     start = run.cumsum() - run
     k = np.arange(start[-1] + run[-1]) - start.repeat(run)
-    top = int(cap.max())
-    inv = [0, 1]  # 1/j mod p for j < p, by p = (p // j) j + p % j
-    for j in range(2, top + 1):
-        inv.append(-(p // j) * inv[p % j] % p)
     at = k.nonzero()[0]  # the entries with k >= 1; the others keep their coefficient
     ka = k[at]
-    fac = (run.repeat(cap) - ka) * ((big + 1).repeat(cap) - ka) % p * np.array(inv)[ka] % p
+    fac = (run.repeat(cap) - ka) * ((big + 1).repeat(cap) - ka) % p * inv[ka] % p
     # running products along each run, by doubling: the pass of step s
     # multiplies every entry with k > s by the entry s before it
     later, s = (ka > 1).nonzero()[0], 1

@@ -171,9 +171,9 @@ def test_the_guard_finds_missing_requirements():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads('[project]\nname = "orekex"\ndependencies = ["numpy>=1.24"]\n'
                             '[project.optional-dependencies]\ntest = ["pytest"]\n')["project"]
-    assert missing_requirements(project, [path.read_text() for path in TESTS], LOCAL) == ["hypothesis"]
-    planted = "import os.path, numpy as np\nfrom .x import y\nfrom helpers import z\nimport scipy.linalg\n"
-    assert missing_requirements(project, [planted], {"helpers"}) == ["scipy"]
+    planted = ("import os.path, numpy as np, pytest\nfrom .x import y\nfrom helpers import z\n"
+               "import scipy.linalg\nfrom hypothesis import strategies as st\n")
+    assert missing_requirements(project, [planted], {"helpers"}) == ["hypothesis", "scipy"]
 
 
 def test_test_imports_are_requirements():

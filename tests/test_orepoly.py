@@ -720,8 +720,8 @@ def test_weyl_mul_factor_cost_at_the_step_limit():
 
 
 # -- the two weyl sum routes: one bincount over the output box when it has at
-# most WEYL_BOX_PER_STEP cells per entry and at most WEYL_BOX_CELLS cells, else
-# a sort; forcing each on the same operands must give the oracle's value
+# most WEYL_BOX_PER_STEP cells per entry, else a sort; forcing each on the same
+# operands must give the oracle's value
 
 WEYL_ROUTE_RINGS = [pytest.param(WEYL, id="weyl2-f71"),
                     pytest.param(ring_by_name("weyl3-f71"), id="weyl3-f71"),
@@ -732,23 +732,23 @@ WEYL_ROUTE_RINGS = [pytest.param(WEYL, id="weyl2-f71"),
 
 @pytest.fixture
 def weyl_routes(monkeypatch):
-    """Makes a product by the bincount route (when its box fits the cell
-    cap), by the sort route and by the rule (with the bounds given, default
-    the module's), and returns the three values and whether the rule took
-    the bincount route."""
-    rule = orepoly.WEYL_BOX_PER_STEP, orepoly.WEYL_BOX_CELLS
+    """Makes a product by the bincount route (when its box is no larger than
+    the largest the rule allows, WEYL_BOX_PER_STEP * MAX_WEYL_STEPS cells),
+    by the sort route and by the rule, and returns the three values and
+    whether the rule took the bincount route."""
+    rule = orepoly.WEYL_BOX_PER_STEP
     boxes, bincount = [], np.bincount
     monkeypatch.setattr(np, "bincount", lambda key, w, cells: boxes.append(cells) or bincount(key, w, cells))
 
-    def each(f, g, bounds=rule):
+    def each(f, g):
+        fits = _entries_and_cells(f, g)[1] <= rule * orepoly.MAX_WEYL_STEPS
         out, took = [], []
-        for per_step, cells in ((1 << 62, rule[1]), (0, 0), bounds):
+        for per_step in ((1 << 62) if fits else 0, 0, rule):
             monkeypatch.setattr(orepoly, "WEYL_BOX_PER_STEP", per_step)
-            monkeypatch.setattr(orepoly, "WEYL_BOX_CELLS", cells)
             ran = len(boxes)
             out.append(f * g)
             took.append(len(boxes) > ran)
-        assert took[:2] == [_entries_and_cells(f, g)[1] <= rule[1], False]
+        assert took[:2] == [fits, False]
         return out, took[2]
     return each
 
@@ -820,10 +820,9 @@ def test_weyl_sum_routes_match_the_oracle(ring, weyl_routes):
 
 
 def test_weyl_sum_route_bounds(weyl_routes):
-    """Boxes one cell inside and one cell outside each bound of the
-    bincount route take the route the rule says, with the same value."""
+    """Boxes one cell inside and one cell outside the bincount route's
+    bound take the route the rule says, with the same value."""
     m = orepoly.WEYL_BOX_PER_STEP
-    rng = np.random.default_rng(43)
     # one entry over m cells of x1, then m + 1; then two products with
     # Leibniz steps, picked for m = 4, with 4 cells a step and one past it
     cases = [(WEYL.constant(3), WEYL.x(1) ** (m - 1), True), (WEYL.constant(3), WEYL.x(1) ** m, False),
@@ -834,14 +833,6 @@ def test_weyl_sum_route_bounds(weyl_routes):
         assert cells - m * steps == (0 if inside else 1) and steps > 0
         values, dense = weyl_routes(f, g)
         assert dense == inside and values == [weyl_mul_oracle(f, g)] * 3
-    # the cell cap, one cell inside and outside, on products it alone decides
-    for ring in [WEYL, ring_by_name("weyl3-f71"), weyl_ring(2 ** 31 - 1, 2)]:
-        for _ in range(3):
-            f, g = _rand(ring, rng, 5, 6), _rand(ring, rng, 5, 6)
-            steps, cells = _entries_and_cells(f, g)
-            for cap, inside in ((cells, True), (cells - 1, False)):
-                values, dense = weyl_routes(f, g, (cells, cap))
-                assert dense == inside and len({h._key() for h in values}) == 1
 
 
 def test_weyl_product_footprint_on_the_bincount_route(monkeypatch):
@@ -857,7 +848,7 @@ def test_weyl_product_footprint_on_the_bincount_route(monkeypatch):
     g = ring.poly({(0, 0, e, 0): int(c) for e, c in zip(xs, cg)})
     cells = side ** 2
     assert len(f) * len(g) == orepoly.MAX_WEYL_STEPS  # no pair has a k > 0
-    assert cells == orepoly.WEYL_BOX_PER_STEP * orepoly.MAX_WEYL_STEPS <= orepoly.WEYL_BOX_CELLS
+    assert cells == orepoly.WEYL_BOX_PER_STEP * orepoly.MAX_WEYL_STEPS
     boxes, bincount = [], np.bincount
     monkeypatch.setattr(np, "bincount", lambda key, w, n: boxes.append(n) or bincount(key, w, n))
     tracemalloc.start()

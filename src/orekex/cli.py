@@ -101,23 +101,44 @@ def _params_entries(params: PublicParameters) -> list:
     return list(zip(PARAMS_KEYS, values))
 
 
-def _load_params(path: str, keys) -> tuple[PublicParameters, list]:
-    """The public parameters in the file at ``path`` and the values of ``keys``."""
-    ring, nu, public_l, left, right, *values = _load(path, PARAMS_KEYS + keys)
-    # Refused before a coefficient is drawn: f(P) has a constant term, so its
-    # box runs from the origin to nu times P's tops, and each of the nu - 1
-    # weyl power products pairs at most its terms with P's, one step each.
+def _read_params(path: str, keys) -> tuple:
+    """(ring, nu, L, P, Q, value of each key in ``keys``) from the file at
+    ``path``, its pools refused (ParseError) before any product or draw when
+    their evaluation would pass a kernel limit.  f(P) has a constant term,
+    so its box runs from the origin to nu times P's tops.  In a skew ring
+    the powers P, ..., P^nu that the pool keeps hold at most
+    ``MAX_GRID_CELLS`` cells in all, P^i counted as at least i cells as with
+    any nonconstant P, which bounds the nu - 1 products too; in a weyl ring
+    each of them pairs at most f(P)'s box of terms with P's, one step each."""
+    loaded = _load(path, PARAMS_KEYS + keys)
+    ring, nu, _, left, right, *_ = loaded
     shown = serial._quote(str(nu))
     for gen in filter(None, (left, right)):
-        box = prod(nu * top + 1 for top in gen.tops())
-        if ring.is_skew and box > backend.MAX_GRID_CELLS:
-            raise ParseError(f"{path}: nu {shown} puts pool elements over the "
-                             f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")
-        if ring.is_weyl and (nu - 1) * box * len(gen) > MAX_WEYL_STEPS:
-            raise ParseError(f"{path}: nu {shown} puts pool evaluation over the "
-                             f"{MAX_WEYL_STEPS}-step limit of the weyl product")
-    return PublicParameters(ring, public_l, left, right, nu), values
+        if ring.is_weyl:
+            if (nu - 1) * prod(nu * top + 1 for top in gen.tops()) * len(gen) > MAX_WEYL_STEPS:
+                raise ParseError(f"{path}: nu {shown} puts pool evaluation over the "
+                                 f"{MAX_WEYL_STEPS}-step limit of the weyl product")
+            continue
+        cells = 0
+        for i in range(1, nu + 1):  # ends by i = 2^12: each power counts at least i
+            cells += max(prod(i * (s - 1) + 1 for s in gen.grid.shape), i)
+            if cells > backend.MAX_GRID_CELLS:
+                raise ParseError(f"{path}: nu {shown} puts the pool's powers over the "
+                                 f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")
+    return loaded
 
+
+def _check_products(path: str, products) -> None:
+    """ParseError, before any draw or product, when a skew product of
+    ``products`` (a name and the spans of its factors) would span a box over
+    ``MAX_GRID_CELLS``: spans add, less one per product, in a domain.  A
+    weyl product is refused by its own step count before its work."""
+    for name, factors in products:
+        box = [sum(s) - len(factors) + 1 for s in zip(*factors)]
+        if prod(box) > backend.MAX_GRID_CELLS:
+            dims = "x".join(map(str, box))
+            raise ParseError(f"{path}: {name} would span a {dims} grid, over the "
+                             f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")
 
 def _messages(transcript) -> list:
     return [("msg", f"{e.sender} {e.label} {e.message}") for e in transcript.entries]
@@ -215,19 +236,30 @@ def cmd_three_pass(args) -> int:
 # -- encryption ------------------------------------------------------------------
 
 def cmd_encrypt(args) -> int:
-    params, (p_alice,) = _load_params(args.pub, ("P_Alice",))
+    ring, nu, public_l, left, right, p_alice = _read_params(args.pub, ("P_Alice",))
     with open(args.infile, "rb") as fh:
         data = fh.read()
-    ct = encrypt(EncryptionPublicKey(params, p_alice), encode_bytes(params.ring, data),
-                 _rng(args.seed))
-    _write(args.out, _render(params.ring, args.seed, "encrypt",
+    message = encode_bytes(ring, data)
+    if ring.is_skew and all((public_l, left, right, p_alice, message)):  # else refused later
+        p_b, q_b = ([nu * top + 1 for top in gen.tops()] for gen in (left, right))  # f(P), g(Q)
+        p_final = [p_b, p_alice.grid.shape, q_b]
+        _check_products(args.pub, [("P_B * L * Q_B", [p_b, public_l.grid.shape, q_b]),
+                                   ("P_final", p_final),
+                                   ("m * P_final", [message.grid.shape, *p_final])])
+    params = PublicParameters(ring, public_l, left, right, nu)
+    ct = encrypt(EncryptionPublicKey(params, p_alice), message, _rng(args.seed))
+    _write(args.out, _render(ring, args.seed, "encrypt",
                              [("m_e", ct.m_e), ("P_Bob", ct.p_bob)]))
     return 0
 
 
 def cmd_decrypt(args) -> int:
-    params, secret = _load_params(args.sec, ("P_A", "Q_A", "f", "g"))
-    _, m_e, p_bob = _load(args.infile, ("m_e", "P_Bob"), params.ring)
+    ring, nu, public_l, left, right, *secret = _read_params(args.sec, ("P_A", "Q_A", "f", "g"))
+    _, m_e, p_bob = _load(args.infile, ("m_e", "P_Bob"), ring)
+    if ring.is_skew and all((*secret[:2], p_bob)):
+        _check_products(args.infile, [("P_A * P_Bob * Q_A", [
+            h.grid.shape for h in (secret[0], p_bob, secret[1])])])
+    params = PublicParameters(ring, public_l, left, right, nu)
     sec = EncryptionSecretKey(params, PrivateTuple(*secret))
     data = decode_bytes(decrypt(sec, Ciphertext(m_e, p_bob)))
     with open(args.out, "wb") as fh:

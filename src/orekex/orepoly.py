@@ -37,18 +37,20 @@ other coefficient is a coefficient index in ``OreRing.poly``.
 
 :func:`random_polynomial` keeps one stream contract: equal seeds give equal
 values and leave the generator in equal states, as they did when every
-term was drawn by scalar ``Generator.integers`` calls.  In a ring of two
-slots (every skew ring with n = 2) the draws are made on one array of
-numpy's 32-bit words by Lemire's bounded-integer method with its
-rejection, which is what ``integers`` runs for a bound up to 2^32.  The
-contract thus rests on numpy's algorithm, which numpy does not promise
+term was drawn by scalar ``Generator.integers`` and ``Generator.choice``
+calls.  In every ring the draws are made on one array of numpy's 32-bit
+words: each bounded draw is Lemire's method with its rejection, which is
+what ``integers`` runs for a bound up to 2^32, and a term's exponents are
+the draws of ``choice(d + k, k, replace=False)``, k = slots - 1, which
+numpy 2.4.6 makes as k of Floyd's draws and k - 1 of a shuffle.  The
+contract thus rests on numpy's algorithms, which numpy does not promise
 across versions; the golden CLI digests, recorded under numpy 2.4.6,
-check it.  Rings of more slots draw term by term, their exponents by
-``rng.choice``, whose draws only that route reproduces.
+check it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 from types import MappingProxyType
 
@@ -113,9 +115,9 @@ class OrePolynomial:
             return cls._of(ring)
         if ring.is_weyl:
             order = np.lexsort(exps[::-1])  # no flat index: far terms' box can pass int64
-            exps = exps[:, order]
+            exps = exps.take(order, 1)
             first, sums = _run_sums((exps[:, 1:] != exps[:, :-1]).any(0), coeffs[order], ring.p)
-            return cls._of(ring, exps=exps[:, first], coeffs=sums)
+            return cls._of(ring, exps=exps.take(first, 1), coeffs=sums)
         lo, grid = backend.coo_to_grid(exps, coeffs.astype(tables_for(ring.field).dtype))
         return cls._of(ring, grid=grid, lo=lo)
 
@@ -344,8 +346,9 @@ class OrePolynomial:
 # Leibniz steps one Weyl product may take, one per pair of terms and k-tuple
 # of its sum in _weyl_mul.  d1^999*d2^999 * x1^999*x2^999 takes exactly this
 # many, about 0.25 s with a 99 MB traced peak at p = 2^31 - 1; the largest
-# product below it in the tests, d1^999998 * x1^999998, about 1.2 s with
-# 99 MB; in the benchmark 14,984 steps.
+# product below it in the tests, d1^999998 * x1^999998, about 0.35 s with
+# 104 MB (0.7 s and 112 MB while its table of inverses is first built); in
+# the benchmark 14,984 steps.
 MAX_WEYL_STEPS = 1_000_000
 # _weyl_mul sums its entries by one np.bincount over the output box when the
 # box has at most WEYL_BOX_PER_STEP cells per entry (Leibniz step), else after
@@ -410,10 +413,7 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     w, e = ef[n:] % p, eg[:n] % p
     tops = np.minimum(w.max(1), e.max(1))  # each variable's largest cap
     live = np.flatnonzero(tops)  # variables with a k > 0
-    inv = [0, 1]  # 1/j mod p for j < p, by p = (p // j) j + p % j
-    for j in range(2, int(tops.max()) + 1):
-        inv.append(-(p // j) * inv[p % j] % p)
-    inv = np.array(inv)
+    inv = _inverses(1 << int(tops.max()).bit_length(), p)
     pair = None  # of each entry, once the pairs have expanded
     for i in live:
         # a step multiplies by (w - k + 1)(e - k + 1)/k, symmetric in w and e
@@ -438,6 +438,25 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     exps = np.array(np.unravel_index(key, box), np.int64)
     exps += np.array(lo)[:, None]
     return OrePolynomial._of(ring, exps=exps, coeffs=sums)
+
+
+@lru_cache(maxsize=4)
+def _inverses(size: int, p: int) -> np.ndarray:
+    """Read-only 1/j mod p for j < size (j = 0 giving 0 or 1, never read), by
+    Fermat's j^(p - 2) with square-and-multiply on one int64 array: about
+    2 log2(p) passes, every product of two residues below 2^62.  Products
+    ask for a power of two, so a few tables serve them all."""
+    base = np.arange(size, dtype=np.int64)
+    inv = np.ones(size, np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        e >>= 1
+        if e:
+            base = base * base % p
+    inv.flags.writeable = False
+    return inv
 
 
 def _leibniz_step(key, coef, cap, big, step: int, inv: np.ndarray, p: int):
@@ -487,31 +506,18 @@ def _top_bracket(f: OrePolynomial, g: OrePolynomial) -> int:
     return sum(a[n + i] * b[i] - b[n + i] * a[i] for i in range(n)) % p
 
 
-# Most total degree random_polynomial draws.  Every degree and composition
-# draw is then a bounded draw on at most 2^32 values, which numpy's
-# Generator.integers makes from 32-bit words, the words _two_slot_draws reads.
-MAX_DRAW_DEGREE = (1 << 32) - 1
+# Every draw random_polynomial makes is numpy's bounded draw on a 32-bit word:
+# a term of degree d in s slots draws its exponents on [0, d + s - 2] at most,
+# so a draw is refused unless total degree + s - 1 <= _WORD.
 _WORD = 1 << 32
-# Terms one pass of _two_slot_draws reads: about 3 words a term, held in a few
-# int64 arrays, so a draw of MAX_GRID_CELLS terms works in passes of a few MB.
+# Terms one pass of _draws reads in two slots; a ring of s slots reads (2/s)^2
+# as many, at least one, as a term's words and the rows drawn on them both
+# grow with s.  A pass then holds a few MB of int64 arrays.
 _DRAW_PASS = 1 << 16
 
 
-def _random_composition(total: int, slots: int, rng) -> tuple[int, ...]:
-    if total == 0:
-        return (0,) * slots
-    cuts = sorted(int(c) for c in rng.choice(total + slots - 1, size=slots - 1, replace=False))
-    exps = []
-    prev = -1
-    for c in cuts:
-        exps.append(c - prev - 1)
-        prev = c
-    exps.append(total + slots - 2 - prev)
-    return tuple(exps)
-
-
 def _lemire(words: np.ndarray, bound):
-    """(values, accepted) of numpy's bounded draws on [0, bound), 1 < bound
+    """(values, accepted) of numpy's bounded draws on [0, bound), 1 <= bound
     <= 2^32, one per 32-bit word x: the value is (x*bound) >> 32, and the
     word is rejected, the draw moving on to the next word, when (x*bound) mod
     2^32 < 2^32 mod bound (D. Lemire, ACM TOMACS 29(1), 2019).  ``bound`` is
@@ -523,55 +529,65 @@ def _lemire(words: np.ndarray, bound):
     return m.view(np.int64), ok
 
 
-def _accepted_draws(pad: np.ndarray, bound: int):
-    """(value, word) of the draw on [0, bound) that starts at each position
-    of ``pad``: its value and the position of the word it accepts, the last
-    two positions standing past the drawn words.  A bound of 1 reads no word
-    (position start - 1)."""
+def _accepted_draws(pad: np.ndarray, bounds):
+    """(values, words), one row per bound b of ``bounds``: the value of the
+    draw on [0, b) from each word of ``pad``, and the position of the word
+    that the draw starting there accepts (the last word of ``pad`` accepts
+    every bound).  A bound of 1 reads no word: position start - 1."""
+    b = np.array(bounds, np.uint64)[:, None]
     pos = np.arange(len(pad))
-    if bound == 1:
-        return np.zeros(len(pad), np.int64), pos - 1
-    val, ok = _lemire(pad, bound)
-    ok[-2:] = True
-    at = np.minimum.accumulate(np.where(ok, pos, pos[-1])[::-1])[::-1]
-    return val[at], at
+    val, ok = _lemire(pad, b)
+    at = np.minimum.accumulate(np.where(ok, pos, pos[-1])[:, ::-1], axis=1)[:, ::-1]
+    at[b[:, 0] == 1] = pos - 1
+    return val, at
 
 
-def _parse_words(words: np.ndarray, total: int, hi: int, want: int, first: bool):
+def _exponent_draws(pad: np.ndarray, at: np.ndarray, d: np.ndarray, shuffles):
+    """(values, after) of the exponent draws of terms of degrees ``d`` that
+    start at positions ``at`` of ``pad``: ``choice(d + k, k, replace=False)``,
+    k = slots - 1, is k of Floyd's draws, stage t on [0, d + t] (values: a
+    (k, len(at)) array), then k - 1 draws on [0, k - 1] down to [0, 1] that
+    shuffle the picks (``shuffles``: where each accepts a word, by start).
+    A term of degree 0 draws nothing."""
+    live = d > 0
+    vals = np.empty((len(shuffles) + 1, len(at)), np.int64)
+    for t in range(len(vals)):
+        bound = d + t + 1
+        vals[t], ok = _lemire(pad[at], bound)
+        at = at + live
+        redo = (~ok & live).nonzero()[0]
+        while redo.size:  # a rejected word moves the draw on to the next
+            vals[t, redo], ok = _lemire(pad[at[redo]], bound[redo])
+            at[redo] += 1
+            redo = redo[~ok]
+    for word in shuffles:
+        at = np.where(live, word[at] + 1, at)
+    return vals, at
+
+
+def _parse_words(words: np.ndarray, total: int, hi: int, slots: int, want: int, first: bool):
     """(exps, coeffs, read): the first ``want`` terms that random_polynomial's
-    draws in a two-slot ring take from ``words``, the forced term first when
-    ``first``, fewer when the words run out, and the words they read.
-
-    Python evaluates ``terms[key] = value`` value first, so the forced term
-    draws its coefficient, then its composition; every other term draws its
-    degree d, its coefficient, then its composition (c, d - c), only when d
-    > 0.  Where a term starts thus depends on the terms before it: the draws
-    are made for a term starting at every word, and the chain of starts is
-    followed by pointer doubling, about log2(want) gathers."""
+    draws take from ``words``, the forced term first when ``first``, fewer
+    when the words run out, and the words they read.  Python evaluates
+    ``terms[key] = value`` value first, so the forced term draws its
+    coefficient, then its exponents; every other term its degree d, its
+    coefficient, then its exponents when d > 0.  Where a term starts thus
+    depends on the terms before it: the draws are made for a term starting
+    at every word, and the chain of starts is followed by pointer doubling,
+    about log2(want) gathers.  The pad of 2^32 - 1, a word every bound
+    accepts, holds the draws of a term that starts past the words."""
     end = len(words)
-    top = end + 1  # end and top stand past the words; a term reaching them is cut
-    pad = np.append(words, np.zeros(2, np.uint32))
-    dval, dat = _accepted_draws(pad, total + 1)
-    cval, cat = _accepted_draws(pad, hi - 1)
-    coef_at = np.minimum(dat + 1, top)  # where the coefficient draw of a term at i starts
-    after = np.minimum(cat[coef_at] + 1, top)
-    # composition draws, each with its own bound d + 1; a bound of 1 reads
-    # no word and draws 0, and a rejected word moves its draw on to the next
-    comp, ok = _lemire(pad[after], dval + 1)
-    after += dval > 0
-    redo = np.flatnonzero(~ok & (dval > 0))
-    while redo.size:
-        at = np.minimum(after[redo], top)
-        comp[redo], ok = _lemire(pad[at], dval[redo] + 1)
-        after[redo] = at + 1
-        redo = redo[~ok & (at < end)]
-    nxt = np.where(after <= end, after, top)
-    start = 0
-    if first:
-        c = min(cat[0] + 1, top)  # the forced term's composition draw
-        start = dat[c] + 1
-        if start > end:
-            return np.empty((2, 0), np.int64), np.empty(0, np.int64), 0
+    pad = np.append(words, np.full(2 * slots + 1, _WORD - 1, np.uint32))
+    val, (dat, cat, *shuffles) = _accepted_draws(
+        pad, [total + 1, hi - 1, *range(slots - 1, 1, -1)])
+    coef_at = dat[:end + 2] + 1  # where the coefficient draw of a term at i starts
+    cat = cat[np.append(coef_at, 0)]  # of a term at every word, and last of the forced term
+    degree = np.append(val[0, dat[:end + 2]], total)
+    vals, nxt = _exponent_draws(pad, cat + 1, degree, shuffles)
+    start = int(nxt[-1]) if first else 0
+    if start > end:
+        return np.empty((slots, 0), np.int64), np.empty(0, np.int64), 0
+    nxt = np.minimum(nxt[:-1], end + 1)  # a term that runs past the words is cut
     starts, jump = np.array([start]), nxt
     while len(starts) < want - first:
         starts = np.concatenate([starts, jump[starts]])
@@ -579,29 +595,37 @@ def _parse_words(words: np.ndarray, total: int, hi: int, want: int, first: bool)
     starts = starts[:want - first]
     starts = starts[nxt[starts] <= end]  # the complete terms, a prefix of the chain
     read = int(nxt[starts[-1]]) if starts.size else start
-    exps = np.array([comp[starts], dval[starts] - comp[starts]])
-    coeffs = cval[coef_at[starts]] + 1
     if first:
-        exps = np.concatenate([[[dval[c]], [total - dval[c]]], exps], axis=1)
-        coeffs = np.concatenate([[cval[0] + 1], coeffs])
-    return exps, coeffs, read
+        starts = np.append(-1, starts)  # the forced term's column
+    # Floyd's stage t picks d + t when its value is already picked (J. Bentley
+    # and R. W. Floyd, CACM 30(9), 1987); the sorted picks, the shuffle undone,
+    # cut d + k places into the exponents.  At d = 0 stage t picks t: all 0
+    d = degree[starts]
+    picks = vals.take(starts, 1) * (d > 0)
+    for t in range(1, len(picks)):
+        picks[t] = np.where((picks[:t] == picks[t]).any(0), d + t, picks[t])
+    picks.sort(0)
+    exps = np.empty((slots, len(d)), np.int64)
+    exps[:-1], exps[-1] = picks, d + slots - 1
+    exps[1:] -= picks + 1  # run j lies between cuts j - 1 and j
+    return exps, val[1, cat[starts]] + 1, read
 
 
-def _two_slot_draws(total: int, n_terms: int, hi: int, rng):
-    """The exponents (a (2, n_terms) int64 array) and coefficients of the
-    terms random_polynomial's draws make in a two-slot ring, in draw order,
-    read from numpy's 32-bit words (``integers(0, 2**32, dtype=uint32)``
-    returns exactly the words scalar draws read).  The words come in passes
-    of at most ``_DRAW_PASS`` terms, the words a pass leaves unread carried
-    into the next; then the generator's state is reset and exactly the words
-    read are drawn again, so it ends where scalar draws leave it."""
+def _draws(total: int, n_terms: int, hi: int, slots: int, rng):
+    """The exponents (a (slots, n_terms) int64 array) and coefficients of
+    random_polynomial's terms, in draw order, read from numpy's 32-bit words
+    (``integers(0, 2**32, dtype=uint32)`` returns the words scalar draws
+    read) in passes, the words a pass leaves unread carried into the next.
+    Then the generator's state is reset and exactly the words read are
+    drawn again, so it ends where scalar draws leave it."""
     state = rng.bit_generator.state
     parts, read, left = [], 0, n_terms
     words = np.empty(0, np.uint32)
     while left:
-        want = min(left, _DRAW_PASS)
-        words = np.append(words, rng.integers(0, _WORD, 3 * want + 64, dtype=np.uint32))
-        exps, coeffs, used = _parse_words(words, total, hi, want, left == n_terms)
+        want = min(left, max(1, 4 * _DRAW_PASS // slots ** 2))
+        words = np.append(words, rng.integers(0, _WORD, (2 * slots - 1) * want + 64,
+                                              dtype=np.uint32))
+        exps, coeffs, used = _parse_words(words, total, hi, slots, want, left == n_terms)
         parts.append((exps, coeffs))
         left -= len(coeffs)
         read += used
@@ -617,39 +641,29 @@ def random_polynomial(ring: OreRing, total_degree: int, n_terms: int, rng) -> Or
 
     Coefficients are uniform over the nonzero coefficient domain; the
     generator is caller-owned, so equal seeds reproduce equal polynomials.
-    A term draws its degree (``integers(0, total_degree + 1)``), its
-    coefficient, then its exponents, and a later term on an earlier
-    monomial replaces it.  In a two-slot ring (every skew ring with n = 2)
-    the draws are made on arrays of numpy's 32-bit words
-    (:func:`_two_slot_draws`), with the values and the generator state that
-    scalar draws give; a ring with more slots draws term by term, its
-    exponents by ``rng.choice``.  OreKexError, before any draw, when
-    ``n_terms`` is over ``backend.MAX_GRID_CELLS`` or ``total_degree`` over
-    ``MAX_DRAW_DEGREE``.
+    A term draws its degree d (``integers(0, total_degree + 1)``), its
+    coefficient (``integers(1, n_coeff_values)``), then its exponents, the
+    runs between the sorted ``choice(d + s - 1, s - 1, replace=False)`` in a
+    ring of s slots; a later term on an earlier monomial replaces it.  The
+    draws are made on arrays of numpy's words (:func:`_draws`), with the
+    values and generator state of those scalar draws.  OreKexError, before
+    any draw, when ``n_terms`` is over ``backend.MAX_GRID_CELLS`` or
+    ``total_degree + s - 1`` over 2^32.
     """
     if total_degree < 0 or n_terms < 1:
         raise OreKexError("impossible sparsity/degree combination")
     if n_terms > backend.MAX_GRID_CELLS:
         raise OreKexError(f"{n_terms} terms are over the {backend.MAX_GRID_CELLS}-term "
                           f"limit of a draw")
-    if total_degree > MAX_DRAW_DEGREE:
-        raise OreKexError(f"total degree {total_degree} is over {MAX_DRAW_DEGREE}")
     s = ring.exp_len
-    hi = ring.n_coeff_values
-    if s == 2:
-        exps, coeffs = _two_slot_draws(total_degree, n_terms, hi, rng)
-        lo = exps.min(1, keepdims=True)
-        box = (exps.max(1) - lo[:, 0] + 1).tolist()
-        if prod(box) <= backend.MAX_GRID_CELLS:  # over it, _of_coo refuses the box
-            # the last draw of each monomial, as a dict keeps it
-            last = np.full(prod(box), -1)
-            np.maximum.at(last, np.ravel_multi_index(exps - lo, box), np.arange(n_terms))
-            last = last[last >= 0]
-            exps, coeffs = exps[:, last], coeffs[last]
-        return OrePolynomial._of_coo(ring, exps, coeffs)
-    terms: dict[tuple[int, ...], int] = {}
-    terms[_random_composition(total_degree, s, rng)] = int(rng.integers(1, hi))
-    for _ in range(n_terms - 1):
-        d = int(rng.integers(0, total_degree + 1))
-        terms[_random_composition(d, s, rng)] = int(rng.integers(1, hi))
-    return OrePolynomial._of_coo(ring, *backend.terms_to_coo(terms, s))
+    if total_degree + s - 1 > _WORD:
+        raise OreKexError(f"total degree {total_degree} is over {_WORD - s + 1}, the most "
+                          f"a draw in {s} slots makes")
+    exps, coeffs = _draws(total_degree, n_terms, ring.n_coeff_values, s, rng)
+    # one stable sort keeps each monomial's draws in order, its last kept as
+    # a dict keeps it; keys of the least type that holds the degree sort by
+    # radix, and take() gives rows in C order, which compare fast
+    order = np.lexsort(exps[::-1].astype(np.min_scalar_type(total_degree)))
+    exps = exps.take(order, 1)
+    last = np.append((exps[:, 1:] != exps[:, :-1]).any(0), True)
+    return OrePolynomial._of_coo(ring, exps.compress(last, 1), coeffs[order[last]])

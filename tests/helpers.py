@@ -651,26 +651,33 @@ def all_polynomials(ring, max_total_degree, coeff_values):
 
 # -- random draws term by term ----------------------------------------------------
 #
-# The scalar loop random_polynomial ran in two-slot rings before it drew on
-# arrays of words.
+# The scalar loop random_polynomial ran before it drew on arrays of words.
+
+def random_composition_oracle(total: int, slots: int, rng) -> tuple[int, ...]:
+    """The exponents of one term of degree ``total``: the sorted cuts of
+    ``choice(total + slots - 1, size=slots - 1, replace=False)`` split
+    total + slots - 1 places into slot runs; degree 0 draws nothing."""
+    if total == 0:
+        return (0,) * slots
+    cuts = sorted(int(c) for c in rng.choice(total + slots - 1, size=slots - 1, replace=False))
+    exps = []
+    prev = -1
+    for c in cuts:
+        exps.append(c - prev - 1)
+        prev = c
+    exps.append(total + slots - 2 - prev)
+    return tuple(exps)
+
 
 def random_polynomial_oracle(ring, total_degree: int, n_terms: int, rng) -> OrePolynomial:
-    """random_polynomial in a two-slot ring by one scalar draw at a time: the
-    forced term's coefficient, then its exponents; then for every other term
-    its degree, its coefficient and its exponents (c, d - c), c drawn only
-    when d > 0, a repeated monomial overwriting.  ``choice(d + 1, size=1,
-    replace=False)``, the draw of more slots, runs one step of Floyd's loop,
-    the same bounded draw."""
-    assert ring.exp_len == 2
-
-    def composition(d):
-        c = int(rng.integers(0, d + 1)) if d else 0
-        return (c, d - c)
-
-    hi = ring.n_coeff_values
+    """random_polynomial by one scalar draw at a time: the forced term's
+    coefficient, then its exponents; then for every other term its degree,
+    its coefficient and its exponents, drawn only when the degree is
+    positive, a repeated monomial overwriting."""
+    s, hi = ring.exp_len, ring.n_coeff_values
     terms = {}
-    terms[composition(total_degree)] = int(rng.integers(1, hi))
+    terms[random_composition_oracle(total_degree, s, rng)] = int(rng.integers(1, hi))
     for _ in range(n_terms - 1):
         d = int(rng.integers(0, total_degree + 1))
-        terms[composition(d)] = int(rng.integers(1, hi))
+        terms[random_composition_oracle(d, s, rng)] = int(rng.integers(1, hi))
     return ring.poly(terms)

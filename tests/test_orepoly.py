@@ -639,6 +639,17 @@ def test_weyl_mul_against_oracle_at_and_past_p(ring):
         assert f * g == weyl_mul_oracle(f, g)
 
 
+@pytest.mark.parametrize("p", [2, 3, 71, 101, 2 ** 31 - 1])
+def test_weyl_inverse_table_matches_pow(p):
+    """The Leibniz factors' table of 1/j mod p, by Fermat on arrays, is
+    Python's pow(j, -1, p) for every j a product reads, 0 < j < p; a table
+    is shared and read-only."""
+    size = 128
+    table = orepoly._inverses(size, p)
+    assert table.tolist()[1:min(size, p)] == [pow(j, -1, p) for j in range(1, min(size, p))]
+    assert orepoly._inverses(size, p) is table and not table.flags.writeable
+
+
 def test_weyl_mul_step_limit_is_exact():
     """d1^999*d2^999 * x1^999*x2^999 takes exactly MAX_WEYL_STEPS and runs;
     one more term pair, which meets in no Leibniz sum, puts it over."""

@@ -586,6 +586,75 @@ def test_cli_file_missing_or_malformed_entry_exits_2(tmp_path, capsys, name, key
     assert len(err) < 300
 
 
+def _hostile_key(tmp_path, edits):
+    """The encryption key of ``keygen --seed 1 --dL 4 --dPQ 1 --nu 2``, whose P
+    has tops (0, 1) and Q tops (1, 0), with lines replaced by ``edits``."""
+    assert _run("keygen", "--seed", "1", "--scheme", "encrypt", "--dL", "4", "--dPQ", "1",
+                "--nu", "2", "--out-prefix", str(tmp_path / "k")) == 0
+    (tmp_path / "msg.bin").write_bytes(b"hostile files")
+    lines = [edits.get(ln.split(" ")[0], ln)
+             for ln in (tmp_path / "k.pub").read_text().splitlines()]
+    (tmp_path / "h.pub").write_text("".join(f"{ln}\n" for ln in lines))
+    return ["encrypt", "--pub", str(tmp_path / "h.pub"), "--in", str(tmp_path / "msg.bin"),
+            "--seed", "4", "--out", str(tmp_path / "ct.txt")]
+
+
+def _no_products(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was made")
+    monkeypatch.setattr(orekex.backend, "_convolve", refuse)  # every skew product and corner
+
+
+@pytest.mark.parametrize("edits, named", [
+    # P^i spans i + 1 cells: nu = 100000 keeps about 5e9 cells of powers
+    ({"nu": "nu 100000"}, "pool's powers over"),
+    ({"nu": "nu 4194302"}, "pool's powers over"),
+    # a constant P keeps one cell a power, but its powers count as a
+    # nonconstant P's would: nu 4,000,000 would be as many products
+    ({"nu": "nu 4000000", "P": "P [0,1,0]*d1^0*d2^0"}, "pool's powers over"),
+    # the pools fit; P_B * L * Q_B spans (nu + 3) x (nu + 4) cells
+    ({"nu": "nu 2800"}, "P_B * L * Q_B would span a 2803x2804 grid"),
+], ids=["nu-100000", "nu-4194302", "constant-P-nu-4000000", "nu-2800"])
+def test_encrypt_key_with_hostile_nu_exits_2_before_any_product(tmp_path, capsys, monkeypatch,
+                                                                 edits, named):
+    argv = _hostile_key(tmp_path, edits)
+    _no_products(monkeypatch)
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert _run(*argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "cell limit" in err
+    assert "Traceback" not in err and len(err) < 300
+    assert not (tmp_path / "ct.txt").exists()
+
+
+def test_encrypt_key_with_nu_2_still_round_trips(tmp_path):
+    argv = _hostile_key(tmp_path, {})
+    assert _run(*argv) == 0
+    assert _run("decrypt", "--sec", str(tmp_path / "k.sec"), "--in", str(tmp_path / "ct.txt"),
+                "--out", str(tmp_path / "plain.bin")) == 0
+    assert (tmp_path / "plain.bin").read_bytes() == b"hostile files"
+
+
+def test_decrypt_of_an_oversized_p_bob_exits_2_before_any_product(tmp_path, capsys,
+                                                                    monkeypatch):
+    assert _run(*_hostile_key(tmp_path, {})) == 0
+    ct = tmp_path / "ct.txt"
+    # P_Bob spans 2048 x 2048 cells, the most one value may; with P_A and Q_A
+    # the product spans 2050 x 2050
+    lines = ["P_Bob [1,0,0]*d1^2047*d2^2047 + [1,0,0]*d1^0*d2^0" if ln.startswith("P_Bob ")
+             else ln for ln in ct.read_text().splitlines()]
+    ct.write_text("".join(f"{ln}\n" for ln in lines))
+    _no_products(monkeypatch)
+    capsys.readouterr()
+    assert _run("decrypt", "--sec", str(tmp_path / "k.sec"), "--in", str(ct),
+                "--out", str(tmp_path / "plain.bin")) == 2
+    err = capsys.readouterr().err
+    assert "P_A * P_Bob * Q_A would span" in err and "Traceback" not in err
+    assert not (tmp_path / "plain.bin").exists()
+
+
 def _check_weak_far_pair(n):
     # key * public starts with d1^N*d2^N * x1^N*x2^N: (N+1)^2 Leibniz steps.
     # The top parts' Poisson bracket at the all-ones point is 2 (N mod 71)^2

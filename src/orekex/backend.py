@@ -1,11 +1,12 @@
-"""Hot kernels for skew rings over the field-index encoding: the product
-of two polynomials and exact one-sided division, both in any number of
-Ore variables, on one exact numpy convolution over F_p digits and
-nothing else.  The convolution takes one of two routes, chosen by the
-operand-cell pairs |f|*|g| alone: up to ``DIRECT_PAIRS`` (2^15) it sums
-the pairs directly (:func:`_direct`), above it it runs real FFTs
-(:func:`_product`).  The product (:func:`skew2_mul`) is one convolution
-of the operands' grids.  Division
+"""Hot kernels for skew rings over the field-index encoding, and nothing
+for weyl rings (:mod:`orekex.orepoly` and :mod:`orekex.division` hold
+those): the product of two polynomials and exact one-sided division,
+both in any number of Ore variables, on one exact numpy convolution over
+F_p digits and nothing else.  The convolution takes one of two routes,
+chosen by the operand-cell pairs |f|*|g| alone: up to ``DIRECT_PAIRS``
+(2^15) it sums the pairs directly (:func:`_direct`), above it it runs
+real FFTs (:func:`_product`).  The product (:func:`skew2_mul`) is one
+convolution of the operands' grids.  Division
 (:func:`skew2_right_cofactor`, :func:`skew2_left_cofactor`) maps both
 operands onto one line by a Kronecker substitution and finds the cofactor
 there from the bottom, in blocks, against spectra of the divisor and of
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import ctypes
 from functools import lru_cache
-from itertools import chain
 from math import isqrt, prod
 from operator import mul
 
@@ -108,12 +108,6 @@ def _check_cells(shape) -> None:
 
 
 # -- values as (lo, grid) pairs ----------------------------------------------
-
-def terms_to_coo(terms: dict, n: int):
-    """The int64 (n, terms) exponent array and coefficient vector of terms."""
-    flat = np.fromiter(chain.from_iterable(terms), np.int64, n * len(terms))
-    return flat.reshape(-1, n).T.copy(), np.fromiter(terms.values(), np.int64, len(terms))
-
 
 def coo_to_grid(exps: np.ndarray, coeffs: np.ndarray):
     """(lo, grid) of distinct exponent vectors (an int64 (n, terms) array)

@@ -2,87 +2,93 @@
 
 These rings have no Euclidean structure and no one-sided gcds, so only
 exact division is meaningful: given h and a known left factor p (resp.
-right factor q) with h = p*q, recover the other factor.  Skew rings, in
-any number of variables, divide in :mod:`orekex.backend` (a Kronecker map
-and a Newton inverse on the FFT product).  Weyl rings peel leading terms
-here; a graded order makes leading monomials multiplicative and leading
-coefficients multiply as in F_p, so each step is forced:
-
-  candidate monomial     mu = lm(h) - lm(divisor)   (componentwise)
-  candidate coefficient  lc(h) / lc(divisor)
-
-A lead not componentwise >= lm(divisor) raises :class:`NotDivisibleError`.
-The remainder is one mutable dict whose leads come off a heap of grevlex
-keys, so a step costs |divisor| updates, not a scan of the remainder.
+right factor q) with h = p*q, recover the other factor.  Skew rings
+divide in :mod:`orekex.backend`.  Weyl rings divide here, one total-degree
+layer at a time: with every x_i and d_i of degree 1 (the Bernstein
+filtration; S. C. Coutinho, *A Primer of Algebraic D-Modules*, CUP 1995)
+a product's top-degree part is the commutative product of the top parts.
+So a cofactor layer is the remainder's top part divided by the divisor's
+in F_p[x, xi], by lex-leading terms taken from a few sorted buckets (T.
+Yan, J. Symbolic Comput. 25(3), 1998), and one Weyl product takes it off
+the remainder.  One x_i or d_i weighted alone grades the ring
+commutatively too, so a cofactor's exponents lie in [0, tops(h) -
+tops(divisor)]: a step outside that box, or one that makes the layer too
+long for its product's step limit, is refused before that product.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+import numpy as np
 
 from . import backend
 from .errors import NotDivisibleError, OreKexError, RingMismatchError
-from .orepoly import OrePolynomial
+from .monomials import top_degree
+from .orepoly import MAX_WEYL_STEPS, OrePolynomial
 
 
-def _common_checks(h: OrePolynomial, divisor: OrePolynomial):
+def right_cofactor(h: OrePolynomial, p: OrePolynomial) -> OrePolynomial:
+    """Return q with p * q = h, the left factor p being known."""
+    return _cofactor(h, p, right=True)
+
+
+def left_cofactor(h: OrePolynomial, q: OrePolynomial) -> OrePolynomial:
+    """Return p with p * q = h, the right factor q being known."""
+    return _cofactor(h, q, right=False)
+
+
+def _cofactor(h: OrePolynomial, divisor: OrePolynomial, right: bool) -> OrePolynomial:
     if not isinstance(h, OrePolynomial) or not isinstance(divisor, OrePolynomial):
         raise TypeError("expected OrePolynomial operands")
     if h.ring != divisor.ring:
         raise RingMismatchError("dividend and divisor from different rings")
     if divisor.is_zero():
         raise OreKexError("division by the zero polynomial")
-
-
-def right_cofactor(h: OrePolynomial, p: OrePolynomial) -> OrePolynomial:
-    """Return q with p * q = h, the left factor p being known."""
-    _common_checks(h, p)
-    ring = h.ring
     if h.is_zero():
-        return ring.zero()
-    if ring.is_skew:
-        return backend.skew2_right_cofactor(ring, h, p)
-    return _peel(h, p, side="right")
+        return h
+    if h.ring.is_skew:
+        skew = backend.skew2_right_cofactor if right else backend.skew2_left_cofactor
+        return skew(h.ring, h, divisor)
+    return _weyl_layers(h, divisor, right)
 
 
-def left_cofactor(h: OrePolynomial, q: OrePolynomial) -> OrePolynomial:
-    """Return p with p * q = h, the right factor q being known."""
-    _common_checks(h, q)
-    ring = h.ring
-    if h.is_zero():
-        return ring.zero()
-    if ring.is_skew:
-        return backend.skew2_left_cofactor(ring, h, q)
-    return _peel(h, q, side="left")
+def _top_part(value: OrePolynomial):
+    """(exps, coeffs), in lex order, of a weyl value's terms of top degree."""
+    exps, coeffs = value._coo()
+    top = top_degree(exps)
+    return exps.compress(top, 1), coeffs[top]
 
 
-def _peel(h: OrePolynomial, divisor: OrePolynomial, side: str) -> OrePolynomial:
-    ring = h.ring
-    p = ring.p
-    lm_div, lc_div = divisor.leading()
-    inv_lc = pow(lc_div, -1, p)
-    remainder = dict(h.terms)
-    # (-sum(e), reversed e) ascends as the grevlex order descends; an
-    # entry whose term has since cancelled is skipped
-    heap = [(-sum(e), e[::-1]) for e in remainder]
-    heapify(heap)
-    cofactor = {}
+def _weyl_layers(h: OrePolynomial, divisor: OrePolynomial, right: bool) -> OrePolynomial:
+    ring, p = h.ring, h.ring.p
+    room = np.subtract(h.tops(), divisor.tops())
+    exps, coeffs = _top_part(divisor)
+    lead, inv = exps[:, -1], pow(int(coeffs[-1]), -1, p)  # lex order: the last leads
+    remainder, layers = h, []
     while remainder:
-        lm_head = heappop(heap)[1][::-1]
-        if lm_head not in remainder:
-            continue
-        mu = tuple(a - b for a, b in zip(lm_head, lm_div))
-        if min(mu) < 0:
-            raise NotDivisibleError("leading monomial is not a multiple of the divisor's")
-        c = cofactor[mu] = remainder[lm_head] * inv_lc % p
-        term = OrePolynomial._of(ring, *backend.terms_to_coo({mu: c}, ring.exp_len))
-        step = divisor * term if side == "right" else term * divisor
-        for e, v in step.terms.items():
-            if e not in remainder:
-                heappush(heap, (-sum(e), e[::-1]))
-            old = remainder.pop(e, 0)
-            if old != v:
-                remainder[e] = (old - v) % p
-        if lm_head in remainder:
-            raise OreKexError("a reduction step failed to cancel the leading term")
-    return OrePolynomial._of_coo(ring, *backend.terms_to_coo(cofactor, ring.exp_len))
+        # the layer's remainder is the sum of sorted buckets, sizes falling
+        buckets, mus, cs = [_top_part(remainder)], [], []
+        while buckets:
+            fronts = [tuple(e[:, -1].tolist()) for e, _ in buckets]
+            front = max(fronts)
+            c = sum(int(k[-1]) for (_, k), f in zip(buckets, fronts) if f == front) * inv % p
+            buckets = [(e[:, :-1], k[:-1]) if f == front else (e, k)
+                       for (e, k), f in zip(buckets, fronts) if f != front or len(k) > 1]
+            if not c:
+                continue
+            mu = np.array(front) - lead
+            if mu.min() < 0 or (mu > room).any():
+                raise NotDivisibleError("a cofactor exponent leaves the box the tops allow")
+            if (len(mus) + 1) * len(divisor) > MAX_WEYL_STEPS:
+                raise OreKexError(f"a cofactor layer's product needs over {MAX_WEYL_STEPS} steps")
+            mus.append(mu)
+            cs.append(c)
+            # the divisor's other top terms times -c x^mu; the lead's product cancels
+            step = OrePolynomial._of(ring, exps=exps[:, :-1] + mu[:, None],
+                                     coeffs=(p - c) * coeffs[:-1] % p)
+            while buckets and len(buckets[-1][1]) <= 2 * len(step):
+                step = step._sum([(1, step), (1, OrePolynomial._of(ring, *buckets.pop()))])
+            if step:
+                buckets.append(step._coo())
+        layers.append(OrePolynomial._of_coo(ring, np.array(mus).T, np.array(cs)))
+        remainder -= divisor * layers[-1] if right else layers[-1] * divisor
+    return h._sum([(1, layer) for layer in layers])

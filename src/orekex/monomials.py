@@ -24,6 +24,14 @@ def total_degrees(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high.sum(0) + (low >> 32), low & 0xFFFFFFFF
 
 
+def top_degree(exps: np.ndarray) -> np.ndarray:
+    """Mask of the columns of greatest total degree (:func:`total_degrees`)
+    of an int64 (n, terms) exponent array with at least one column."""
+    high, low = total_degrees(exps)
+    top = high == high.max()
+    return top & (low == low[top].max())
+
+
 def grevlex_descending(exps: np.ndarray) -> np.ndarray:
     """Order of the columns of an int64 (n, terms) exponent array, greatest
     first: the degree (:func:`total_degrees`) descending, then the last

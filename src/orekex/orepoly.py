@@ -59,7 +59,7 @@ import numpy as np
 from . import backend
 from .errors import OreKexError, RingMismatchError
 from .fields import tables_for
-from .monomials import grevlex_descending, total_degrees
+from .monomials import grevlex_descending, top_degree
 from .rings import OreRing
 
 
@@ -82,7 +82,8 @@ class OrePolynomial:
                 raise OreKexError(f"coefficient index {c} out of range [0,{limit})")
             if c % limit:
                 clean[exps] = c % limit
-        return cls._of_coo(ring, *backend.terms_to_coo(clean, ring.exp_len))
+        exps = np.array(list(clean), np.int64).reshape(-1, ring.exp_len).T
+        return cls._of_coo(ring, exps, np.array(list(clean.values()), np.int64))
 
     @classmethod
     def _of(cls, ring: OreRing, exps=None, coeffs=None, grid=None, lo=None) -> "OrePolynomial":
@@ -497,9 +498,7 @@ def _top_bracket(f: OrePolynomial, g: OrePolynomial) -> int:
     p, n = f.ring.p, f.ring.n
     grads = []
     for exps, coeffs in (f._coo(), g._coo()):
-        high, low = total_degrees(exps)
-        top = high == high.max()
-        top &= low == low[top].max()
+        top = top_degree(exps)
         # each (e mod p) c < 2^62 is reduced before the sum
         grads.append((exps[:, top] % p * coeffs[top] % p).sum(1).tolist())
     a, b = grads

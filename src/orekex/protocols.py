@@ -90,18 +90,10 @@ class PublicParameters:
                 witness = noncentral_witness(public_l)
             except ProtocolError:
                 continue
-            left = _sample_noncommuting(ring, d_pq, terms_pq, public_l, rng)
-            right = _sample_noncommuting(ring, d_pq, terms_pq, public_l, rng)
+            left = _pairwise_noncommuting(ring, d_pq, terms_pq, rng, [public_l], 1)[0]
+            right = _pairwise_noncommuting(ring, d_pq, terms_pq, rng, [public_l], 1)[0]
             return cls(ring, public_l, left, right, nu, witness)
         raise ResampleExhaustedError("could not sample a non-central public element")
-
-
-def _sample_noncommuting(ring, degree, terms, against, rng):
-    for _ in range(MAX_ATTEMPTS):
-        cand = random_polynomial(ring, degree, terms, rng)
-        if not cand.commutes_with(against):
-            return cand
-    raise ResampleExhaustedError("could not sample a generator that avoids commuting")
 
 
 @dataclass(frozen=True)

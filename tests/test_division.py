@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import product
 from math import isqrt
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 
 from orekex import (RING_ALIASES, FieldSpec, NotDivisibleError, OreKexError,
-                    OrePolynomial, backend, f125_spec, left_cofactor, random_polynomial,
-                    right_cofactor, ring_by_name, skew_ring, weyl_ring)
+                    OrePolynomial, backend, division, f125_spec, left_cofactor, orepoly,
+                    random_polynomial, right_cofactor, ring_by_name, skew_ring, weyl_ring)
 
-from helpers import skew_mul_oracle
+from helpers import skew_mul_oracle, weyl_mul_oracle
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
@@ -104,6 +105,76 @@ def test_division_recovers_oracle_products():
                 right_cofactor(bad, p)
             with pytest.raises(NotDivisibleError):
                 left_cofactor(bad, q)
+    # weyl rings, on products from the oracle too; in characteristics 2 and 3
+    # the factors x1^p and d2^(p+1) put exponents at and past p
+    for ring, dp, dq, count in ((WEYL, 4, 3, 12), (ring_by_name("weyl3-f71"), 3, 3, 6),
+                                (ring_by_name("weyl2-f101"), 4, 3, 6), (weyl_ring(2, 2), 3, 3, 6),
+                                (weyl_ring(3, 2), 3, 3, 6)):
+        for _ in range(count):
+            p = random_polynomial(ring, dp, 6, rng)
+            q = random_polynomial(ring, dq, 6, rng)
+            if ring.p < 5:
+                p, q = ring.x(1) ** ring.p * p, q * ring.d(2) ** (ring.p + 1)
+            h = weyl_mul_oracle(p, q)
+            assert right_cofactor(h, p) == q
+            assert left_cofactor(h, q) == p
+            # the top layers divide; a new coefficient on a term of least
+            # total degree (none in characteristic 2: the term goes) leaves a
+            # remainder only the last layer meets
+            low = min(h.terms, key=sum)
+            bad = dict(h.terms)
+            bad[low] = bad[low] % (ring.p - 1) + 1 if ring.p > 2 else 0
+            bad = ring.poly(bad)
+            with pytest.raises(NotDivisibleError):
+                right_cofactor(bad, p)
+            with pytest.raises(NotDivisibleError):
+                left_cofactor(bad, q)
+
+
+def test_weyl_division_makes_one_product_per_cofactor_layer(monkeypatch):
+    # a layer is one total degree of the cofactor, however many terms it has
+    rng = np.random.default_rng(24)
+    calls = []
+    kernel = orepoly._weyl_mul
+    monkeypatch.setattr(orepoly, "_weyl_mul", lambda *a: calls.append(a) or kernel(*a))
+    for _ in range(10):
+        p = random_polynomial(WEYL, 5, 8, rng)
+        q = random_polynomial(WEYL, 6, 12, rng)
+        h = weyl_mul_oracle(p, q)
+        for divide, divisor, cofactor in ((right_cofactor, p, q), (left_cofactor, q, p)):
+            calls.clear()
+            assert divide(h, divisor) == cofactor
+            assert len(calls) == len({sum(e) for e in cofactor.terms})
+
+
+def test_weyl_division_refuses_outside_the_cofactor_box(monkeypatch):
+    # x1^N + d1 over x1 + d1: the lex-leading steps x1^(N-1), x1^(N-2)*d1, ...
+    # reach a negative exponent only after N steps; the cofactor's box [0,
+    # tops(h) - tops(divisor)] has no d1, so the second step is refused
+    n = 100_000
+    t0 = time.perf_counter()
+    with pytest.raises(NotDivisibleError):
+        right_cofactor(WEYL.poly({(n, 0, 0, 0): 1, (0, 0, 1, 0): 1}), WEYL.x(1) + WEYL.d(1))
+    assert time.perf_counter() - t0 < 1.0
+    # d1^6 has no x1 and x1^3 + d1^5 has x1^3: refused before any product,
+    # though d1^6's top layer divides by d1^5
+    monkeypatch.setattr(orepoly, "_weyl_mul", None)
+    with pytest.raises(NotDivisibleError):
+        left_cofactor(WEYL.poly({(0, 0, 6, 0): 1}), WEYL.poly({(3, 0, 0, 0): 1, (0, 0, 5, 0): 1}))
+
+
+def test_weyl_layer_too_long_for_its_product_is_refused_first(monkeypatch):
+    # x has two terms and no d, so a layer of k terms times x takes exactly 2k
+    # Leibniz steps: with the limit at 100, x^50 / x makes its 50-term layer's
+    # product, and x^51 / x is refused before its 51-term layer's product
+    x = WEYL.x(1) + WEYL.x(2)
+    powers = [x ** 49, x ** 50, x ** 51]
+    monkeypatch.setattr(orepoly, "MAX_WEYL_STEPS", 100)
+    monkeypatch.setattr(division, "MAX_WEYL_STEPS", 100)
+    assert right_cofactor(powers[1], x) == powers[0]
+    monkeypatch.setattr(orepoly, "_weyl_mul", None)
+    with pytest.raises(OreKexError, match="100 steps"):
+        right_cofactor(powers[2], x)
 
 
 def test_division_far_from_the_origin():

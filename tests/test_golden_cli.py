@@ -52,6 +52,9 @@ STEPS = [
                        "--key-out", "{d}/weyl.answer"], ["weyl.txt", "weyl.answer"]),
     ("three-pass", ["three-pass", *SMALL, "--seed", "9", "--out", "{d}/tp.txt",
                     "--answer-out", "{d}/tp.answer"], ["tp.txt", "tp.answer"]),
+    ("three-pass-weyl", ["three-pass", "--ring", "weyl2-f71", *SMALL, "--seed", "3",
+                         "--out", "{d}/tpw.txt", "--answer-out", "{d}/tpw.answer"],
+     ["tpw.txt", "tpw.answer"]),
     ("zkp", ["zkp", "--seed", "11", "--rounds", "12", "--dl1", "2", "--dl2", "2",
              "--blind-degree", "3", "--out", "{d}/zkp.txt"], ["zkp.txt"]),
     ("check-weak-text", ["check-weak", "--ring", "weyl2-f71", "--key-text",

@@ -503,6 +503,40 @@ def test_cli_oversized_division_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_weyl_decrypt_of_crafted_ciphertexts_ends_at_once(tmp_path, capsys):
+    weyl = ring_by_name("weyl2-f71")
+    prefix, msg, ct, out = (tmp_path / name for name in ("alice", "msg.bin", "ct.txt", "out"))
+    assert _run("keygen", "--scheme", "encrypt", "--ring", "weyl2-f71", "--dL", "4",
+                "--dPQ", "2", "--nu", "1", "--seed", "1", "--out-prefix", str(prefix)) == 0
+    msg.write_bytes(b"hi")
+    assert _run("encrypt", "--pub", f"{prefix}.pub", "--in", str(msg), "--seed", "2",
+                "--out", str(ct)) == 0
+    sec = dict(parse_file((tmp_path / "alice.sec").read_text())[2])
+    p_bob = dict(parse_file(ct.read_text())[2])["P_Bob"]
+    p_final = (poly_from_text(weyl, sec["P_A"]) * poly_from_text(weyl, p_bob)
+               * poly_from_text(weyl, sec["Q_A"]))
+    tops = p_final.tops()
+    # one monomial at P_final's tops times x1^(10^12): the cofactor would be
+    # a power of x1, which no step of the division finds
+    far = weyl.poly({(tops[0] + 10 ** 12, *tops[1:]): 1})
+    # the lex-leading term of P_final's top layer times (x1 x2 d1 d2)^n, and
+    # a far term on each axis to widen the cofactor's box: the top layer's
+    # division wanders inside the box until the layer is too long for the
+    # step limit of its product
+    n = 10 ** 6
+    lead = max(e for e in p_final.terms if sum(e) == p_final.total_degree())
+    wide = weyl.poly({tuple(a + n for a in lead): 1,
+                      **{tuple(t + 2 * n if j == i else 0 for j, t in enumerate(tops)): 1
+                         for i in range(4)}})
+    for m_e, code in ((far, 3), (wide, 2)):
+        ct.write_text(render_file(weyl, 2, [f"m_e {poly_to_text(m_e)}", f"P_Bob {p_bob}"]))
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert _run("decrypt", "--sec", f"{prefix}.sec", "--in", str(ct), "--out", str(out)) == code
+        assert time.perf_counter() - t0 < 1.0
+        assert "Traceback" not in capsys.readouterr().err and not out.exists()
+
+
 def _valid_files(tmp_path):
     """Writes one valid file of each kind a command reads; returns the argv
     of the command that reads each, keyed by file name."""

@@ -1,29 +1,29 @@
 """Exact one-sided division (cofactor recovery).
 
 These rings have no Euclidean structure and no one-sided gcds, so only
-exact division is meaningful: given h and a known left factor p (resp.
-right factor q) with h = p*q, recover the other factor.  Skew rings
-divide in :mod:`orekex.backend`.  Weyl rings divide here, one total-degree
-layer at a time: with every x_i and d_i of degree 1 (the Bernstein
-filtration; S. C. Coutinho, *A Primer of Algebraic D-Modules*, CUP 1995)
-a product's top-degree part is the commutative product of the top parts.
-So a cofactor layer is the remainder's top part divided by the divisor's
-in F_p[x, xi], by lex-leading terms taken from a few sorted buckets (T.
-Yan, J. Symbolic Comput. 25(3), 1998), and one Weyl product takes it off
-the remainder.  One x_i or d_i weighted alone grades the ring
-commutatively too, so a cofactor's exponents lie in [0, tops(h) -
-tops(divisor)]: a step outside that box, or one that makes the layer too
-long for its product's step limit, is refused before that product.
+exact division is meaningful: given h = p*q and one of p and q, recover
+the other.  Skew rings divide in :mod:`orekex.backend`.  Weyl rings divide
+here, one total-degree layer at a time: with every x_i and d_i of degree 1
+(the Bernstein filtration; S. C. Coutinho, *A Primer of Algebraic
+D-Modules*, CUP 1995) a product's top-degree part is the commutative
+product of the top parts.  A cofactor layer is the remainder's top part
+divided by the divisor's in F_p[x, xi], by lex-leading terms from a few
+sorted buckets (T. Yan, J. Symbolic Comput. 25(3), 1998); one Weyl
+product takes it off the remainder.  One x_i or d_i weighted alone gives a
+filtration whose graded ring is still a domain, so each axis's top
+exponents add under products and a cofactor's exponents lie in [0,
+tops(h) - tops(divisor)]: a step outside that box, or one that makes the
+layer too long for its product's step limit, is refused at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import backend
+from . import backend, orepoly
 from .errors import NotDivisibleError, OreKexError, RingMismatchError
 from .monomials import top_degree
-from .orepoly import MAX_WEYL_STEPS, OrePolynomial
+from .orepoly import OrePolynomial
 
 
 def right_cofactor(h: OrePolynomial, p: OrePolynomial) -> OrePolynomial:
@@ -78,8 +78,8 @@ def _weyl_layers(h: OrePolynomial, divisor: OrePolynomial, right: bool) -> OrePo
             mu = np.array(front) - lead
             if mu.min() < 0 or (mu > room).any():
                 raise NotDivisibleError("a cofactor exponent leaves the box the tops allow")
-            if (len(mus) + 1) * len(divisor) > MAX_WEYL_STEPS:
-                raise OreKexError(f"a cofactor layer's product needs over {MAX_WEYL_STEPS} steps")
+            if (len(mus) + 1) * len(divisor) > orepoly.MAX_WEYL_STEPS:
+                raise OreKexError(f"a layer's product needs over {orepoly.MAX_WEYL_STEPS} steps")
             mus.append(mu)
             cs.append(c)
             # the divisor's other top terms times -c x^mu; the lead's product cancels

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orekex import (RING_ALIASES, FieldSpec, NotDivisibleError, OreKexError,
-                    OrePolynomial, backend, division, f125_spec, left_cofactor, orepoly,
+                    OrePolynomial, backend, f125_spec, left_cofactor, orepoly,
                     random_polynomial, right_cofactor, ring_by_name, skew_ring, weyl_ring)
 
 from helpers import skew_mul_oracle, weyl_mul_oracle
@@ -163,14 +163,40 @@ def test_weyl_division_refuses_outside_the_cofactor_box(monkeypatch):
         left_cofactor(WEYL.poly({(0, 0, 6, 0): 1}), WEYL.poly({(3, 0, 0, 0): 1, (0, 0, 5, 0): 1}))
 
 
+def test_weyl_layer_division_sorts_each_term_a_few_times(monkeypatch):
+    # a dense layer of 1,771 cofactor terms over a divisor with 4 top terms:
+    # the buckets sort each term about log2 times (43,574 entries in all
+    # on the right), where one sorted remainder per layer would sort the
+    # whole remainder at each step (1,995,764)
+    rng = np.random.default_rng(25)
+    q = WEYL.poly({e: int(rng.integers(1, 71)) for e in product(range(21), repeat=4)
+                   if sum(e) == 20})
+    p = WEYL.x(1) + 5 * WEYL.x(2) + 2 * WEYL.d(1) + 3 * WEYL.d(2) + 1
+    bound = len(q) * 4 * np.log2(len(q) * 4)
+    sort, entries = OrePolynomial._of_coo.__func__, []
+
+    def counted(cls, ring, exps, coeffs):
+        entries.append(len(coeffs))
+        return sort(cls, ring, exps, coeffs)
+
+    for h, divide in ((p * q, right_cofactor), (q * p, left_cofactor)):
+        entries.clear()
+        monkeypatch.setattr(OrePolynomial, "_of_coo", classmethod(counted))
+        assert divide(h, p) == q
+        monkeypatch.undo()
+        assert sum(entries) < bound
+
+
 def test_weyl_layer_too_long_for_its_product_is_refused_first(monkeypatch):
     # x has two terms and no d, so a layer of k terms times x takes exactly 2k
     # Leibniz steps: with the limit at 100, x^50 / x makes its 50-term layer's
-    # product, and x^51 / x is refused before its 51-term layer's product
+    # product, and x^51 / x is refused before its 51-term layer's product.
+    # Peeling one term at a time, as division did before it went by layers,
+    # made 2-step products and divided x^51 too: a cofactor layer is refused
+    # when its one product would be, though its terms' products fit
     x = WEYL.x(1) + WEYL.x(2)
     powers = [x ** 49, x ** 50, x ** 51]
     monkeypatch.setattr(orepoly, "MAX_WEYL_STEPS", 100)
-    monkeypatch.setattr(division, "MAX_WEYL_STEPS", 100)
     assert right_cofactor(powers[1], x) == powers[0]
     monkeypatch.setattr(orepoly, "_weyl_mul", None)
     with pytest.raises(OreKexError, match="100 steps"):

@@ -9,8 +9,9 @@ real FFTs (:func:`_product`).  The product (:func:`skew2_mul`) is one
 convolution of the operands' grids.  Division
 (:func:`skew2_right_cofactor`, :func:`skew2_left_cofactor`) maps both
 operands onto one line by a Kronecker substitution and finds the cofactor
-there from the bottom, in blocks, against spectra of the divisor and of
-its Newton inverse made once; the exact remainder must end at zero.
+there from the bottom, in equal blocks of at most half the divisor, against
+spectra of the divisor and of its Newton inverse, each made once at its own
+products' length; the exact remainder must end at zero.
 
 The convolution packs output digits: every exact digit sum of a product
 is below B = 2^b, b set by the field and the smaller operand's cells, so
@@ -236,6 +237,13 @@ def _twists(shape, sigma, t0: int, kf: int) -> np.ndarray:
     return twist
 
 
+def _frobenius(tab, grid: np.ndarray, sigma, t0: int) -> np.ndarray:
+    """grid with cell e mapped by Frobenius^(t0 + sigma.e), sigma maybe
+    negative.  chi(h)_e = F^-(sigma.e)(h_e), e the global exponent, reverses
+    products: chi(f*g) = chi(g) *' chi(f), *' twisting by -sigma."""
+    return tab.frob[_twists(grid.shape, sigma, t0 % tab.spec.k, tab.spec.k), grid]
+
+
 @lru_cache(maxsize=256)
 def _offsets(shape, inner) -> np.ndarray:
     """Flat index of each cell of a grid of ``shape``, cells in C order, in a
@@ -314,15 +322,22 @@ def skew2_mul(ring, f, g):
     """Product f*g of two nonzero values of a skew ring with any number of
     Ore variables; moving d^e of f past a coefficient of g applies
     Frobenius^t, t = sigma_powers.e mod k.  One call of the convolution core
-    on the operands' grids, whose offsets add; the output grid must fit in
-    ``MAX_GRID_CELLS`` and its top exponents in int64.  Each axis's lowest
-    and highest exponents add in a domain, so the product of two trimmed
-    grids is trimmed."""
+    on the operands' grids, whose offsets add; transforms twist their left
+    operand, so a larger f is multiplied reversed, by chi (:func:`_frobenius`).
+    The output grid must fit in ``MAX_GRID_CELLS`` and its top exponents in
+    int64.  Each axis's lowest and highest exponents add in a domain, so the
+    product of two trimmed grids is trimmed."""
     lo = [a + b for a, b in zip(f.lo, g.lo)]
     if max(a + s + t - 2 for a, s, t in zip(lo, f.grid.shape, g.grid.shape)) >= 1 << 63:
         raise OreKexError("exponent too large for the int64 kernels")
-    grid = _convolve(tables_for(ring.field), ring.sigma_powers, f.grid, g.grid,
-                     t0=_twist(ring, f.lo))
+    tab, sigma = tables_for(ring.field), ring.sigma_powers
+    if f.grid.size * g.grid.size <= DIRECT_PAIRS or f.grid.size <= g.grid.size:
+        grid = _convolve(tab, sigma, f.grid, g.grid, t0=_twist(ring, f.lo))
+    else:
+        neg = tuple(-t for t in sigma)
+        f_chi, g_chi = (_frobenius(tab, v.grid, neg, -_twist(ring, v.lo)) for v in (f, g))
+        grid = _frobenius(tab, _convolve(tab, neg, g_chi, f_chi, t0=-_twist(ring, g.lo)),
+                          sigma, _twist(ring, lo))
     return type(f)._of(ring, grid=grid, lo=tuple(lo))
 
 
@@ -382,25 +397,27 @@ def _series_inverse(tab, s: int, u: np.ndarray, n: int) -> np.ndarray:
 
 def _right_quotient(tab, s: int, D: np.ndarray, H: np.ndarray, n: int) -> np.ndarray:
     """Q of length n with D*Q = H in F_q[x; F^s] (D[0] != 0), else
-    NotDivisibleError.  Q is found from the bottom in blocks of m cells: with
-    y = D^-1 mod x^m and R = H - D*Q so far, the block at x^o is y times R's
-    next m cells, cut to the block, and R drops D times the block shifted up
-    by o.  Shifting a right factor leaves the twists alone, so y and D are
-    transformed once for every block.  m >= sqrt(n) holds a short divisor to
-    about sqrt(n) blocks.  R is exact: its being zero proves D*Q = H."""
-    m = min(n, max(len(D), isqrt(n)))
-    size = _smooth(max(len(D), m) + m - 1)  # D or y times a block, unwrapped
-    _check_cells((size,))
+    NotDivisibleError.  Q is found from the bottom in c = ceil(n / (len(D) //
+    2)) blocks of m = ceil(n / c) cells, at most half of D and none short, or
+    of isqrt(n) cells for a short D: with y = D^-1 mod x^m and R = H - D*Q so
+    far, the block at x^o is y times R's next m cells, cut to the block, and R
+    drops D times the block shifted up by o.  Shifting a right factor leaves
+    the twists alone, so y and D are transformed once, each at the length of
+    its unwrapped products.  R is exact: its being zero proves D*Q = H."""
+    c = -(-n // max(1, len(D) // 2))
+    m = min(n, max(-(-n // c), isqrt(n)))
+    y_size, d_size = _smooth(2 * m - 1), _smooth(len(D) + m - 1)
+    _check_cells((max(y_size, d_size),))
     y = _series_inverse(tab, s, D, m)
     pack = _packing(tab, m)  # a block has at most m cells
-    y_hat, d_hat = _spectra(tab, s, y, size, pack), _spectra(tab, s, D, size, pack)
+    y_hat, d_hat = _spectra(tab, s, y, y_size, pack), _spectra(tab, s, D, d_size, pack)
     R, Q = H.copy(), np.zeros(n, dtype=tab.dtype)
     for o in range(0, n, m):
         b = min(m, n - o)
         if R[o:o + b].any():  # else the block of Q is zero
-            Q[o:o + b] = _product(tab, pack, y_hat, R[o:o + b], (size,), (b,))
+            Q[o:o + b] = _product(tab, pack, y_hat, R[o:o + b], (y_size,), (b,))
             cut = slice(o, o + len(D) + b - 1)
-            R[cut] = tab.sub[R[cut], _product(tab, pack, d_hat, Q[o:o + b], (size,),
+            R[cut] = tab.sub[R[cut], _product(tab, pack, d_hat, Q[o:o + b], (d_size,),
                                                     (cut.stop - o,))]
     if R.any():
         raise NotDivisibleError("the divisor does not divide exactly")
@@ -455,11 +472,10 @@ def _divide(ring, h, d, right: bool):
         Q = tab.frob[-e % kf, _right_quotient(tab, 1, D, H, n)]
     else:
         # Q * F^e(D) = H, e the cofactor's lowest line position
-        e = (_twist(ring, q_lo) + shift) % kf
-        i = np.arange(len(H))
-        Q = _right_quotient(tab, kf - 1, tab.frob[(e - i[:len(D)]) % kf, D],
-                            tab.frob[-i % kf, H], n)
-        Q = tab.frob[i[:n] % kf, Q]
+        e = _twist(ring, q_lo) + shift
+        Q = _right_quotient(tab, kf - 1, _frobenius(tab, D, (-1,), e),
+                            _frobenius(tab, H, (-1,), 0), n)
+        Q = _frobenius(tab, Q, (1,), 0)
     idx = np.flatnonzero(Q)
     rest, exps = idx + shift, []
     for wi, lo, span in zip(w, q_lo, q_span):

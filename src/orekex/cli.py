@@ -84,8 +84,9 @@ def _load(path: str, keys, ring=None) -> tuple:
 
     ``f`` and ``g`` are constant polynomials, ``nu`` an integer and every
     other key a polynomial.  ParseError when a key has no line, a value is
-    malformed, or the file's ring is not ``ring``."""
-    with open(path) as fh:
+    malformed (bytes that are not UTF-8 reach the parser as lone surrogates),
+    or the file's ring is not ``ring``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         file_ring, _, entries = parse_file(fh.read())
     if ring is not None and file_ring != ring:
         raise ParseError(f"{path}: ring differs from that of the other input")

@@ -355,29 +355,83 @@ def test_division_with_packed_newton_and_block_products(ring, monkeypatch):
     assert slots == ({2, 3} if ring.field.k == 3 else {2})
 
 
-@pytest.mark.parametrize("cells", [255, 256, 257])
-def test_cofactors_around_the_newton_cutoff(cells, monkeypatch):
-    # divisor and cofactor of `cells` cells on the line (powers of d2, of line
-    # weight 1), so the inverse's top Newton level has cells * ceil(cells / 2)
-    # pairs: the last level summed directly at 256 cells, the only one by
-    # transforms at 257; the blocks' two spectra are made either way
-    spectra = []
-    real = backend._spectra
-    monkeypatch.setattr(backend, "_spectra", lambda *a: spectra.append(1) or real(*a))
+@pytest.mark.parametrize("len_d, pairs", [(128, 1 << 15), (99, (1 << 15) + 1)])
+def test_cofactors_around_the_newton_cutoff(len_d, pairs, monkeypatch):
+    # a dense divisor of len_d cells and a sparse cofactor of n = m^2 cells on
+    # the line (powers of d2, of line weight 1): blocks of isqrt(n) = m cells,
+    # longer than the divisor, so the inverse's top Newton level pairs u's
+    # len_d cells with y's ceil(m / 2): 128 * 256 = 2^15 pairs, the last level
+    # summed directly, and 99 * 331 = 2^15 + 1, the only one by transforms;
+    # the blocks' two spectra are made either way.  The cofactor's middle is
+    # zero, so only its first and last blocks make products
+    spectra, levels = [], []
+    real_spectra, real_inverse = backend._spectra, backend._series_inverse
+    monkeypatch.setattr(backend, "_spectra", lambda *a: spectra.append(1) or real_spectra(*a))
+    monkeypatch.setattr(backend, "_series_inverse",
+                        lambda tab, s, u, n: levels.append((len(u[:n]), n)) or real_inverse(tab, s, u, n))
+    m = 2 * (pairs // len_d) - 1
     rng = np.random.default_rng(32)
-    d, c = (SKEW.poly({(0, e): int(rng.integers(1, SKEW.n_coeff_values)) for e in range(cells)})
-            for _ in range(2))
-    h = d * c
-    bad = dict(h.terms)
-    e = sorted(bad)[len(bad) // 2]
-    bad[e] = bad[e] % (SKEW.n_coeff_values - 1) + 1
-    bad = SKEW.poly(bad)
-    for divide, known, want in ((right_cofactor, d, c), (left_cofactor, c, d)):
+
+    def draw(exps):
+        return SKEW.poly({(0, e): int(rng.integers(1, SKEW.n_coeff_values)) for e in exps})
+
+    d, c = draw(range(len_d)), draw([0, 1, 2, m * m - 3, m * m - 2, m * m - 1])
+    for divide, h in ((right_cofactor, d * c), (left_cofactor, c * d)):
         spectra.clear()
-        assert divide(h, known) == want
-        assert len(spectra) == 2 + (cells * ((cells + 1) // 2) > backend.DIRECT_PAIRS)
+        levels.clear()
+        assert divide(h, d) == c
+        cells, top = levels[0]
+        assert (cells, top) == (len_d, m) and cells * ((top + 1) // 2) == pairs
+        assert len(spectra) == 2 + (pairs > backend.DIRECT_PAIRS)
+        # a new top coefficient leaves the quotient alone and R's top nonzero
+        bad = dict(h.terms)
+        e = max(bad)
+        bad[e] = bad[e] % (SKEW.n_coeff_values - 1) + 1
         with pytest.raises(NotDivisibleError):
-            divide(bad, known)
+            divide(SKEW.poly(bad), d)
+
+
+def _last_axis_value(ring, degree, rng):
+    """Every power of the last variable up to ``degree``, times d^1 on each
+    other axis, with random nonzero coefficients: on the Kronecker line its
+    cells sit w = sigma_n apart, so it is w * degree + 1 cells long."""
+    return ring.poly({(1,) * (ring.n - 1) + (1 + e,): int(rng.integers(1, ring.n_coeff_values))
+                      for e in range(degree + 1)})
+
+
+@pytest.mark.parametrize("ring", BLOCK_RINGS)
+@pytest.mark.parametrize("case", ["shorter", "one under", "one over"])
+def test_blocks_of_half_the_divisor(ring, case, lines, monkeypatch):
+    # a divisor of L = 26w + 1 cells on the line and a cofactor of n cells: c
+    # = ceil(n / (L // 2)) blocks of m = ceil(n / c) cells, so n < L takes two
+    # blocks, and n = 4m - 1 and 4m + 1 for m = L // 2 take four and five
+    w = ring.sigma_powers[-1]
+    size, half = 26 * w + 1, 13 * w
+    n = {"shorter": 19 * w + 1, "one under": 4 * half - 1, "one over": 4 * half + 1}[case]
+    count = {"shorter": 2, "one under": 4, "one over": 5}[case]
+    m = -(-n // count)
+    products = []
+    real = backend._product
+    monkeypatch.setattr(backend, "_product",
+                        lambda *a: products.append((len(a[3]), *a[4])) or real(*a))
+    rng = np.random.default_rng(33)
+    d, c = _last_axis_value(ring, 26, rng), _last_axis_value(ring, (n - 1) // w, rng)
+    for divide, h in ((right_cofactor, skew_mul_oracle(d, c)), (left_cofactor, skew_mul_oracle(c, d))):
+        lines.clear()
+        products.clear()
+        assert divide(h, d) == c
+        assert lines == [(size, n)]
+        # y and D times each block, at 2m - 1 and L + m - 1 cells unwrapped
+        blocks = [min(m, n - o) for o in range(0, n, m)]
+        assert products == [(b, backend._smooth(t)) for b in blocks
+                            for t in (2 * m - 1, size + m - 1)]
+        # a new coefficient in the middle of each block
+        for o in range(0, n, m):
+            bad = dict(h.terms)
+            e = (2,) * (ring.n - 1) + (2 + (o + m // 2) // w,)
+            bad[e] = bad.get(e, 0) % (ring.n_coeff_values - 1) + 1
+            with pytest.raises(NotDivisibleError):
+                divide(ring.poly(bad), d)
 
 
 def test_short_divisor_costs_about_root_n_blocks(monkeypatch):

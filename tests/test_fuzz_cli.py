@@ -1,14 +1,16 @@
-"""Fuzz of the untrusted text ``ore-kex check-weak`` reads: valid weyl2-f71
-key and public texts with a few bytes replaced, inserted or deleted, run
-through ``cli.main`` in process.  Every case must end in exit 0, 1 or 2
-within the 1 s bound of the other hostile-input tests, with a short stderr
-and no traceback."""
+"""Fuzz of untrusted input, run through ``cli.main`` in process: the text
+``ore-kex check-weak`` reads (valid weyl2-f71 key and public texts) and the
+ciphertext ``ore-kex decrypt`` reads (a valid f125-skew2 one), each with a
+few bytes replaced, inserted or deleted.  Every case must end in an exit
+code of the CLI's contract within the 1 s bound of the other hostile-input
+tests, with a short stderr and no traceback."""
 
 import contextlib
 import io
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orekex import random_polynomial, ring_by_name
@@ -75,3 +77,44 @@ def test_check_weak_survives_mutated_texts(pair, side, edits):
         assert err.startswith("error: ") and not out.getvalue()
     else:
         assert not err and out.getvalue() in ("accept\n", "reject graded\n", "reject commutes\n")
+
+
+@pytest.fixture(scope="module")
+def encrypted(tmp_path_factory):
+    """A directory holding an f125-skew2 decryption key ``k.sec`` and a
+    ciphertext ``ct`` of 16 bytes under it, both written by the CLI."""
+    where = tmp_path_factory.mktemp("decrypt")
+    (where / "msg").write_bytes(b"attack at dawn!!")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["keygen", "--scheme", "encrypt", "--dL", "4", "--dPQ", "1", "--nu", "2",
+                     "--seed", "1", "--out-prefix", str(where / "k")]) == 0
+        assert main(["encrypt", "--seed", "2", "--pub", str(where / "k.pub"),
+                     "--in", str(where / "msg"), "--out", str(where / "ct")]) == 0
+    return where
+
+
+# digit edits draw digits below p = 5, so that most mutated ciphertexts still
+# parse and reach the division
+BYTE_EDITS = st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 1 << 16),
+                       st.one_of(st.sampled_from(b"0123456789^*+- d[],"), st.integers(0, 255)))
+CIPHER_EDITS = st.lists(st.one_of(st.tuples(st.just("digit"), st.integers(0, 1 << 16),
+                                            st.integers(0, 4)), BYTE_EDITS),
+                        min_size=1, max_size=4)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(key=st.sampled_from(["m_e", "P_Bob"]), edits=CIPHER_EDITS)
+def test_decrypt_survives_mutated_ciphertexts(encrypted, key, edits):
+    lines = (encrypted / "ct").read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(key + " "))
+    lines[i] = f"{key} {_mutate(lines[i][len(key) + 1:-1], edits)}\n"
+    (encrypted / "bad").write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["decrypt", "--sec", str(encrypted / "k.sec"), "--in", str(encrypted / "bad"),
+                     "--out", str(encrypted / "plain")])
+    assert code in (0, 1, 2, 3) and time.perf_counter() - t0 < 1.0
+    err = err.getvalue()
+    assert len(err.encode("utf-8", "backslashreplace")) < 300 and "Traceback" not in err
+    assert not out.getvalue() and (err.startswith("error: ") if code else not err)

@@ -298,6 +298,31 @@ def test_both_product_routes_match_the_oracle(ring, routes):
         assert routes(lambda: backend.skew2_mul(ring, f, g)) == [want] * 3
 
 
+@pytest.mark.parametrize("ring", ROUTE_RINGS)
+def test_transforms_twist_the_smaller_operand(ring, monkeypatch):
+    # past DIRECT_PAIRS the transforms twist the planes of their left operand,
+    # k per digit group, and take the k digit planes of their right one, so a
+    # larger f goes right: chi(h)_e = F^-(sigma.e)(h_e) turns f*g into
+    # chi(g) *' chi(f), *' twisting by -sigma
+    lefts = []
+    real = backend._convolve
+    monkeypatch.setattr(backend, "_convolve",
+                        lambda tab, s, f, g, *a, **k: lefts.append((f.size, g.size))
+                        or real(tab, s, f, g, *a, **k))
+    rng = np.random.default_rng(43)
+    n = ring.n
+    side = {2: 70, 3: 16, 4: 7}[n]
+    for _ in range(3):
+        # offsets twist each cell 0 by some class mod k
+        big = _shifted(_spanning(ring, side, rng, 20), rng.integers(1, 50, n))
+        small = _shifted(_spanning(ring, 3, rng, 4), rng.integers(1, 50, n))
+        assert big.grid.size * small.grid.size > backend.DIRECT_PAIRS
+        for f, g in ((big, small), (small, big)):
+            lefts.clear()
+            assert backend.skew2_mul(ring, f, g) == skew_mul_oracle(f, g)
+            assert lefts == [(small.grid.size, big.grid.size)]
+
+
 @pytest.mark.parametrize("ring, f_shape, g_shape", [
     # all-maximal digits at the constant and one operand cell past it
     pytest.param(_F125, (16, 16), (8, 16), id="F125-at"),

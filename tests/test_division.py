@@ -355,8 +355,41 @@ def test_division_with_packed_newton_and_block_products(ring, monkeypatch):
     assert slots == ({2, 3} if ring.field.k == 3 else {2})
 
 
+@pytest.mark.parametrize("cells", [255, 256, 257])
+def test_cofactors_around_the_newton_cutoff(cells, monkeypatch):
+    # divisor and cofactor of `cells` cells on the line (powers of d2, of line
+    # weight 1): blocks of m = ceil(cells / c) cells for c = ceil(cells /
+    # (cells // 2)), so the inverse's top Newton level pairs u's m cells with
+    # y's ceil(m / 2), far under the cutoff even where a whole-cofactor
+    # inverse (cells * ceil(cells / 2) pairs at 257) was past it; the blocks'
+    # two spectra are made either way
+    spectra, levels = [], []
+    real_spectra, real_inverse = backend._spectra, backend._series_inverse
+    monkeypatch.setattr(backend, "_spectra", lambda *a: spectra.append(1) or real_spectra(*a))
+    monkeypatch.setattr(backend, "_series_inverse",
+                        lambda tab, s, u, n: levels.append((len(u[:n]), n)) or real_inverse(tab, s, u, n))
+    count = -(-cells // (cells // 2))
+    m = -(-cells // count)
+    rng = np.random.default_rng(32)
+    d, c = (SKEW.poly({(0, e): int(rng.integers(1, SKEW.n_coeff_values)) for e in range(cells)})
+            for _ in range(2))
+    h = d * c
+    bad = dict(h.terms)
+    e = sorted(bad)[len(bad) // 2]
+    bad[e] = bad[e] % (SKEW.n_coeff_values - 1) + 1
+    bad = SKEW.poly(bad)
+    for divide, known, want in ((right_cofactor, d, c), (left_cofactor, c, d)):
+        spectra.clear()
+        levels.clear()
+        assert divide(h, known) == want
+        assert levels[0] == (m, m)
+        assert m * ((m + 1) // 2) <= backend.DIRECT_PAIRS and len(spectra) == 2
+        with pytest.raises(NotDivisibleError):
+            divide(bad, known)
+
+
 @pytest.mark.parametrize("len_d, pairs", [(128, 1 << 15), (99, (1 << 15) + 1)])
-def test_cofactors_around_the_newton_cutoff(len_d, pairs, monkeypatch):
+def test_top_newton_level_at_exactly_the_cutoff(len_d, pairs, monkeypatch):
     # a dense divisor of len_d cells and a sparse cofactor of n = m^2 cells on
     # the line (powers of d2, of line weight 1): blocks of isqrt(n) = m cells,
     # longer than the divisor, so the inverse's top Newton level pairs u's

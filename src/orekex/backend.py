@@ -108,6 +108,17 @@ def _check_cells(shape) -> None:
                           f"of the skew kernels")
 
 
+def check_product(name: str, spans) -> None:
+    """OreKexError, before any product, when the product ``name`` of factors
+    whose grids have the shapes ``spans`` would span a box over
+    ``MAX_GRID_CELLS``: spans add, less one per product, in a domain."""
+    box = [sum(s) - len(spans) + 1 for s in zip(*spans)]
+    if prod(box) > MAX_GRID_CELLS:
+        dims = "x".join(map(str, box))
+        raise OreKexError(f"{name} would span a {dims} grid, over the "
+                          f"{MAX_GRID_CELLS}-cell limit of the skew kernels")
+
+
 # -- values as (lo, grid) pairs ----------------------------------------------
 
 def coo_to_grid(exps: np.ndarray, coeffs: np.ndarray):

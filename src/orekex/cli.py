@@ -20,7 +20,7 @@ from math import prod
 import numpy as np
 
 from . import backend, costs, serial
-from .commuting import MAX_ATTEMPTS
+from .commuting import resample
 from .encoding import decode_bytes, encode_bytes
 from .errors import (EncodingError, NotDivisibleError, OreKexError, ParseError,
                      ProtocolError, ResampleExhaustedError)
@@ -129,18 +129,6 @@ def _read_params(path: str, keys) -> tuple:
     return loaded
 
 
-def _check_products(path: str, products) -> None:
-    """ParseError, before any draw or product, when a skew product of
-    ``products`` (a name and the spans of its factors) would span a box over
-    ``MAX_GRID_CELLS``: spans add, less one per product, in a domain.  A
-    weyl product is refused by its own step count before its work."""
-    for name, factors in products:
-        box = [sum(s) - len(factors) + 1 for s in zip(*factors)]
-        if prod(box) > backend.MAX_GRID_CELLS:
-            dims = "x".join(map(str, box))
-            raise ParseError(f"{path}: {name} would span a {dims} grid, over the "
-                             f"{backend.MAX_GRID_CELLS}-cell limit of the skew kernels")
-
 def _messages(transcript) -> list:
     return [("msg", f"{e.sender} {e.label} {e.message}") for e in transcript.entries]
 
@@ -214,12 +202,9 @@ def _three_pass_texts(ring, args) -> tuple[str, str, bool]:
 
 
 def _noncommuting_secret(ring, d_l, setup, rng):
-    terms = max(2 * d_l, 4)
-    for _ in range(MAX_ATTEMPTS):
-        cand = random_polynomial(ring, d_l, terms, rng)
-        if not cand.commutes_with(setup.left_gen) and not cand.commutes_with(setup.right_gen):
-            return cand
-    raise ResampleExhaustedError("could not sample a usable secret element")
+    return resample(lambda: random_polynomial(ring, d_l, max(2 * d_l, 4), rng),
+                    lambda h: not h.commutes_with(setup.left_gen)
+                    and not h.commutes_with(setup.right_gen), "usable secret element")
 
 
 def cmd_three_pass(args) -> int:
@@ -244,9 +229,10 @@ def cmd_encrypt(args) -> int:
     if ring.is_skew and all((public_l, left, right, p_alice, message)):  # else refused later
         p_b, q_b = ([nu * top + 1 for top in gen.tops()] for gen in (left, right))  # f(P), g(Q)
         p_final = [p_b, p_alice.grid.shape, q_b]
-        _check_products(args.pub, [("P_B * L * Q_B", [p_b, public_l.grid.shape, q_b]),
-                                   ("P_final", p_final),
-                                   ("m * P_final", [message.grid.shape, *p_final])])
+        for name, spans in (("P_B * L * Q_B", [p_b, public_l.grid.shape, q_b]),
+                            ("P_final", p_final),
+                            ("m * P_final", [message.grid.shape, *p_final])):
+            backend.check_product(f"{args.pub}: {name}", spans)
     params = PublicParameters(ring, public_l, left, right, nu)
     ct = encrypt(EncryptionPublicKey(params, p_alice), message, _rng(args.seed))
     _write(args.out, _render(ring, args.seed, "encrypt",
@@ -258,8 +244,8 @@ def cmd_decrypt(args) -> int:
     ring, nu, public_l, left, right, *secret = _read_params(args.sec, ("P_A", "Q_A", "f", "g"))
     _, m_e, p_bob = _load(args.infile, ("m_e", "P_Bob"), ring)
     if ring.is_skew and all((*secret[:2], p_bob)):
-        _check_products(args.infile, [("P_A * P_Bob * Q_A", [
-            h.grid.shape for h in (secret[0], p_bob, secret[1])])])
+        backend.check_product(f"{args.infile}: P_A * P_Bob * Q_A", [
+            h.grid.shape for h in (secret[0], p_bob, secret[1])])
     params = PublicParameters(ring, public_l, left, right, nu)
     sec = EncryptionSecretKey(params, PrivateTuple(*secret))
     data = decode_bytes(decrypt(sec, Ciphertext(m_e, p_bob)))
@@ -309,11 +295,8 @@ def cmd_zkp(args) -> int:
 
 
 def _nontrivial_factor(ring, degree, rng):
-    for _ in range(MAX_ATTEMPTS):
-        cand = random_polynomial(ring, degree, max(2 * degree, 4), rng)
-        if max(cand.d_degrees()) >= 1:
-            return cand
-    raise ResampleExhaustedError("could not sample a factor with positive d-degree")
+    return resample(lambda: random_polynomial(ring, degree, max(2 * degree, 4), rng),
+                    lambda h: max(h.d_degrees()) >= 1, "factor with positive d-degree")
 
 
 # -- weak keys -------------------------------------------------------------------

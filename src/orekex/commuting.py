@@ -70,6 +70,17 @@ def random_constant_polynomial(p: int, degree: int, rng) -> ConstantPolynomial:
     return ConstantPolynomial(p, tuple(coeffs))
 
 
+def resample(draw, accept, what: str):
+    """The first of at most ``MAX_ATTEMPTS`` results of ``draw()`` that
+    ``accept`` takes; ResampleExhaustedError naming ``what`` when it takes
+    none of them."""
+    for _ in range(MAX_ATTEMPTS):
+        cand = draw()
+        if accept(cand):
+            return cand
+    raise ResampleExhaustedError(f"no {what} in {MAX_ATTEMPTS} draws")
+
+
 def sample_private(point: OrePolynomial, public_l: OrePolynomial, degree: int,
                    rng) -> tuple[ConstantPolynomial, OrePolynomial]:
     """Draw f of the given degree until f(point) does not commute with the
@@ -81,11 +92,10 @@ def sample_private(point: OrePolynomial, public_l: OrePolynomial, degree: int,
     """
     if point.commutes_with(public_l):
         raise ProtocolError("the pool generator must not commute with the public element")
-    for _ in range(MAX_ATTEMPTS):
+
+    def draw():
         f = random_constant_polynomial(point.ring.p, degree, rng)
-        value = f(point)
-        if not value.commutes_with(public_l):
-            return f, value
-    raise ResampleExhaustedError(
-        f"no usable key after {MAX_ATTEMPTS} draws; public parameters look degenerate"
-    )
+        return f, f(point)
+
+    return resample(draw, lambda fv: not fv[1].commutes_with(public_l),
+                    "usable key (public parameters look degenerate)")

@@ -56,15 +56,13 @@ def _positions(ring: OreRing, n_bytes: int) -> np.ndarray:
     return first_monomials(ring.exp_len, min_degree_bound(ring, n_bytes), count)
 
 
-def encode_bytes(ring: OreRing, data: bytes, degree_bound: int | None = None) -> OrePolynomial:
+def encode_bytes(ring: OreRing, data: bytes) -> OrePolynomial:
+    """``data`` on the first monomials, dense up to the least degree that
+    holds it (:func:`min_degree_bound`)."""
     if not data:
         raise EncodingError("cannot encode an empty message")
     base = ring.n_coeff_values - 1
     w = _digits_per_byte(base)
-    if degree_bound is not None and capacity_bytes(ring, degree_bound) < len(data):
-        raise EncodingError(
-            f"message of {len(data)} bytes exceeds capacity at degree {degree_bound}"
-        )
     # each byte's digits, most significant first
     digits = np.frombuffer(data, np.uint8)[:, None] // base ** np.arange(w - 1, -1, -1) % base
     return OrePolynomial._of_coo(ring, _positions(ring, len(data)), digits.ravel() + 1)

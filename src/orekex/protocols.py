@@ -15,6 +15,11 @@ Five flows are implemented on top of the ring arithmetic:
   public element, sound against provers that prepared only one of the two
   revealable factorizations.
 
+Every flow is set by its degrees alone, as (d_L, d_PQ, nu) sets the
+exchange: each random polynomial is drawn dense, with every monomial up to
+its degree bound a sampling target, as the paper's cost model assumes.  A
+degenerate draw is redrawn by :func:`orekex.commuting.resample`.
+
 Transcripts record exactly what an eavesdropper on the channel sees and
 refuse to store anything except public polynomials.
 """
@@ -25,34 +30,36 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import backend
-from .commuting import (MAX_ATTEMPTS, ConstantPolynomial, random_constant_polynomial,
+from .commuting import (ConstantPolynomial, random_constant_polynomial, resample,
                         sample_private)
 from .division import left_cofactor, right_cofactor
-from .errors import ProtocolError, ResampleExhaustedError
+from .errors import ProtocolError
 from .orepoly import OrePolynomial, random_polynomial
 from .rings import OreRing
 from .weakkeys import grading_vector
 
 
-def _dense_terms(degree: int, slots: int) -> int:
-    # sampling target: the number of monomials up to the degree bound
-    return comb(degree + slots, slots)
+def _dense(ring: OreRing, degree: int, rng) -> OrePolynomial:
+    """A draw whose sampling target is every monomial up to ``degree``."""
+    return random_polynomial(ring, degree, comb(degree + ring.exp_len, ring.exp_len), rng)
 
 
-def noncentral_witness(h: OrePolynomial) -> OrePolynomial:
-    """A ring generator that fails to commute with h; ProtocolError if h
-    commutes with every generator (then h is central)."""
+def is_central(h: OrePolynomial) -> bool:
+    """Whether h commutes with every ring generator, tried in turn."""
     ring = h.ring
-    candidates = [ring.d(i) for i in range(1, ring.n + 1)]
+    generators = [ring.d(i) for i in range(1, ring.n + 1)]
     if ring.is_weyl:
-        candidates += [ring.x(i) for i in range(1, ring.n + 1)]
+        generators += [ring.x(i) for i in range(1, ring.n + 1)]
     else:
         # alpha, the generator of F_{p^k} over F_p: coefficient index p
-        candidates.append(ring.poly({(0,) * ring.n: ring.p}))
-    for w in candidates:
-        if not h.commutes_with(w):
-            return w
-    raise ProtocolError("element is central: it commutes with every ring generator")
+        generators.append(ring.poly({(0,) * ring.n: ring.p}))
+    return all(h.commutes_with(w) for w in generators)
+
+
+def _ungraded(ring: OreRing, priv: "PrivateTuple") -> bool:
+    # graded weyl keys leak through commutative factoring; they are redrawn
+    return not ring.is_weyl or (grading_vector(priv.p_side) is None
+                                and grading_vector(priv.q_side) is None)
 
 
 @dataclass(frozen=True)
@@ -64,36 +71,24 @@ class PublicParameters:
     left_gen: OrePolynomial   # P, generating the left commuting pool
     right_gen: OrePolynomial  # Q, generating the right pool
     nu: int                   # degree of the private pool polynomials
-    witness: OrePolynomial = None
 
     def __post_init__(self):
         if self.nu < 1:
             raise ProtocolError("private-polynomial degree must be at least 1")
+        # an L that fails to commute with P is not central either
         if self.public_l.commutes_with(self.left_gen):
-            raise ProtocolError("pool generator P must not commute with L")
+            raise ProtocolError("the locked element L must not commute with pool generator P")
         if self.public_l.commutes_with(self.right_gen):
-            raise ProtocolError("pool generator Q must not commute with L")
-        if self.witness is None:
-            object.__setattr__(self, "witness", noncentral_witness(self.public_l))
+            raise ProtocolError("the locked element L must not commute with pool generator Q")
 
     @classmethod
-    def generate(cls, ring: OreRing, d_l: int, d_pq: int, nu: int, rng,
-                 terms_l: int | None = None,
-                 terms_pq: int | None = None) -> "PublicParameters":
-        if terms_l is None:
-            terms_l = _dense_terms(d_l, ring.exp_len)
-        if terms_pq is None:
-            terms_pq = _dense_terms(d_pq, ring.exp_len)
-        for _ in range(MAX_ATTEMPTS):
-            public_l = random_polynomial(ring, d_l, terms_l, rng)
-            try:
-                witness = noncentral_witness(public_l)
-            except ProtocolError:
-                continue
-            left = _pairwise_noncommuting(ring, d_pq, terms_pq, rng, [public_l], 1)[0]
-            right = _pairwise_noncommuting(ring, d_pq, terms_pq, rng, [public_l], 1)[0]
-            return cls(ring, public_l, left, right, nu, witness)
-        raise ResampleExhaustedError("could not sample a non-central public element")
+    def generate(cls, ring: OreRing, d_l: int, d_pq: int, nu: int,
+                 rng) -> "PublicParameters":
+        public_l = resample(lambda: _dense(ring, d_l, rng), lambda h: not is_central(h),
+                            "non-central public element")
+        left = _pairwise_noncommuting(ring, d_pq, rng, [public_l], 1)[0]
+        right = _pairwise_noncommuting(ring, d_pq, rng, [public_l], 1)[0]
+        return cls(ring, public_l, left, right, nu)
 
 
 @dataclass(frozen=True)
@@ -107,17 +102,15 @@ class PrivateTuple:
 
     @classmethod
     def generate(cls, params: PublicParameters, rng) -> "PrivateTuple":
-        weyl = params.ring.is_weyl
-        for _ in range(MAX_ATTEMPTS):
+        """Keys that do not commute with L (:func:`sample_private`), redrawn
+        while graded."""
+        def draw():
             f, p_side = sample_private(params.left_gen, params.public_l, params.nu, rng)
             g, q_side = sample_private(params.right_gen, params.public_l, params.nu, rng)
-            # graded keys leak through commutative factoring; redraw them.
-            # sample_private has already refused keys that commute with L.
-            if weyl and (grading_vector(p_side) is not None
-                         or grading_vector(q_side) is not None):
-                continue
             return cls(p_side, q_side, f, g)
-        raise ResampleExhaustedError("weak-key screening rejected every candidate tuple")
+
+        return resample(draw, lambda priv: _ungraded(params.ring, priv),
+                        "tuple the weak-key screen passes")
 
 
 @dataclass(frozen=True)
@@ -194,27 +187,20 @@ class CommutingSetup:
     nu: int
 
     @classmethod
-    def generate(cls, ring: OreRing, d_pq: int, nu: int, rng,
-                 terms_pq: int | None = None) -> "CommutingSetup":
-        if terms_pq is None:
-            terms_pq = _dense_terms(d_pq, ring.exp_len)
-        left = random_polynomial(ring, d_pq, terms_pq, rng)
-        right = random_polynomial(ring, d_pq, terms_pq, rng)
+    def generate(cls, ring: OreRing, d_pq: int, nu: int, rng) -> "CommutingSetup":
+        left = _dense(ring, d_pq, rng)
+        right = _dense(ring, d_pq, rng)
         return cls(ring, left, right, nu)
 
 
 def _unchecked_tuple(setup: "CommutingSetup", rng) -> "PrivateTuple":
-    ring = setup.ring
-    for _ in range(MAX_ATTEMPTS):
-        f = random_constant_polynomial(ring.p, setup.nu, rng)
-        g = random_constant_polynomial(ring.p, setup.nu, rng)
-        p_side = f(setup.left_gen)
-        q_side = g(setup.right_gen)
-        if ring.is_weyl and (grading_vector(p_side) is not None
-                             or grading_vector(q_side) is not None):
-            continue
-        return PrivateTuple(p_side, q_side, f, g)
-    raise ResampleExhaustedError("grading screen rejected every candidate tuple")
+    def draw():
+        f = random_constant_polynomial(setup.ring.p, setup.nu, rng)
+        g = random_constant_polynomial(setup.ring.p, setup.nu, rng)
+        return PrivateTuple(f(setup.left_gen), g(setup.right_gen), f, g)
+
+    return resample(draw, lambda priv: _ungraded(setup.ring, priv),
+                    "tuple the grading screen passes")
 
 
 @dataclass(frozen=True)
@@ -231,9 +217,8 @@ def three_pass_exchange(setup: CommutingSetup, secret_l: OrePolynomial,
 
     Alice locks the secret, Bob adds his own locks, Alice strips hers by two
     exact divisions, and Bob strips his to recover the element unchanged.
+    ProtocolError when the secret commutes with a pool generator.
     """
-    if secret_l.commutes_with(setup.left_gen) or secret_l.commutes_with(setup.right_gen):
-        raise ProtocolError("the secret must not commute with the pool generators")
     params = PublicParameters(setup.ring, secret_l, setup.left_gen,
                               setup.right_gen, setup.nu)
     alice = PrivateTuple.generate(params, rng)
@@ -284,11 +269,9 @@ def encryption_keygen(params: PublicParameters, rng) -> tuple[EncryptionPublicKe
 
 def _mutually_noncommuting_tuple(params: PublicParameters, rng) -> PrivateTuple:
     # the sender's pair additionally avoids commuting with each other
-    for _ in range(MAX_ATTEMPTS):
-        cand = PrivateTuple.generate(params, rng)
-        if not cand.p_side.commutes_with(cand.q_side):
-            return cand
-    raise ResampleExhaustedError("could not draw a mutually non-commuting pair")
+    return resample(lambda: PrivateTuple.generate(params, rng),
+                    lambda priv: not priv.p_side.commutes_with(priv.q_side),
+                    "mutually non-commuting pair")
 
 
 def encrypt(pub: EncryptionPublicKey, message: OrePolynomial, rng) -> Ciphertext:
@@ -342,45 +325,41 @@ class SignatureTuple:
     eps2: OrePolynomial
 
 
-def _pairwise_noncommuting(ring: OreRing, degree: int, terms: int, rng,
-                           fixed: list[OrePolynomial], count: int) -> list[OrePolynomial]:
+def _pairwise_noncommuting(ring: OreRing, degree: int, rng, fixed: list[OrePolynomial],
+                           count: int) -> list[OrePolynomial]:
+    """``count`` draws, each redrawn while it commutes with ``fixed`` or an
+    earlier one."""
     out: list[OrePolynomial] = []
-    for _ in range(MAX_ATTEMPTS):
-        cand = random_polynomial(ring, degree, terms, rng)
-        if all(not cand.commutes_with(other) for other in fixed + out):
-            out.append(cand)
-            if len(out) == count:
-                return out
-    raise ResampleExhaustedError("could not sample pairwise non-commuting elements")
+    for _ in range(count):
+        out.append(resample(lambda: _dense(ring, degree, rng),
+                            lambda cand: all(not cand.commutes_with(other)
+                                             for other in fixed + out),
+                            "pairwise non-commuting element"))
+    return out
 
 
-def signature_keygen(ring: OreRing, rng, d_l: int = 5, d_a: int = 3,
-                     terms: int | None = None) -> tuple[SignaturePublicKey,
-                                                        SignatureSecretKey]:
-    if terms is None:
-        terms = _dense_terms(d_a, ring.exp_len)
-    public_l = random_polynomial(ring, d_l, _dense_terms(d_l, ring.exp_len), rng)
-    a1, a2 = _pairwise_noncommuting(ring, d_a, terms, rng, [public_l], 2)
+def signature_keygen(ring: OreRing, rng, d_l: int = 5,
+                     d_a: int = 3) -> tuple[SignaturePublicKey, SignatureSecretKey]:
+    public_l = _dense(ring, d_l, rng)
+    a1, a2 = _pairwise_noncommuting(ring, d_a, rng, [public_l], 2)
     p_alice = a1 * public_l * a2
     return (SignaturePublicKey(ring, public_l, p_alice),
             SignatureSecretKey(ring, public_l, a1, a2))
 
 
 def sign(sec: SignatureSecretKey, message: OrePolynomial, rng, d_k: int = 3,
-         d_q: int = 3, terms: int | None = None) -> SignatureTuple:
+         d_q: int = 3) -> SignatureTuple:
     """Produce the 8-tuple satisfying m - gamma*a1 = q1*k1 + r1 and
     m - a2*gamma = k2*q2 + r2 for fresh pairwise non-commuting k1, k2."""
     ring = sec.ring
     if message.ring != ring:
         raise ProtocolError("message lives in a different ring")
-    if terms is None:
-        terms = _dense_terms(d_k, ring.exp_len)
-    k1, k2 = _pairwise_noncommuting(ring, d_k, terms, rng, [sec.public_l], 2)
+    k1, k2 = _pairwise_noncommuting(ring, d_k, rng, [sec.public_l], 2)
     gamma = k1 * sec.public_l * k2
     eps1 = k1 * sec.public_l * sec.a2
     eps2 = sec.a1 * sec.public_l * k2
-    q1 = random_polynomial(ring, d_q, terms, rng)
-    q2 = random_polynomial(ring, d_q, terms, rng)
+    q1 = _dense(ring, d_q, rng)
+    q2 = _dense(ring, d_q, rng)
     r1 = message - gamma * sec.a1 - q1 * k1
     r2 = message - sec.a2 * gamma - k2 * q2
     return SignatureTuple(message, gamma, q1, r1, q2, r2, eps1, eps2)
@@ -424,11 +403,12 @@ class FactorizationProver:
     """Honest prover holding l1 * l2 = L with both factors nontrivial
     (positive degree in at least one Ore variable each).
 
-    Blinding pairs are fresh every round; reuse is refused.
+    Blinding pairs are fresh every round; reuse is refused.  They are dense
+    of degree ``blind_degree``, by default that of L (at least 1).
     """
 
     def __init__(self, ell1: OrePolynomial, ell2: OrePolynomial,
-                 blind_degree: int | None = None, blind_terms: int | None = None):
+                 blind_degree: int | None = None):
         if ell1.ring != ell2.ring:
             raise ProtocolError("factors live in different rings")
         if max(ell1.d_degrees()) < 1 or max(ell2.d_degrees()) < 1:
@@ -437,35 +417,29 @@ class FactorizationProver:
         self.ell1 = ell1
         self.ell2 = ell2
         self.public_l = ell1 * ell2
+        if blind_degree is None:
+            blind_degree = max(self.public_l.total_degree(), 1)
         self.blind_degree = blind_degree
-        self.blind_terms = blind_terms
         self._used: set[OrePolynomial] = set()
         self._p1 = None
         self._p2 = None
 
     def _fresh(self, rng) -> OrePolynomial:
-        degree = self.blind_degree
-        if degree is None:
-            degree = max(self.public_l.total_degree(), 1)
-        terms = self.blind_terms or _dense_terms(degree, self.ring.exp_len)
-        for _ in range(MAX_ATTEMPTS):
-            cand = random_polynomial(self.ring, degree, terms, rng)
-            if cand not in self._used:
-                self._used.add(cand)
-                return cand
-        raise ResampleExhaustedError("ran out of fresh blinding polynomials")
+        cand = resample(lambda: _dense(self.ring, self.blind_degree, rng),
+                        lambda cand: cand not in self._used, "fresh blinding polynomial")
+        self._used.add(cand)
+        return cand
 
     def commit(self, rng) -> ZkpCommitment:
         """Draw the blinding pair p1, p2 and commit to p1 * L * p2.  In a
-        skew ring the commitment's box is known from the spans of the three
-        grids (spans add, less one per product): one over
-        ``backend.MAX_GRID_CELLS`` raises OreKexError after the draws and
+        skew ring a commitment over ``backend.MAX_GRID_CELLS`` raises
+        OreKexError (:func:`backend.check_product`) after the draws and
         before any product."""
         self._p1 = self._fresh(rng)
         self._p2 = self._fresh(rng)
         if self.ring.is_skew:
-            backend._check_cells([a + b + c - 2 for a, b, c in zip(
-                self._p1.grid.shape, self.public_l.grid.shape, self._p2.grid.shape)])
+            backend.check_product("the commitment p1 * L * p2", [
+                h.grid.shape for h in (self._p1, self.public_l, self._p2)])
         pi = self._p1 * self.public_l * self._p2
         return ZkpCommitment(pi, self._p1.d_degrees(), self._p2.d_degrees())
 

@@ -10,7 +10,9 @@ Every output file starts with the same header block::
 followed by ``key value`` lines.  Transcript messages are ``msg <sender>
 <label> <polynomial>`` lines.  The format round-trips exactly and equal
 seeds produce byte-identical files.  Every integer of a file is an
-``INT``, so each value has one text.
+``INT``, a file has each header line at most once, a ring line each
+attribute of its kind once, and the rng line names only that generator,
+so each value has one text.
 
 A polynomial is ``0`` or terms joined by `` + ``::
 
@@ -71,15 +73,26 @@ def _parse_int_list(text: str, where: str) -> list[int]:
     return [parse_int(x, where) for x in body.split(",")] if body else []
 
 
+_RING_ATTRIBUTES = {"skew": ("p", "k", "m", "sigma"), "weyl": ("p", "n")}
+
+
 def ring_from_text(line: str) -> OreRing:
+    """The ring of a ``ring`` line, which gives each attribute of its kind
+    once and no other; ParseError for any other line."""
     parts = line.split()
     if len(parts) < 2 or parts[0] != "ring":
         raise ParseError(f"not a ring line: {_quote(line)}")
+    if parts[1] not in _RING_ATTRIBUTES:
+        raise ParseError(f"unknown ring kind {_quote(parts[1])}")
     kv = {}
     for part in parts[2:]:
         if "=" not in part:
             raise ParseError(f"bad ring attribute {_quote(part)}")
         key, val = part.split("=", 1)
+        if key not in _RING_ATTRIBUTES[parts[1]]:
+            raise ParseError(f"unknown attribute {_quote(key)} in the ring line")
+        if key in kv:
+            raise ParseError(f"attribute {_quote(key)} repeats in the ring line")
         kv[key] = val
     where = "in the ring line"
     try:
@@ -88,13 +101,11 @@ def ring_from_text(line: str) -> OreRing:
             _check_bounds(p, k)
             spec = FieldSpec(p, k, tuple(_parse_int_list(kv["m"], where)))
             return skew_ring(spec, tuple(_parse_int_list(kv["sigma"], where)))
-        if parts[1] == "weyl":
-            p = parse_int(kv["p"], where)
-            _check_bounds(p)
-            return weyl_ring(p, parse_int(kv["n"], where))
+        p = parse_int(kv["p"], where)
+        _check_bounds(p)
+        return weyl_ring(p, parse_int(kv["n"], where))
     except KeyError as exc:
         raise ParseError(f"ring line misses attribute {exc}") from exc
-    raise ParseError(f"unknown ring kind {_quote(parts[1])}")
 
 
 def _check_bounds(p: int, k: int | None = None) -> None:
@@ -212,17 +223,23 @@ def parse_file(text: str) -> tuple[OreRing, int | None, list[tuple[str, str]]]:
     ring = None
     seed: int | None = None
     entries: list[tuple[str, str]] = []
+    header: set[str] = set()
     for ln in lines[1:]:
         if not ln.strip() or ln.startswith("#"):
             continue
         key, _, rest = ln.partition(" ")
+        if key in ("ring", "seed", "rng"):
+            if key in header:
+                raise ParseError(f"a second {key} line")
+            header.add(key)
         if key == "ring":
             ring = ring_from_text(ln)
         elif key == "seed":
             rest = rest.strip()
             seed = None if rest == "withheld" else parse_int(rest, "on the seed line")
         elif key == "rng":
-            continue
+            if rest.strip() != RNG_NAME:
+                raise ParseError(f"unknown generator {_quote(rest.strip())} on the rng line")
         else:
             entries.append((key, rest.strip()))
     if ring is None:

@@ -7,7 +7,7 @@ from itertools import combinations, product
 from operator import mul
 
 from orekex import OreKexError, OrePolynomial, RingMismatchError
-from orekex.encoding import _digits_per_byte, capacity_bytes
+from orekex.encoding import _digits_per_byte
 from orekex.errors import EncodingError, ParseError
 from orekex.fields import _poly_gcd, _poly_mod, _poly_mul, is_prime, tables_for
 from orekex.serial import INT, _quote
@@ -57,16 +57,12 @@ def ascending(slots: int, count: int) -> list[tuple[int, ...]]:
     return out
 
 
-def encode_bytes_oracle(ring, data: bytes, degree_bound: int | None = None) -> OrePolynomial:
+def encode_bytes_oracle(ring, data: bytes) -> OrePolynomial:
     """The per-position encoder the library used before array arithmetic."""
     if not data:
         raise EncodingError("cannot encode an empty message")
     base = ring.n_coeff_values - 1
     w = _digits_per_byte(base)
-    if degree_bound is not None and capacity_bytes(ring, degree_bound) < len(data):
-        raise EncodingError(
-            f"message of {len(data)} bytes exceeds capacity at degree {degree_bound}"
-        )
     digits: list[int] = []
     for byte in data:
         group = []

@@ -198,15 +198,14 @@ def test_08b_signature_two_code_paths():
     rng = np.random.default_rng(2028)
     pub, sec = signature_keygen(SKEW, rng)
     from orekex import SignatureTuple
-    from orekex.protocols import _dense_terms, _pairwise_noncommuting
+    from orekex.protocols import _dense, _pairwise_noncommuting
 
     for _ in range(20):
         message = random_polynomial(SKEW, 3, 5, rng)
-        terms = _dense_terms(3, 2)
-        k1, k2 = _pairwise_noncommuting(SKEW, 3, terms, rng, [sec.public_l], 2)
+        k1, k2 = _pairwise_noncommuting(SKEW, 3, rng, [sec.public_l], 2)
         gamma = k1 * sec.public_l * k2
-        q1 = random_polynomial(SKEW, 3, terms, rng)
-        q2 = random_polynomial(SKEW, 3, terms, rng)
+        q1 = _dense(SKEW, 3, rng)
+        q2 = _dense(SKEW, 3, rng)
         r1 = message - gamma * sec.a1 - q1 * k1
         r2 = message - sec.a2 * gamma - k2 * q2
         sig = SignatureTuple(message, gamma, q1, r1, q2, r2,

@@ -1,26 +1,29 @@
+import re
+from math import comb
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from orekex import (CommutingSetup, EncodingError, FactorizationProver,
                     NotDivisibleError, OreKexError, OrePolynomial, PrivateTuple, ProtocolError,
                     ProtocolTranscript, PublicParameters, REVEAL_P, REVEAL_PI,
-                    decode_bytes, decrypt, encode_bytes, encrypt, encryption_keygen,
-                    grading_vector, kex_finalize, kex_message, random_polynomial,
-                    ring_by_name, run_key_exchange, run_zkp, sign, signature_keygen,
-                    signature_sides, three_pass_exchange, verify_signature,
-                    zkp_verify_round)
-from orekex import backend
-from orekex.protocols import ZkpCommitment, noncentral_witness
+                    ResampleExhaustedError, decode_bytes, decrypt, encode_bytes, encrypt,
+                    encryption_keygen, grading_vector, kex_finalize, kex_message,
+                    random_polynomial, ring_by_name, run_key_exchange, run_zkp, sample_private,
+                    sign, signature_keygen, signature_sides, three_pass_exchange,
+                    verify_signature, zkp_verify_round)
+from orekex import backend, cli, commuting, protocols
+from orekex.protocols import ZkpCommitment, is_central
 
 SKEW = ring_by_name("f125-skew2")
 WEYL = ring_by_name("weyl2-f71")
 
 
 def _params(ring, rng, d_l=6, d_pq=2, nu=2):
-    # weyl products densify fast; sparse inputs keep these tests quick
+    # weyl products densify fast; a low-degree L keeps these tests quick
     if ring.is_weyl:
-        return PublicParameters.generate(ring, min(d_l, 3), d_pq, nu, rng,
-                                         terms_l=8, terms_pq=5)
+        d_l = min(d_l, 3)
     return PublicParameters.generate(ring, d_l, d_pq, nu, rng)
 
 
@@ -31,14 +34,13 @@ def test_public_parameter_invariants():
     params = _params(SKEW, rng)
     assert not params.public_l.commutes_with(params.left_gen)
     assert not params.public_l.commutes_with(params.right_gen)
-    assert not params.public_l.commutes_with(params.witness)
     with pytest.raises(ProtocolError):
         PublicParameters(SKEW, params.public_l, params.public_l, params.right_gen, 2)
 
 
 def test_central_element_has_no_witness():
-    with pytest.raises(ProtocolError):
-        noncentral_witness(SKEW.constant(3))
+    assert is_central(SKEW.constant(3))
+    assert not is_central(SKEW.d(1)) and not is_central(WEYL.x(1))
 
 
 def test_private_tuple_noncommuting():
@@ -59,6 +61,59 @@ def test_weyl_private_tuple_never_graded():
         priv = PrivateTuple.generate(params, rng)
         assert grading_vector(priv.p_side) is None
         assert grading_vector(priv.q_side) is None
+
+
+class _Everything:
+    """A set of used blinding values that holds every value."""
+
+    def __contains__(self, value):
+        return True
+
+
+def test_every_retry_site_gives_up_after_max_attempts(monkeypatch):
+    # one patch of the shared cap reaches every site; each site is made to
+    # refuse every draw, and must give up after exactly k of them
+    k = 3
+    monkeypatch.setattr(commuting, "MAX_ATTEMPTS", k)
+    rng = np.random.default_rng(64)
+    params = _params(SKEW, rng)
+    weyl_params = _params(WEYL, rng, d_l=2, d_pq=1, nu=1)
+    setup = CommutingSetup.generate(SKEW, 2, 2, rng)
+    weyl_setup = CommutingSetup.generate(WEYL, 1, 1, rng)
+    point, public_l = params.left_gen, params.public_l
+    prover = FactorizationProver(SKEW.d(1), SKEW.d(2))
+    prover._used = _Everything()
+    commutes = (OrePolynomial, "commutes_with")
+    graded = {(protocols, "grading_vector"): lambda h: (1,)}
+    # (site, the patches that refuse its draws, the function counted, calls per draw)
+    sites = [
+        (lambda: cli._noncommuting_secret(SKEW, 3, setup, rng),
+         {commutes: lambda a, b: True}, (cli, "random_polynomial"), 1),
+        (lambda: cli._nontrivial_factor(SKEW, 0, rng), {}, (cli, "random_polynomial"), 1),
+        (lambda: sample_private(point, public_l, 2, rng), {commutes: lambda a, b: a is not point},
+         (commuting, "random_constant_polynomial"), 1),
+        (lambda: PublicParameters.generate(SKEW, 3, 2, 2, rng), {commutes: lambda a, b: True},
+         (protocols, "random_polynomial"), 1),
+        (lambda: PrivateTuple.generate(weyl_params, rng), graded,
+         (protocols, "sample_private"), 2),
+        (lambda: protocols._unchecked_tuple(weyl_setup, rng), graded,
+         (protocols, "random_constant_polynomial"), 2),
+        (lambda: protocols._mutually_noncommuting_tuple(params, rng),
+         {commutes: lambda a, b: b is not public_l}, (protocols, "sample_private"), 2),
+        (lambda: protocols._pairwise_noncommuting(SKEW, 2, rng, [SKEW.one()], 2), {},
+         (protocols, "random_polynomial"), 1),
+        (lambda: prover.commit(rng), {}, (protocols, "random_polynomial"), 1),
+    ]
+    for site, refusals, (owner, name), per_draw in sites:
+        with monkeypatch.context() as m:
+            for (target, attr), value in refusals.items():
+                m.setattr(target, attr, value)
+            calls = []
+            draw = getattr(owner, name)
+            m.setattr(owner, name, lambda *a, draw=draw: calls.append(a) or draw(*a))
+            with pytest.raises(ResampleExhaustedError, match=f"in {k} draws"):
+                site()
+            assert len(calls) == per_draw * k
 
 
 def test_transcript_carries_only_polynomials():
@@ -124,8 +179,8 @@ def test_kex_rejects_zero_peer_message():
 
 def test_three_pass_round_trip():
     rng = np.random.default_rng(48)
-    for ring, runs, terms in ((SKEW, 5, None), (WEYL, 2, 4)):
-        setup = CommutingSetup.generate(ring, 2, 2, rng, terms_pq=terms)
+    for ring, runs in ((SKEW, 5), (WEYL, 2)):
+        setup = CommutingSetup.generate(ring, 2, 2, rng)
         for _ in range(runs):
             secret = random_polynomial(ring, 3, 4, rng)
             if secret.commutes_with(setup.left_gen) or secret.commutes_with(setup.right_gen):
@@ -220,8 +275,6 @@ def test_encoding_round_trip_and_errors():
     with pytest.raises(EncodingError):
         encode_bytes(SKEW, b"")
     with pytest.raises(EncodingError):
-        encode_bytes(SKEW, b"too big for degree zero", degree_bound=0)
-    with pytest.raises(EncodingError):
         decode_bytes(SKEW.zero())
 
 
@@ -235,10 +288,10 @@ def test_sign_verify_honest_runs():
         sig = sign(sec, message, rng)
         assert verify_signature(pub, sig)
     # weyl products densify fast; keep that ring tiny
-    pub, sec = signature_keygen(WEYL, rng, d_l=2, d_a=1, terms=4)
+    pub, sec = signature_keygen(WEYL, rng, d_l=2, d_a=1)
     for _ in range(3):
         message = random_polynomial(WEYL, 2, 4, rng)
-        sig = sign(sec, message, rng, d_k=1, d_q=1, terms=4)
+        sig = sign(sec, message, rng, d_k=1, d_q=1)
         assert verify_signature(pub, sig)
 
 
@@ -290,7 +343,7 @@ def _prover(ring, rng):
         ell1 = random_polynomial(ring, 2, 4, rng)
     while max(ell2.d_degrees()) < 1:
         ell2 = random_polynomial(ring, 2, 4, rng)
-    return FactorizationProver(ell1, ell2, blind_degree=3, blind_terms=8)
+    return FactorizationProver(ell1, ell2, blind_degree=3)
 
 
 def test_zkp_honest_completeness():
@@ -322,7 +375,7 @@ def test_zkp_oversized_commitment_refused_before_any_product(monkeypatch):
     # about twice as far on each axis, and its box passes the limit
     rng = np.random.default_rng(62)
     honest = _prover(SKEW, rng)
-    prover = FactorizationProver(honest.ell1, honest.ell2, blind_degree=1500, blind_terms=40)
+    prover = FactorizationProver(honest.ell1, honest.ell2, blind_degree=1500)
     state = rng.bit_generator.state
     calls = []
     monkeypatch.setattr(backend, "skew2_mul", lambda *a: calls.append(a))
@@ -335,7 +388,7 @@ def test_zkp_oversized_commitment_refused_before_any_product(monkeypatch):
     # both draws were made, in order, so the stream is where they leave it
     again = np.random.default_rng()
     again.bit_generator.state = state
-    assert [prover._p1, prover._p2] == [random_polynomial(SKEW, 1500, 40, again)
+    assert [prover._p1, prover._p2] == [random_polynomial(SKEW, 1500, comb(1502, 2), again)
                                         for _ in range(2)]
     assert rng.bit_generator.state == again.bit_generator.state
 
@@ -413,3 +466,9 @@ def test_zkp_verifier_conditions_directly():
     # malformed responses are rejected, not raised
     assert not zkp_verify_round(prover.public_l, commitment, REVEAL_P, None)
     assert not zkp_verify_round(prover.public_l, commitment, REVEAL_P, (p1, "junk"))
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sketch, = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(sketch, "README.md", "exec"), {})

@@ -594,6 +594,13 @@ def _valid_files(tmp_path):
     ("enc.pub", "ring", "ring skew p=+5 k=3 m=[3,3,0,1] sigma=[2,1]", "ring line"),
     ("enc.pub", "ring", "ring skew p=5 k=0_3 m=[3,3,0,1] sigma=[2,1]", "ring line"),
     ("enc.pub", "ring", "ring skew p=5 k=3 m=[3,3,0,\u0661] sigma=[2,1]", "ring line"),
+    # nor may a header give a value twice, or a value it does not define
+    ("weyl.pub", "ring", "ring weyl p=71 n=2 p=101", "repeats in the ring line"),
+    ("enc.pub", "ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1] junk=9", "'junk'"),
+    ("enc.pub", "ring", "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1]\n"
+                        "ring skew p=5 k=3 m=[3,3,0,1] sigma=[2,1]", "second ring line"),
+    ("enc.pub", "seed", "seed 3\nseed 3", "second seed line"),
+    ("enc.pub", "rng", "rng whatever", "rng line"),
 ], ids=["encrypt-key-without-P_Alice", "encrypt-key-nu-x", "encrypt-key-nu-0",
         "encrypt-key-nu-over-cell-limit", "weyl-encrypt-key-nu-over-step-limit",
         "encrypt-key-nu-of-100000-digits", "encrypt-key-nu-of-4000-digits",
@@ -603,7 +610,8 @@ def _valid_files(tmp_path):
         "ciphertext-in-another-ring", "encrypt-key-nu-plus-sign", "encrypt-key-nu-underscore",
         "encrypt-key-nu-arabic-indic-digit", "seed-plus-sign", "seed-underscore",
         "seed-arabic-indic-digit", "ring-p-plus-sign", "ring-k-underscore",
-        "ring-modulus-arabic-indic-digit"])
+        "ring-modulus-arabic-indic-digit", "ring-p-twice", "ring-unknown-attribute",
+        "two-ring-lines", "two-seed-lines", "unknown-rng"])
 def test_cli_file_missing_or_malformed_entry_exits_2(tmp_path, capsys, name, key,
                                                      replacement, named):
     commands = _valid_files(tmp_path)

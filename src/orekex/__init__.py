@@ -7,7 +7,7 @@ from .costs import (CostReport, SecurityTuple, brute_force_steps, check_referenc
                     power_ladder_steps, power_ladder_steps_exact, secret_param_steps,
                     shared_secret_steps)
 from .division import left_cofactor, right_cofactor
-from .encoding import capacity_bytes, decode_bytes, encode_bytes, min_degree_bound
+from .encoding import decode_bytes, encode_bytes, min_degree_bound
 from .errors import (EncodingError, NotDivisibleError, OreKexError, ParseError,
                      ProtocolError, RingMismatchError, ResampleExhaustedError)
 from .fields import FieldSpec

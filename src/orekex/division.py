@@ -22,7 +22,6 @@ import numpy as np
 
 from . import backend, orepoly
 from .errors import NotDivisibleError, OreKexError, RingMismatchError
-from .monomials import top_degree
 from .orepoly import OrePolynomial
 
 
@@ -51,22 +50,15 @@ def _cofactor(h: OrePolynomial, divisor: OrePolynomial, right: bool) -> OrePolyn
     return _weyl_layers(h, divisor, right)
 
 
-def _top_part(value: OrePolynomial):
-    """(exps, coeffs), in lex order, of a weyl value's terms of top degree."""
-    exps, coeffs = value._coo()
-    top = top_degree(exps)
-    return exps.compress(top, 1), coeffs[top]
-
-
 def _weyl_layers(h: OrePolynomial, divisor: OrePolynomial, right: bool) -> OrePolynomial:
     ring, p = h.ring, h.ring.p
     room = np.subtract(h.tops(), divisor.tops())
-    exps, coeffs = _top_part(divisor)
+    exps, coeffs = orepoly._top_part(divisor)
     lead, inv = exps[:, -1], pow(int(coeffs[-1]), -1, p)  # lex order: the last leads
     remainder, layers = h, []
     while remainder:
         # the layer's remainder is the sum of sorted buckets, sizes falling
-        buckets, mus, cs = [_top_part(remainder)], [], []
+        buckets, mus, cs = [orepoly._top_part(remainder)], [], []
         while buckets:
             fronts = [tuple(e[:, -1].tolist()) for e, _ in buckets]
             front = max(fronts)

@@ -34,13 +34,6 @@ def _digits_per_byte(base: int) -> int:
     return w
 
 
-def capacity_bytes(ring: OreRing, degree_bound: int) -> int:
-    """How many bytes fit into polynomials of the given total degree."""
-    slots = ring.exp_len
-    monomials = comb(degree_bound + slots, slots)
-    return monomials // _digits_per_byte(ring.n_coeff_values - 1)
-
-
 def min_degree_bound(ring: OreRing, n_bytes: int) -> int:
     needed = n_bytes * _digits_per_byte(ring.n_coeff_values - 1)
     slots = ring.exp_len

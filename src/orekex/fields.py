@@ -2,10 +2,10 @@
 
 An element is a coefficient vector over F_p (coefficient of alpha^i at
 index i), encoded as the integer ``a0 + a1*p + ... + a_{k-1}*p^{k-1}``.
-The fields used here are tiny (q up to a few hundred), so every kernel
-reads lookup tables over this encoding (:class:`FieldTables`), built by
-array arithmetic on the digits.  Only the irreducibility test works on
-coefficient lists, in characteristics up to 2^31.
+The fields are tiny (q at most ``MAX_FIELD_ORDER`` = 256), so every
+kernel reads lookup tables over this encoding (:class:`FieldTables`),
+built by array arithmetic on the digits; the irreducibility test of
+:class:`FieldSpec` runs on arrays too.
 
 The powers of the Frobenius map ``a -> a^(p^j)`` form the full
 automorphism group of F_{p^k}; the tables hold each of them.
@@ -24,8 +24,8 @@ from .errors import OreKexError
 # tables come from one (q, q, 2k-1) int64 digit product: 3 ms at q = 125,
 # 169 or 251, 0.05 s at 2^8 and 0.3 s at 2^9 (2 CPUs, numpy 2.4).
 MAX_FIELD_ORDER = 256
-# Largest characteristic a ring line may name: is_prime takes sqrt(p)
-# trial divisions, 46,341 at this bound.
+# Largest characteristic of a weyl ring: is_prime takes sqrt(p) trial
+# divisions, 46,341 at this bound.
 MAX_CHARACTERISTIC = 1 << 31
 
 
@@ -40,69 +40,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- dense F_p[x] helpers (coefficient lists, lowest degree first) -----------
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m is monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * mi) % p
-        _trim(a)
-    return a
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over F_p[x] by Euclid, each divisor scaled monic for _poly_mod."""
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        lead_inv = pow(b[-1], -1, p)
-        b = [c * lead_inv % p for c in b]
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
-def _x_power(e: int, m: list[int], p: int) -> list[int]:
-    """x^e mod the monic m of degree >= 2, by square-and-multiply."""
-    acc, base = [1], [0, 1]
-    while e:
-        if e & 1:
-            acc = _poly_mod(_poly_mul(acc, base, p), m, p)
-        base = _poly_mod(_poly_mul(base, base, p), m, p)
-        e >>= 1
-    return acc
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """F_{p^k} presented as F_p[x] modulo a monic irreducible of degree k.
 
     ``modulus`` lists k+1 coefficients, lowest degree first.  Construction
-    runs Rabin's irreducibility test for any k: m is irreducible iff
-    x^(p^k) = x (mod m) and gcd(x^(p^(k/r)) - x, m) = 1 for every prime
-    r | k (M. O. Rabin, SIAM J. Comput. 9(2), 1980).  That takes O(k log p)
-    products mod m.
+    refuses an order p^k over ``MAX_FIELD_ORDER``, whose tables are never
+    built, before any other work on p.  Inside that limit m is irreducible
+    iff no monic polynomial of degree d <= k/2 divides it; the p^d <= 16
+    divisors of each degree are divided into m at once on arrays.
     """
 
     p: int
@@ -110,35 +56,34 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise OreKexError(f"characteristic {self.p} is not prime")
-        if self.k < 1:
+        p, k = self.p, self.k
+        if k < 1:
             raise OreKexError("extension degree must be >= 1")
-        object.__setattr__(self, "modulus", tuple(c % self.p for c in self.modulus))
-        if len(self.modulus) != self.k + 1:
+        # p >= 2 in a field, so a k past the limit's bit length is over it too
+        if k > MAX_FIELD_ORDER.bit_length() or p ** k > MAX_FIELD_ORDER:
+            raise OreKexError(f"a field of order {p}^{k} is over the "
+                              f"{MAX_FIELD_ORDER}-element limit of the lookup tables")
+        if not is_prime(p):
+            raise OreKexError(f"characteristic {p} is not prime")
+        object.__setattr__(self, "modulus", tuple(c % p for c in self.modulus))
+        if len(self.modulus) != k + 1:
             raise OreKexError("modulus must have k+1 coefficients")
         if self.modulus[-1] != 1:
             raise OreKexError("modulus must be monic")
-        if self.k == 1:
-            return  # every monic linear polynomial is irreducible
-        p, m = self.p, list(self.modulus)
-        if _x_power(p ** self.k, m, p) != [0, 1]:
-            raise OreKexError("modulus does not divide x^(p^k) - x: not irreducible")
-        for r in range(2, self.k + 1):
-            if self.k % r == 0 and is_prime(r):
-                h = _x_power(p ** (self.k // r), m, p) + [0, 0]
-                h[1] = (h[1] - 1) % p
-                if _poly_gcd(h, m, p) != [1]:
-                    raise OreKexError(f"modulus has a factor of degree dividing "
-                                      f"{self.k // r}: not irreducible")
+        for d in range(1, k // 2 + 1):
+            # every monic divisor of degree d, one row each; m is reduced by
+            # all of them from its top degree down
+            div = np.ones((p ** d, d + 1), np.int64)
+            div[:, :d] = np.arange(p ** d)[:, None] // p ** np.arange(d) % p
+            rem = np.tile(np.array(self.modulus, np.int64), (p ** d, 1))
+            for top in range(k, d - 1, -1):
+                rem[:, top - d:top + 1] = (rem[:, top - d:top + 1] - rem[:, top, None] * div) % p
+            if not rem.any(1).all():
+                raise OreKexError(f"modulus has a factor of degree {d}: not irreducible")
 
     @property
     def q(self) -> int:
         return self.p ** self.k
-
-    def to_text(self) -> str:
-        m = ",".join(str(c) for c in self.modulus)
-        return f"field p={self.p} k={self.k} m=[{m}]"
 
 
 class FieldTables:
@@ -208,9 +153,6 @@ _TABLE_CACHE: dict[FieldSpec, FieldTables] = {}
 def tables_for(spec: FieldSpec) -> FieldTables:
     tab = _TABLE_CACHE.get(spec)
     if tab is None:
-        if spec.q > MAX_FIELD_ORDER:
-            raise OreKexError(f"a field of order {spec.q} is over the "
-                              f"{MAX_FIELD_ORDER}-element limit of the lookup tables")
         tab = FieldTables(spec)
         _TABLE_CACHE[spec] = tab
     return tab

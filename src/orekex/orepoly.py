@@ -14,7 +14,8 @@ is delegated to the FFT kernel in :mod:`orekex.backend`; every weyl product
 is one numpy kernel over all pairs of terms (:func:`_weyl_mul`), whose pair
 arrays are outer operations on the operands' columns and whose Leibniz
 entries are summed by one ``np.bincount`` over the output box when the box
-is small beside them (``WEYL_BOX_PER_STEP``), else after one sort.
+is small beside their step count (``WEYL_BOX_PER_STEP``), else as exponent
+columns, like every weyl sum, by :meth:`OrePolynomial._of_coo`.
 :meth:`OrePolynomial.commutes_with` makes both full products only when a
 necessary condition holds: equal exact low corners in a skew ring, a
 vanishing Poisson bracket of the top-degree parts in a weyl ring.
@@ -115,10 +116,18 @@ class OrePolynomial:
         if not len(coeffs):
             return cls._of(ring)
         if ring.is_weyl:
-            order = np.lexsort(exps[::-1])  # no flat index: far terms' box can pass int64
+            # no flat index: far terms' box can pass int64; keys of the least
+            # type that holds them sort by radix
+            order = np.lexsort(exps[::-1].astype(np.min_scalar_type(exps.max())))
             exps = exps.take(order, 1)
-            first, sums = _run_sums((exps[:, 1:] != exps[:, :-1]).any(0), coeffs[order], ring.p)
-            return cls._of(ring, exps=exps.take(first, 1), coeffs=sums)
+            # one sum mod p per run of equal columns, runs that sum to zero
+            # dropped; the sorted columns stand when each is a nonzero run
+            first = np.flatnonzero(np.append(True, (exps[:, 1:] != exps[:, :-1]).any(0)))
+            sums = np.add.reduceat(coeffs[order], first) % ring.p
+            first = first[sums != 0]
+            if len(first) < len(order):
+                exps = exps.take(first, 1)
+            return cls._of(ring, exps=exps, coeffs=sums[sums != 0])
         lo, grid = backend.coo_to_grid(exps, coeffs.astype(tables_for(ring.field).dtype))
         return cls._of(ring, grid=grid, lo=lo)
 
@@ -346,31 +355,22 @@ class OrePolynomial:
 
 # Leibniz steps one Weyl product may take, one per pair of terms and k-tuple
 # of its sum in _weyl_mul.  d1^999*d2^999 * x1^999*x2^999 takes exactly this
-# many, about 0.25 s with a 99 MB traced peak at p = 2^31 - 1; the largest
-# product below it in the tests, d1^999998 * x1^999998, about 0.35 s with
-# 104 MB (0.7 s and 112 MB while its table of inverses is first built); in
-# the benchmark 14,984 steps.
+# many, about 0.3 s with a 100 MB traced peak at p = 2^31 - 1, as does
+# (d1^N + d2^N) * (x1^N + x2^N) at N = 499,998, about 0.6 s with 138 MB; the
+# largest product below it in the tests, d1^999998 * x1^999998, about 0.35 s
+# with 100 MB (0.7 s and 108 MB while its table of inverses is first built);
+# in the benchmark 14,984 steps.
 MAX_WEYL_STEPS = 1_000_000
 # _weyl_mul sums its entries by one np.bincount over the output box when the
-# box has at most WEYL_BOX_PER_STEP cells per entry (Leibniz step), else after
-# one argsort of the entries' flat indices.  MAX_WEYL_STEPS thus bounds the
-# box at 4M cells, a 32 MB float64 array.  Swept on a 2-CPU machine over
-# random two-variable products at p = 71 and 2^31 - 1 (whole products,
-# medians of 5-7 timings): the bincount route led on 31 of 34 products of 600
-# steps or more up to 3 cells a step (trailing by at most 9%), on 11 of 13
-# from 3 to 5.2 and on 1 of 32 above (by up to 2x behind at 9-40), hence 4;
-# at 3.4M-4M cells it was about level.
+# box has at most WEYL_BOX_PER_STEP cells per Leibniz step, else as exponent
+# columns by OrePolynomial._of_coo.  MAX_WEYL_STEPS thus bounds the box at 4M
+# cells, a 32 MB float64 array.  Swept on a 2-CPU machine over random
+# two-variable products of 600 steps or more at p = 71 and 2^31 - 1 (whole
+# products, medians of 5 timings), against the column route: the bincount
+# route led on 14 of 14 products up to 5.2 cells a step, on 14 of 27 from 5.2
+# to 9 and on 2 of 201 from 9 to 40, hence 4.
 WEYL_BOX_PER_STEP = 4
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def _run_sums(new, coef: np.ndarray, p: int):
-    """(first entry, sum mod p) of each run of sorted entries, ``new[j]``
-    marking that entry j + 1 starts one; runs that sum to zero dropped."""
-    first = np.flatnonzero(np.concatenate(([True], new)))
-    sums = np.add.reduceat(coef, first) % p
-    keep = sums != 0
-    return first[keep], sums[keep]
 
 
 def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
@@ -379,39 +379,46 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
     d^(w-k) in each variable.  Mod p that factor is w(w-1)..(w-k+1)
     e(e-1)..(e-k+1) / k!, zero once k passes w mod p or e mod p, so a pair
     expands, variable by variable, into k = 0..min(w mod p, e mod p), all
-    < p, with running products by doubling as factors.  A pair's flat index
-    in the output box and its coefficient are an outer sum and product of
-    f's and g's columns, and per variable the min and max of w mod p and e
-    mod p an outer minimum and maximum.  The entries are summed per index
-    on one of two routes: when the box has at most ``WEYL_BOX_PER_STEP``
-    cells per entry, by one ``np.bincount`` over the box, read in C order;
-    otherwise after one argsort of the indices.  Both give the columns in
-    lexicographic order.
-    OreKexError when the steps pass ``MAX_WEYL_STEPS``, or an exponent or
-    index passes int64."""
+    < p, with running products by doubling as factors.  A pair's entry and
+    coefficient are an outer sum and product of f's and g's columns, and
+    per variable the min and max of w mod p and e mod p an outer minimum
+    and maximum.  The route is picked before the expansion, by the step
+    count of the limit check, which is the entry count when every exponent
+    is below p and above it otherwise: when the output box has at most
+    ``WEYL_BOX_PER_STEP`` cells per step, an entry is its flat index in the
+    box and the entries are summed by one ``np.bincount`` over it, read in
+    C order, the columns' lexicographic order; otherwise an entry is its
+    exponent column and :meth:`OrePolynomial._of_coo` sorts and sums them.
+    OreKexError when the steps pass ``MAX_WEYL_STEPS``, or an output
+    exponent passes 2^63 - 1."""
     p, n = ring.p, ring.n
     (ef, cf), (eg, cg) = f._coo(), g._coo()
     # pair (a, b) takes prod_i (min(w_i, e_i) + 1) >= 1 steps, so the pair
     # count goes first; float64 counts steps exactly far past the limit
-    if (len(f) * len(g) > MAX_WEYL_STEPS or (np.minimum(ef[n:, :, None], eg[:n, None, :])
-                                             + 1.0).prod(0).sum() > MAX_WEYL_STEPS):
+    steps = len(f) * len(g)
+    if steps <= MAX_WEYL_STEPS:
+        steps = (np.minimum(ef[n:, :, None], eg[:n, None, :]) + 1.0).prod(0).sum()
+    if steps > MAX_WEYL_STEPS:
         raise OreKexError(f"Weyl product needs over {MAX_WEYL_STEPS} Leibniz steps")
-    # indices count from f's lowest x- and g's lowest d-exponents: no k takes
-    # an output below them
+    # the box runs from f's lowest x- and g's lowest d-exponents, which no k
+    # goes below, to the sums of the highest
     lo = ef[:n].min(1).tolist() + eg[n:].min(1).tolist()
     hi = [s + t for s, t in zip(ef.max(1).tolist(), eg.max(1).tolist())]
+    if max(hi) > _INT64_MAX:
+        raise OreKexError("exponent too large for the int64 kernels")
     box = [h - l + 1 for h, l in zip(hi, lo)]
     cells = prod(box)
-    if max(hi) > _INT64_MAX or cells > _INT64_MAX:
-        raise OreKexError("exponent too large for the int64 kernels")
-    strides = np.array([prod(box[j + 1:]) for j in range(2 * n)], np.int64)
-    # copies shifted into the box; the rows the Leibniz factors read stay put
-    ef = ef - np.array(lo[:n] + [0] * n)[:, None]
-    eg = eg - np.array([0] * n + lo[n:])[:, None]
-    # pair a * len(g) + b; the pair arrays are outer sums and products
-    key = np.add.outer(strides @ ef, strides @ eg).ravel()
-    coef = np.multiply.outer(cf, cg).ravel() % p
+    dense = cells <= WEYL_BOX_PER_STEP * int(steps)
     w, e = ef[n:] % p, eg[:n] % p
+    # pair a * len(g) + b; the pair arrays are outer sums and products
+    if dense:
+        # flat indices of the operands' columns shifted into the box
+        strides = np.array([prod(box[j + 1:]) for j in range(2 * n)], np.int64)
+        key = np.add.outer(strides @ (ef - np.array(lo[:n] + [0] * n)[:, None]),
+                           strides @ (eg - np.array([0] * n + lo[n:])[:, None])).ravel()
+    else:
+        key = (ef[:, :, None] + eg[:, None, :]).reshape(2 * n, -1)
+    coef = np.multiply.outer(cf, cg).ravel() % p
     tops = np.minimum(w.max(1), e.max(1))  # each variable's largest cap
     live = np.flatnonzero(tops)  # variables with a k > 0
     inv = _inverses(1 << int(tops.max()).bit_length(), p)
@@ -421,21 +428,18 @@ def _weyl_mul(ring: OreRing, f: OrePolynomial, g: OrePolynomial) -> OrePolynomia
         cap, big = np.minimum.outer(w[i], e[i]).ravel(), np.maximum.outer(w[i], e[i]).ravel()
         if pair is not None:
             cap, big = cap[pair], big[pair]
-        key, coef = _leibniz_step(key, coef, cap, big, strides[i] + strides[n + i], inv, p)
+        step = strides[i] + strides[n + i] if dense else [i, n + i]
+        key, coef = _leibniz_step(key, coef, cap, big, step, inv, p)
         if i != live[-1]:
             pair = (np.arange(len(cap)) if pair is None else pair).repeat(cap + 1)
-    if cells <= WEYL_BOX_PER_STEP * len(key):
-        # float64 sums are exact: at most MAX_WEYL_STEPS = 10^6 entries, each
-        # below p <= 2^31, stay below 2^51
-        sums = np.bincount(key, coef, cells)
-        key = sums.nonzero()[0]  # C order: the columns' lexicographic order
-        sums = sums[key].astype(np.int64) % p
-        key, sums = key[sums != 0], sums[sums != 0]
-    else:
-        order = key.argsort()
-        key, coef = key[order], coef[order]
-        first, sums = _run_sums(key[1:] != key[:-1], coef, p)
-        key = key[first]
+    if not dense:
+        return OrePolynomial._of_coo(ring, key, coef)
+    # float64 sums are exact: at most MAX_WEYL_STEPS = 10^6 entries, each
+    # below p <= 2^31, stay below 2^51
+    sums = np.bincount(key, coef, cells)
+    key = sums.nonzero()[0]  # C order: the columns' lexicographic order
+    sums = sums[key].astype(np.int64) % p
+    key, sums = key[sums != 0], sums[sums != 0]
     exps = np.array(np.unravel_index(key, box), np.int64)
     exps += np.array(lo)[:, None]
     return OrePolynomial._of(ring, exps=exps, coeffs=sums)
@@ -460,12 +464,13 @@ def _inverses(size: int, p: int) -> np.ndarray:
     return inv
 
 
-def _leibniz_step(key, coef, cap, big, step: int, inv: np.ndarray, p: int):
+def _leibniz_step(key, coef, cap, big, step, inv: np.ndarray, p: int):
     """Entries (key, coef) of a Weyl product expanded by one variable's
-    Leibniz sums: entry j into k = 0..cap[j], each with its key lowered by
-    k * step and its coefficient times the product over t = 1..k of
-    (cap[j] - t + 1)(big[j] - t + 1)/t mod p, ``inv[t]`` being 1/t mod p; a
-    run's entries stay together."""
+    Leibniz sums: entry j into k = 0..cap[j], each with its coefficient
+    times the product over t = 1..k of (cap[j] - t + 1)(big[j] - t + 1)/t
+    mod p, ``inv[t]`` being 1/t mod p, and its key lowered: a flat index by
+    k * step, an exponent column in its rows ``step`` (x_i and d_i) by k.
+    A run's entries stay together."""
     run = cap + 1
     start = run.cumsum() - run
     k = np.arange(start[-1] + run[-1]) - start.repeat(run)
@@ -481,7 +486,20 @@ def _leibniz_step(key, coef, cap, big, step: int, inv: np.ndarray, p: int):
         later = later[ka[later] > s]
     coef = coef.repeat(run)
     coef[at] = coef[at] * fac % p
-    return key.repeat(run) - k * step, coef
+    key = key.repeat(run, -1)
+    if key.ndim == 1:
+        key -= k * step
+    else:
+        key[step] -= k
+    return key, coef
+
+
+def _top_part(value: OrePolynomial):
+    """(exps, coeffs), in lex order, of a nonzero weyl value's terms of top
+    degree."""
+    exps, coeffs = value._coo()
+    top = top_degree(exps)
+    return exps.compress(top, 1), coeffs[top]
 
 
 def _top_bracket(f: OrePolynomial, g: OrePolynomial) -> int:
@@ -497,10 +515,9 @@ def _top_bracket(f: OrePolynomial, g: OrePolynomial) -> int:
     others."""
     p, n = f.ring.p, f.ring.n
     grads = []
-    for exps, coeffs in (f._coo(), g._coo()):
-        top = top_degree(exps)
+    for exps, coeffs in (_top_part(f), _top_part(g)):
         # each (e mod p) c < 2^62 is reduced before the sum
-        grads.append((exps[:, top] % p * coeffs[top] % p).sum(1).tolist())
+        grads.append((exps % p * coeffs % p).sum(1).tolist())
     a, b = grads
     return sum(a[n + i] * b[i] - b[n + i] * a[i] for i in range(n)) % p
 

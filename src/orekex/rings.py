@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OreKexError
-from .fields import FieldSpec, is_prime
+from .fields import MAX_CHARACTERISTIC, FieldSpec, is_prime
 
 SKEW = "skew"
 WEYL = "weyl"
@@ -56,6 +56,8 @@ class OreRing:
                     "of {sigma = id, delta = 0} may hold"
                 )
         else:
+            if self.p > MAX_CHARACTERISTIC:
+                raise OreKexError(f"characteristic {self.p} is over the limit {MAX_CHARACTERISTIC}")
             if not is_prime(self.p):
                 raise OreKexError(f"characteristic {self.p} is not prime")
             if self.field is not None or self.sigma_powers is not None:

@@ -12,7 +12,10 @@ followed by ``key value`` lines.  Transcript messages are ``msg <sender>
 seeds produce byte-identical files.  Every integer of a file is an
 ``INT``, a file has each header line at most once, a ring line each
 attribute of its kind once, and the rng line names only that generator,
-so each value has one text.
+so each value has one text.  A ring line is checked by the ring it names
+(:class:`orekex.fields.FieldSpec`, :class:`orekex.rings.OreRing`), which
+refuses an order or characteristic past its limit before any primality,
+irreducibility or table work.
 
 A polynomial is ``0`` or terms joined by `` + ``::
 
@@ -43,7 +46,7 @@ import numpy as np
 
 from .commuting import ConstantPolynomial
 from .errors import ParseError
-from .fields import MAX_CHARACTERISTIC, MAX_FIELD_ORDER, FieldSpec
+from .fields import FieldSpec
 from .orepoly import OrePolynomial
 from .rings import OreRing, skew_ring, weyl_ring
 
@@ -97,27 +100,12 @@ def ring_from_text(line: str) -> OreRing:
     where = "in the ring line"
     try:
         if parts[1] == "skew":
-            p, k = parse_int(kv["p"], where), parse_int(kv["k"], where)
-            _check_bounds(p, k)
-            spec = FieldSpec(p, k, tuple(_parse_int_list(kv["m"], where)))
+            spec = FieldSpec(parse_int(kv["p"], where), parse_int(kv["k"], where),
+                             tuple(_parse_int_list(kv["m"], where)))
             return skew_ring(spec, tuple(_parse_int_list(kv["sigma"], where)))
-        p = parse_int(kv["p"], where)
-        _check_bounds(p)
-        return weyl_ring(p, parse_int(kv["n"], where))
+        return weyl_ring(parse_int(kv["p"], where), parse_int(kv["n"], where))
     except KeyError as exc:
         raise ParseError(f"ring line misses attribute {exc}") from exc
-
-
-def _check_bounds(p: int, k: int | None = None) -> None:
-    """ParseError when p, or a skew ring's field order p^k, is over its limit:
-    checked before any primality, irreducibility or table work."""
-    if p > MAX_CHARACTERISTIC:
-        raise ParseError(f"characteristic {p} is over the limit {MAX_CHARACTERISTIC}")
-    # p >= 2 in a field, so a k past the limit's bit length is over it too
-    if k is not None and k >= 1 and (k > MAX_FIELD_ORDER.bit_length()
-                                     or p ** k > MAX_FIELD_ORDER):
-        raise ParseError(f"a field of order {p}^{k} is over the {MAX_FIELD_ORDER}-element "
-                         f"limit of the lookup tables")
 
 
 def poly_to_text(poly: OrePolynomial) -> str:

@@ -4,12 +4,13 @@ import re
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, product
+from math import comb, factorial, prod
 from operator import mul
 
 from orekex import OreKexError, OrePolynomial, RingMismatchError
 from orekex.encoding import _digits_per_byte
 from orekex.errors import EncodingError, ParseError
-from orekex.fields import _poly_gcd, _poly_mod, _poly_mul, is_prime, tables_for
+from orekex.fields import is_prime, tables_for
 from orekex.serial import INT, _quote
 
 
@@ -186,7 +187,48 @@ def naive_pow(a, n, modulus, p):
 #
 # The element route the library kept beside its lookup tables until every
 # kernel read the tables.  ``spec`` is a FieldSpec, or a Presentation whose
-# modulus is not known to be irreducible.
+# modulus is not known to be irreducible.  Products and gcds run on
+# dense coefficient lists over F_p, lowest degree first.
+
+def _trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
+    # m is monic
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm and a:
+        lead = a[-1]
+        if lead:
+            shift = len(a) - 1 - dm
+            for i, mi in enumerate(m):
+                a[shift + i] = (a[shift + i] - lead * mi) % p
+        _trim(a)
+    return a
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p[x] by Euclid, each divisor scaled monic for _poly_mod."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        lead_inv = pow(b[-1], -1, p)
+        b = [c * lead_inv % p for c in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
 
 class ZeroInverseError(OreKexError):
     """Multiplicative inverse of zero was requested."""
@@ -366,8 +408,11 @@ class Automorphism:
 
 
 def rabin_is_irreducible(p: int, k: int, modulus) -> bool:
-    """Rabin's test by FieldElement powers of x, the route FieldSpec took
-    before it worked on coefficient lists."""
+    """Rabin's test by FieldElement powers of x: m is irreducible iff
+    x^(p^k) = x (mod m) and gcd(x^(p^(k/r)) - x, m) = 1 for every prime
+    r | k (M. O. Rabin, SIAM J. Comput. 9(2), 1980).  FieldSpec ran it for
+    any order before it refused orders past its table limit; this oracle
+    still reaches characteristics up to 2^31."""
     if k == 1:
         return True
     x = alpha(Presentation(p, k, tuple(c % p for c in modulus)))
@@ -631,6 +676,22 @@ def weyl_mul_oracle(f: OrePolynomial, g: OrePolynomial) -> OrePolynomial:
         for xkey, c in cp.terms.items():
             terms[xkey + dkey] = c
     return OrePolynomial(ring, terms)
+
+
+def _leibniz_exact(f, g):
+    """f*g by the Leibniz sum with exact binomials, pair of terms by pair of
+    terms: for operands whose sums min(w_i, e_i) are short, whatever the
+    size of their exponents (weyl_mul_oracle moves one d at a time)."""
+    n, p = f.ring.n, f.ring.p
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            w, e = ea[n:], eb[:n]
+            for ks in product(*(range(min(a, b) + 1) for a, b in zip(w, e))):
+                c = ca * cb * prod(comb(a, k) * comb(b, k) * factorial(k) for a, b, k in zip(w, e, ks))
+                at = tuple(ea[i] + eb[i] - ks[i % n] for i in range(2 * n))
+                out[at] = (out.get(at, 0) + c) % p
+    return f.ring.poly(out)
 
 
 def all_polynomials(ring, max_total_degree, coeff_values):

@@ -5,9 +5,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orekex import (EncodingError, FieldSpec, OreKexError, OrePolynomial, capacity_bytes,
-                    decode_bytes, encode_bytes, min_degree_bound, ring_by_name, skew_ring,
-                    weyl_ring)
+from orekex import (EncodingError, FieldSpec, OreKexError, OrePolynomial, decode_bytes,
+                    encode_bytes, min_degree_bound, ring_by_name, skew_ring, weyl_ring)
 from orekex.encoding import _digits_per_byte
 from orekex.rings import RING_ALIASES
 
@@ -36,7 +35,7 @@ def _full_lengths(ring, count=2):
 def test_encoding_matches_the_per_position_oracle(name, data):
     ring = RINGS[name]
     n, degree = data.draw(st.sampled_from(_full_lengths(ring)))
-    assert capacity_bytes(ring, degree) == n and min_degree_bound(ring, n) == degree
+    assert min_degree_bound(ring, n) == degree
     # the prefix fills degree D exactly, one byte less, or one more at D + 1
     length = data.draw(st.sampled_from([n - 1, n, n + 1]))
     message = data.draw(st.binary(min_size=length, max_size=length))
@@ -82,6 +81,6 @@ def test_one_nonzero_coefficient_value_is_refused():
     entry point refuses the ring at once instead of looping."""
     ring = weyl_ring(2, 2)
     for call in (lambda: encode_bytes(ring, b"a"), lambda: decode_bytes(ring.x(1)),
-                 lambda: capacity_bytes(ring, 3), lambda: min_degree_bound(ring, 1)):
+                 lambda: min_degree_bound(ring, 1)):
         with pytest.raises(OreKexError, match="one nonzero coefficient value"):
             call()

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from orekex import FieldSpec, OreKexError, f125_spec
+from orekex import FieldSpec, OreKexError, f125_spec, fields
 from orekex.fields import tables_for
 
 from helpers import (ZeroInverseError, alpha, element, elements, field_one, field_zero,
@@ -23,11 +23,15 @@ def test_spec_validation():
         FieldSpec(5, 2, (4, 0, 1))  # x^2 + 4 = x^2 - 1 has roots
     with pytest.raises(OreKexError):
         FieldSpec(2, 4, (1, 0, 1, 0, 1))  # (x^2+x+1)^2
-    with pytest.raises(OreKexError):
-        FieldSpec(5, 6, (2, 0, 0, 0, 0, 0, 1))  # x^6 - 3: 3 has order 4 in F_5^*, 3 | 6, 3 ∤ 4
-    assert not naive_is_irreducible([2, 0, 0, 0, 0, 0, 1], 5)
+    with pytest.raises(OreKexError, match="factor of degree 1"):
+        FieldSpec(2, 8, (1,) + (0,) * 7 + (1,))  # x^8 + 1 = (x + 1)^8
     FieldSpec(2, 4, (1, 1, 0, 0, 1))  # irreducible quartic passes
-    FieldSpec(5, 6, (1, 0, 0, 0, 1, 1, 1))  # irreducible sextic passes
+    FieldSpec(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # irreducible octic passes
+    # F_{5^6} is past the table limit: refused whether or not m is irreducible
+    for modulus in ((2, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 1, 1, 1)):
+        with pytest.raises(OreKexError, match="over the 256-element limit"):
+            FieldSpec(5, 6, modulus)
+    assert not naive_is_irreducible([2, 0, 0, 0, 0, 0, 1], 5)
     assert naive_is_irreducible([1, 0, 0, 0, 1, 1, 1], 5)
 
 
@@ -53,15 +57,25 @@ def test_irreducibility_matches_trial_division(p, k):
 
 def test_irreducibility_at_the_characteristic_bound():
     # 2^31 - 1 = 3 (mod 4), so -1 is not a square: x^2 + 1 is irreducible,
-    # and x^2 - 1 and x^2 are not; trial division is out of reach here
+    # and x^2 - 1 and x^2 are not; trial division is out of reach here.  A
+    # FieldSpec of that order is past the table limit, whatever its modulus
     p = (1 << 31) - 1
     for modulus, ok in (((1, 0, 1), True), ((p - 1, 0, 1), False), ((0, 0, 1), False)):
         assert rabin_is_irreducible(p, 2, modulus) == ok
-        if ok:
+        with pytest.raises(OreKexError, match="over the 256-element limit"):
             FieldSpec(p, 2, modulus)
-        else:
-            with pytest.raises(OreKexError):
-                FieldSpec(p, 2, modulus)
+
+
+def test_order_is_refused_before_the_primality_test(monkeypatch):
+    """An order past the table limit is refused before is_prime runs: by
+    k alone when k passes the limit's bit length, else by p^k."""
+    def no_primality(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(fields, "is_prime", no_primality)
+    for p, k in (((1 << 31) - 1, 2), (2, 9), (10 ** 4000 + 1, 10 ** 6)):
+        with pytest.raises(OreKexError, match="over the 256-element limit"):
+            FieldSpec(p, k, (1, 0, 1))
 
 
 def test_mul_examples():
@@ -179,7 +193,6 @@ def test_tables_match_element_arithmetic_sampled(spec):
 
 
 def test_serialization_text():
-    assert F125.to_text() == "field p=5 k=3 m=[3,3,0,1]"
     assert ALPHA.to_text() == "[0,1,0]"
 
 

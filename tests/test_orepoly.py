@@ -1,7 +1,6 @@
 import resource
 import time
 import tracemalloc
-from itertools import product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -16,8 +15,8 @@ from orekex.monomials import grevlex_descending
 from orekex.rings import RING_ALIASES
 from orekex.serial import poly_from_text
 
-from helpers import (alpha, degree_profile, field_constant, field_zero, frobenius, from_index,
-                     grevlex_key, skew_add_oracle, skew_mul_oracle, to_text_oracle,
+from helpers import (_leibniz_exact, alpha, degree_profile, field_constant, field_zero, frobenius,
+                     from_index, grevlex_key, skew_add_oracle, skew_mul_oracle, to_text_oracle,
                      weyl_add_oracle, weyl_mul_oracle)
 
 SKEW = ring_by_name("f125-skew2")
@@ -703,6 +702,59 @@ def test_weyl_mul_refuses_exponents_past_int64():
     assert far * (x1 + WEYL.x(2) ** 2) == weyl_mul_oracle(far, x1 + WEYL.x(2) ** 2)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_weyl_products_whose_box_passes_int64(n):
+    """(x1^15 + ... + xn^15) * (d1^15 + ... + dn^15) has n^2 pairs, no
+    Leibniz step and no exponent above 15, but a box of 16^(2n) >= 2^64
+    cells; it is made, as is one whose pairs take Leibniz steps in the
+    first and last variables."""
+    ring = weyl_ring(71, n)
+    xs = sum((ring.x(i) ** 15 for i in range(1, n + 1)), ring.zero())
+    ds = sum((ring.d(i) ** 15 for i in range(1, n + 1)), ring.zero())
+    f = xs + ring.d(1) ** 3 * ring.d(n) ** 2 * ring.x(2)
+    g = ds + ring.x(1) ** 2 * ring.x(n) ** 4 + 5
+    for a, b in [(xs, ds), (f, g), (g, f)]:
+        assert a * b == weyl_mul_oracle(a, b)
+    assert len(xs * ds) == n * n
+
+
+def test_weyl_product_footprint_past_the_int64_box():
+    """(d1^N + d2^N) * (x1^N + x2^N), N = 499,998, at p = 2^31 - 1 takes
+    exactly MAX_WEYL_STEPS steps over a box of (N + 1)^4 cells: summed by
+    the sort route in under 3 s and 200 MB traced, with 2N + 3 terms."""
+    p, top = 2 ** 31 - 1, 499_998
+    ring = weyl_ring(p, 2)
+    f = ring.d(1) ** top + ring.d(2) ** top
+    g = ring.x(1) ** top + ring.x(2) ** top
+    assert 2 * (top + 1) + 2 == orepoly.MAX_WEYL_STEPS
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        h = f * g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 3.0 and peak < 200 << 20
+    assert h._terms is None and len(h) == 2 * top + 3
+    # d_i^N x_i^N = sum over m of c_m x_i^m d_i^m, c_N = 1 and
+    # (N - m) c_m = (m + 1)^2 c_(m+1); the two m = 0 terms meet in 2 c_0,
+    # and d1^N x2^N, d2^N x1^N are single terms
+    exps, coeffs = h._coo()
+    x1, x2, d1, d2 = exps
+    one = (x1 == d1) & (x1 > 0) & (x2 == 0) & (d2 == 0)
+    two = (x2 == d2) & (x2 > 0) & (x1 == 0) & (d1 == 0)
+    m = np.arange(1, top + 1)
+    assert np.array_equal(x1[one], m) and np.array_equal(x2[two], m)
+    assert np.array_equal(coeffs[one], coeffs[two]) and coeffs[one][-1] == 1
+    rest = ~(one | two)
+    assert exps[:, rest].T.tolist() == [[0, 0, 0, 0], [0, top, top, 0], [top, 0, 0, top]]
+    c0 = int(coeffs[0]) * pow(2, -1, p) % p
+    assert coeffs[rest].tolist() == [2 * c0 % p, 1, 1]
+    c = np.append(c0, coeffs[one])
+    k = np.arange(top)
+    assert np.array_equal((top - k) * c[:-1] % p, (k + 1) ** 2 % p * c[1:] % p)
+
+
 def test_weyl_product_footprint_at_the_step_limit():
     """At p = 2^31 - 1 every term of d1^999*d2^999 * x1^999*x2^999 survives:
     10^6 of them, held in the product's arrays, with no term dict built."""
@@ -787,22 +839,6 @@ def weyl_routes(monkeypatch):
         assert took[:2] == [fits, False]
         return out, took[2]
     return each
-
-
-def _leibniz_exact(f, g):
-    """f*g by the Leibniz sum with exact binomials, pair of terms by pair of
-    terms: for operands whose sums min(w_i, e_i) are short, whatever the
-    size of their exponents (weyl_mul_oracle moves one d at a time)."""
-    n, p = f.ring.n, f.ring.p
-    out = {}
-    for ea, ca in f.terms.items():
-        for eb, cb in g.terms.items():
-            w, e = ea[n:], eb[:n]
-            for ks in product(*(range(min(a, b) + 1) for a, b in zip(w, e))):
-                c = ca * cb * prod(comb(a, k) * comb(b, k) * factorial(k) for a, b, k in zip(w, e, ks))
-                at = tuple(ea[i] + eb[i] - ks[i % n] for i in range(2 * n))
-                out[at] = (out.get(at, 0) + c) % p
-    return f.ring.poly(out)
 
 
 def _entries_and_cells(f, g):
